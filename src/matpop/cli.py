@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -179,7 +180,11 @@ def cmd_scale(args) -> int:
 
 def _parse_x0(raw: str, n: int) -> np.ndarray:
     path = Path(raw)
-    if path.exists():
+    try:
+        is_file = path.exists()
+    except OSError:  # e.g. a long inline list is too long to be a file name
+        is_file = False
+    if is_file:
         try:
             entries = [line.strip() for line in path.read_text().splitlines() if line.strip()]
             values = [float(entry) for entry in entries]
@@ -243,15 +248,26 @@ def cmd_simulate(args) -> int:
     return 0
 
 
+def _tolerance(raw: str) -> float:
+    """Parse a tolerance flag: a finite number strictly between 0 and 1."""
+    try:
+        value = float(raw)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {raw!r}") from None
+    if not (math.isfinite(value) and 0.0 < value < 1.0):
+        raise argparse.ArgumentTypeError(f"must be finite with 0 < tol < 1, got {raw!r}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="matpop",
         description="Analyze matrix population models: growth rate, net reproductive rate, "
         "structure, fertility scaling, and trajectory simulation.",
     )
-    parser.add_argument("--tol-spec", dest="tol_spec", type=float, default=SPECTRAL_TOL,
+    parser.add_argument("--tol-spec", dest="tol_spec", type=_tolerance, default=SPECTRAL_TOL,
                         help="spectral iteration tolerance (default %(default)g)")
-    parser.add_argument("--tol-class", dest="tol_class", type=float, default=CLASSIFY_TOL,
+    parser.add_argument("--tol-class", dest="tol_class", type=_tolerance, default=CLASSIFY_TOL,
                         help="growth classification tolerance (default %(default)g)")
     commands = parser.add_subparsers(dest="command", required=True)
 

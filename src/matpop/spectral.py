@@ -13,10 +13,19 @@ A + I at every step (Collatz-Wielandt), and the iteration stops only once
 the bracket width falls below tolerance.  The Rayleigh quotient reported
 as the root is a convex combination of those ratios, so it always lies
 inside the final bracket.
+
+Each block first gets short cold probes from the uniform vector, of
+max(500, 20 n) iterations for order n, which certify well-conditioned
+blocks.  On a period-d block the shifted iteration contracts only at
+about cos(pi / d), so a block still uncertified after its probes gets one
+pass started from LAPACK's dominant eigenpair instead: numpy's eig
+proposes, and the same ratio bracket certifies.  The iteration budget
+covers all passes of a block together.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +37,11 @@ from .structure import analyze_structure
 # Stop once the ratio bracket is this tight, relative to max(1, root).
 SPECTRAL_TOL = 1e-12
 MAX_ITERATIONS = 200_000
+# Length of a cold probe pass: max(PROBE_MIN_ITERATIONS,
+# PROBE_ITERATIONS_PER_ORDER * n) for a block of order n, about the cost of
+# one dense eigendecomposition of that block.
+PROBE_MIN_ITERATIONS = 500
+PROBE_ITERATIONS_PER_ORDER = 20
 # Entries of a computed resolvent inverse may round slightly negative; any
 # dip beyond this is an error, anything shallower is clamped to zero.
 CLAMP_TOL = 1e-10
@@ -47,17 +61,18 @@ class SpectralPair:
     left: np.ndarray
 
 
-def _power_pass(block: np.ndarray, tol: float, max_iterations: int):
+def _power_pass(block: np.ndarray, tol: float, max_iterations: int, start: np.ndarray | None = None):
     """One certified power iteration on block + I from a positive start.
 
-    Returns (root, vector, lo, hi) where [lo, hi] is the final certified
-    bracket around the root and the vector sums to 1.
+    The start defaults to the uniform vector.  Returns (root, vector, lo,
+    hi, iterations) where [lo, hi] is the final certified bracket around
+    the root, the vector sums to 1 and iterations is the number used.
     """
     n = block.shape[0]
     shifted = block + np.eye(n)
-    x = np.full(n, 1.0 / n)
+    x = np.full(n, 1.0 / n) if start is None else start
     lo = hi = 0.0
-    for _ in range(max_iterations):
+    for iteration in range(1, max_iterations + 1):
         y = shifted @ x
         ratios = y / x
         lo = float(ratios.min())
@@ -65,13 +80,34 @@ def _power_pass(block: np.ndarray, tol: float, max_iterations: int):
         if hi - lo <= tol * max(1.0, hi):
             root = float(x @ y) / float(x @ x) - 1.0
             x = y / y.sum()
-            return max(root, 0.0), x, lo - 1.0, hi - 1.0
+            return max(root, 0.0), x, lo - 1.0, hi - 1.0, iteration
         x = y / y.sum()
     raise ConvergenceError(
         f"power iteration did not converge within {max_iterations} iterations; "
         f"spectral radius is in [{lo - 1.0:.17g}, {hi - 1.0:.17g}]",
         bracket=(lo - 1.0, hi - 1.0),
     )
+
+
+def _eig_seed(block: np.ndarray):
+    """LAPACK's dominant eigenpair as (lam, x0) with a positive sum-1 x0, or None.
+
+    For a nonnegative matrix the Perron root has the largest real part
+    among the eigenvalues.  The pair is only a proposal: the pass it seeds
+    still has to certify the root with a ratio bracket.
+    """
+    try:
+        values, vectors = np.linalg.eig(block)
+    except np.linalg.LinAlgError:
+        return None
+    k = int(np.argmax(values.real))
+    lam = float(values[k].real)
+    x0 = np.abs(vectors[:, k].real)
+    total = float(x0.sum())
+    if not (lam > 0.0 and 0.0 < total < math.inf):
+        return None
+    x0 = x0 / total
+    return (lam, x0) if (x0 > 0.0).all() else None
 
 
 def _power_root(block: np.ndarray, tol: float, max_iterations: int):
@@ -82,37 +118,62 @@ def _power_root(block: np.ndarray, tol: float, max_iterations: int):
     about 1 - 2 rho).  Since rho(A) = c * rho(A / c) for any c > 0, a
     small converged root, or even the midpoint of an unconverged bracket
     that proves the root small, is used to rescale the block so the next
-    pass resolves a root near 1, where the bracket test is relative and
+    probe resolves a root near 1, where the bracket test is relative and
     the shift provides an O(1) gap.
+
+    Probes are cold and short, sized by the block order.  A block still
+    uncertified after them gets one pass on block / lam started from
+    LAPACK's dominant eigenpair (lam, x0), which also resolves the root
+    relative to lam.  max_iterations bounds all passes of the block
+    together.
     """
+    n = block.shape[0]
+    probe_budget = max(PROBE_MIN_ITERATIONS, PROBE_ITERATIONS_PER_ORDER * n)
+    remaining = max_iterations
     scale = 1.0
-    probe_budget = min(max_iterations, 5000)
+    bracket = (0.0, math.inf)
     for _ in range(3):
+        if remaining <= 0:
+            break
+        budget = min(remaining, probe_budget)
         try:
-            root, vector, lo, hi = _power_pass(block, tol, probe_budget)
+            root, vector, lo, hi, used = _power_pass(block, tol, budget)
         except ConvergenceError as err:
+            remaining -= budget
             lo, hi = err.bracket
+            bracket = (scale * lo, scale * hi)
             if 0.0 < lo and hi < 0.5:
                 midpoint = 0.5 * (lo + hi)
                 scale *= midpoint
                 block = block / midpoint
                 continue
-            break  # not a small root, just slow: spend the full budget below
+            break  # not a small root, just slow: finish from the seed below
+        remaining -= used
+        bracket = (scale * lo, scale * hi)
         if 0.0 < root < 0.5:
             scale *= root
             block = block / root
             continue
         return scale * root, vector, scale * lo, scale * hi
-    try:
-        root, vector, lo, hi = _power_pass(block, tol, max_iterations)
-    except ConvergenceError as err:
-        lo, hi = err.bracket
-        raise ConvergenceError(
-            f"power iteration did not converge within {max_iterations} iterations; "
-            f"spectral radius is in [{scale * lo:.17g}, {scale * hi:.17g}]",
-            bracket=(scale * lo, scale * hi),
-        ) from None
-    return scale * root, vector, scale * lo, scale * hi
+    if remaining > 0:
+        seed = _eig_seed(block)
+        start = None
+        if seed is not None:
+            lam, start = seed
+            scale *= lam
+            block = block / lam
+        try:
+            root, vector, lo, hi, _ = _power_pass(block, tol, remaining, start)
+        except ConvergenceError as err:
+            lo, hi = err.bracket
+            bracket = (scale * lo, scale * hi)
+        else:
+            return scale * root, vector, scale * lo, scale * hi
+    raise ConvergenceError(
+        f"power iteration did not converge within {max_iterations} iterations; "
+        f"spectral radius is in [{bracket[0]:.17g}, {bracket[1]:.17g}]",
+        bracket=bracket,
+    )
 
 
 def spectral_radius(m, *, tol: float = SPECTRAL_TOL, max_iterations: int = MAX_ITERATIONS) -> float:

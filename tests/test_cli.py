@@ -253,6 +253,17 @@ class TestSimulateCommand:
         summary = json.loads(summary_path.read_text())
         assert summary["r"] == pytest.approx(PLANT_R, abs=1e-6)
 
+    def test_long_inline_x0_is_not_a_path(self, tmp_path, capsys):
+        # 200 comma-separated entries are too long to be a file name.
+        n = 200
+        leslie = {"survival": [0.5] * (n - 1), "fertility": [1.0] * n}
+        path = write_model(tmp_path, "leslie200.json", {"leslie": leslie})
+        out_path = tmp_path / "run.csv"
+        x0 = ",".join(["1"] * n)
+        argv = ["simulate", path, "--x0", x0, "--steps", "200", "--out", str(out_path)]
+        assert main(argv) == 0
+        assert len(out_path.read_text().strip().splitlines()) == 1 + 201
+
     def test_dimension_mismatch_exits_2(self, capsys):
         assert main(["simulate", PLANT, "--x0", "1,2", "--steps", "3"]) == 2
 
@@ -286,6 +297,19 @@ class TestToleranceFlags:
         # iteration exhausts its budget: the internal-failure exit path.
         assert main(["--tol-spec", "1e-30", "analyze", PLANT]) == 3
         assert "numerical failure" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--tol-spec", "-1"), ("--tol-spec", "nan"), ("--tol-spec", "0"), ("--tol-spec", "inf"),
+         ("--tol-class", "5"), ("--tol-class", "1"), ("--tol-class", "x")],
+    )
+    def test_invalid_tolerance_exits_2_at_parse_time(self, flag, value, capsys):
+        with pytest.raises(SystemExit) as info:
+            main([flag, value, "analyze", PLANT])
+        assert info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert flag in captured.err
 
     def test_loose_classification_tolerance_changes_class(self, tmp_path, capsys):
         # r almost exactly 1: classified Growing normally, Stationary when

@@ -154,6 +154,16 @@ class TestLeslieGrowthRate:
                 report.net_reproductive_rate, abs=1e-9
             )
 
+    def test_long_period_semelparous_model(self):
+        # Period 200: power iteration on P + I alone contracts at about
+        # cos(pi / 200) per step.
+        leslie = LeslieModel((0.9,) * 199, (0.0,) * 199 + (5.0,))
+        model = assemble(leslie)
+        r = analyze(model).growth_rate
+        assert r == pytest.approx(leslie_growth_rate(leslie), rel=1e-9)
+        scaled = target_growth_scale(model, 1.05 * r)
+        assert scaled.q == pytest.approx(q_poly_eval(leslie, 1.05 * r), rel=1e-9)
+
     def test_unit_r0_forces_unit_growth(self):
         rng = np.random.default_rng(103)
         for _ in range(50):

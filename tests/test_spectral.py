@@ -117,6 +117,11 @@ class TestSpectralRadius:
         assert spectral_radius([[0.0, 1.0], [1e-12, 0.0]]) == pytest.approx(
             1e-6, rel=1e-10
         )
+        # Six-cycle with five 1e-20 edges: the root is 1e-100 ** (1/6).
+        cycle = np.zeros((6, 6))
+        cycle[np.arange(1, 6), np.arange(5)] = 1e-20
+        cycle[0, 5] = 1.0
+        assert spectral_radius(cycle) == pytest.approx(1e-100 ** (1 / 6), rel=1e-9)
 
     def test_iteration_budget_exhaustion_reports_bracket(self):
         m = [[0.0, 2.0], [3.0, 0.0]]
