@@ -18,9 +18,12 @@ Each block first gets short cold probes from the uniform vector, of
 max(500, 20 n) iterations for order n, which certify well-conditioned
 blocks.  On a period-d block the shifted iteration contracts only at
 about cos(pi / d), so a block still uncertified after its probes gets one
-pass started from LAPACK's dominant eigenpair instead: numpy's eig
-proposes, and the same ratio bracket certifies.  The iteration budget
-covers all passes of a block together.
+pass started from a proposed Perron pair instead, and the same ratio
+bracket certifies.  The proposal comes from the block's cyclic classes:
+only the restriction of A^d to one class, of order n / d when the d
+classes are equal, goes to numpy's eig, and the rest of the vector is
+carried along the cycle by products of nonnegative numbers.  The
+iteration budget covers all passes of a block together.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ import numpy as np
 
 from .errors import ConvergenceError, MortalityError, NumericalError, StructureError
 from .matrices import as_matrix
-from .structure import analyze_structure
+from .structure import _cyclic_classes, analyze_structure
 
 # Stop once the ratio bracket is this tight, relative to max(1, root).
 SPECTRAL_TOL = 1e-12
@@ -42,6 +45,10 @@ MAX_ITERATIONS = 200_000
 # one dense eigendecomposition of that block.
 PROBE_MIN_ITERATIONS = 500
 PROBE_ITERATIONS_PER_ORDER = 20
+# From this order on, inverting a lower-triangular I - T by forward
+# substitution (one vector-matrix product per row) costs less than an LU
+# factorization.
+SUBSTITUTION_MIN_ORDER = 100
 # Entries of a computed resolvent inverse may round slightly negative; any
 # dip beyond this is an error, anything shallower is clamped to zero.
 CLAMP_TOL = 1e-10
@@ -89,12 +96,11 @@ def _power_pass(block: np.ndarray, tol: float, max_iterations: int, start: np.nd
     )
 
 
-def _eig_seed(block: np.ndarray):
-    """LAPACK's dominant eigenpair as (lam, x0) with a positive sum-1 x0, or None.
+def _dominant_pair(block: np.ndarray):
+    """LAPACK's dominant eigenpair as (lam, x) with a positive sum-1 x, or None.
 
     For a nonnegative matrix the Perron root has the largest real part
-    among the eigenvalues.  The pair is only a proposal: the pass it seeds
-    still has to certify the root with a ratio bracket.
+    among the eigenvalues.
     """
     try:
         values, vectors = np.linalg.eig(block)
@@ -105,6 +111,73 @@ def _eig_seed(block: np.ndarray):
     x0 = np.abs(vectors[:, k].real)
     total = float(x0.sum())
     if not (lam > 0.0 and 0.0 < total < math.inf):
+        return None
+    x0 = x0 / total
+    return (lam, x0) if (x0 > 0.0).all() else None
+
+
+def _balanced_pair(block: np.ndarray):
+    """LAPACK's dominant eigenpair, refined entry by entry; (lam, x) or None.
+
+    eig resolves a vector only relative to its largest entry, so where the
+    Perron vector spans many orders of magnitude its small entries come
+    out with few correct digits.  So the block is rebalanced by
+    D = diag(x) and eig asked once more: D^-1 A D has a near-uniform
+    Perron vector, resolved entry by entry, and D times it is the answer.
+    """
+    pair = _dominant_pair(block)
+    if pair is None:
+        return None
+    lam, x = pair
+    balanced = _dominant_pair(block * x / x[:, None])
+    if balanced is None:
+        return pair
+    lam, y = balanced
+    x = x * y
+    total = float(x.sum())
+    if not 0.0 < total < math.inf:
+        return pair
+    x = x / total
+    return (lam, x) if (x > 0.0).all() else pair
+
+
+def _eig_seed(block: np.ndarray):
+    """A proposed Perron pair (lam, x0) of an irreducible block, or None.
+
+    The block of imprimitivity index d maps each cyclic class C_k into the
+    next: A_k = A[C_k+1, C_k].  Its Perron root is the d-th root of that
+    of M = A_d-1 ... A_1 A_0, the primitive restriction of A^d to C_0, and
+    its Perron vector is M's on C_0, carried on by x_k+1 = A_k x_k / lam.
+    Only M, of order |C_0|, goes to eig, so a long-period block costs a
+    chain of small products, and the carried entries are products of
+    nonnegative numbers, accurate however widely they range.  For d = 1,
+    M is the block itself.  The pair is only a proposal: the pass it seeds
+    still has to certify the root with a ratio bracket.
+    """
+    period, classes = _cyclic_classes(block > 0)
+    members = [np.flatnonzero(classes == k) for k in range(period)]
+    maps = [block[np.ix_(members[(k + 1) % period], members[k])] for k in range(period)]
+    # M is formed with each partial product scaled to unit maximum, so a
+    # long cycle neither overflows nor underflows.
+    product = None
+    log_scale = 0.0
+    for a in maps:
+        product = a if product is None else a @ product
+        peak = float(product.max())
+        product = product / peak
+        log_scale += math.log(peak)
+    pair = _balanced_pair(product)
+    if pair is None:
+        return None
+    mu, x = pair
+    lam = math.exp((log_scale + math.log(mu)) / period)
+    x0 = np.empty(block.shape[0])
+    x0[members[0]] = x
+    for k in range(period - 1):
+        x = maps[k] @ x / lam
+        x0[members[k + 1]] = x
+    total = float(x0.sum())
+    if not 0.0 < total < math.inf:
         return None
     x0 = x0 / total
     return (lam, x0) if (x0 > 0.0).all() else None
@@ -122,9 +195,9 @@ def _power_root(block: np.ndarray, tol: float, max_iterations: int):
     the shift provides an O(1) gap.
 
     Probes are cold and short, sized by the block order.  A block still
-    uncertified after them gets one pass on block / lam started from
-    LAPACK's dominant eigenpair (lam, x0), which also resolves the root
-    relative to lam.  max_iterations bounds all passes of the block
+    uncertified after them gets one pass on block / lam started from the
+    proposed Perron pair (lam, x0) of _eig_seed, which also resolves the
+    root relative to lam.  max_iterations bounds all passes of the block
     together.
     """
     n = block.shape[0]
@@ -226,10 +299,15 @@ def perron_pair(m, *, tol: float = SPECTRAL_TOL, max_iterations: int = MAX_ITERA
 def resolvent_inverse(transition, *, tol: float = SPECTRAL_TOL) -> np.ndarray:
     """(I - T)^-1 for a transition matrix with spectral radius below 1.
 
-    Solved directly by LU factorization with partial pivoting of I - T.
-    The true inverse equals the series I + T + T^2 + ... and is therefore
-    nonnegative; tiny negative round-off is clamped to zero and anything
-    below -CLAMP_TOL raises NumericalError.
+    A lower-triangular T of order SUBSTITUTION_MIN_ORDER or more
+    (individuals only stay or move on, as in a long Leslie or
+    stage-classified model) is inverted by forward substitution: every
+    entry is a sum of products of nonnegative numbers, accurate entry by
+    entry.  Any other T is solved directly by LU factorization with
+    partial pivoting of I - T.  The true inverse
+    equals the series I + T + T^2 + ... and is therefore nonnegative; tiny
+    negative round-off is clamped to zero and anything below -CLAMP_TOL
+    raises NumericalError.
     """
     t = as_matrix(transition, name="transition matrix")
     rho = spectral_radius(t, tol=tol)
@@ -238,6 +316,16 @@ def resolvent_inverse(transition, *, tol: float = SPECTRAL_TOL) -> np.ndarray:
             f"rho(T) >= 1: transition matrix spectral radius is {rho:.12g}, the population never dies out"
         )
     n = t.shape[0]
+    if n >= SUBSTITUTION_MIN_ORDER and not np.triu(t, 1).any():
+        # Row i of (I - T) N = I reads (1 - t_ii) N_i = e_i + sum_{k<i} t_ik N_k.
+        inverse = np.zeros((n, n))
+        pivots = 1.0 - np.diagonal(t)
+        for i in range(n):
+            row = t[i, :i] @ inverse[:i]
+            row[i] += 1.0
+            inverse[i] = row / pivots[i]
+        inverse.setflags(write=False)
+        return inverse
     try:
         inverse = np.linalg.solve(np.eye(n) - t, np.eye(n))
     except np.linalg.LinAlgError as exc:

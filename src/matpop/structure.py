@@ -114,8 +114,8 @@ def _strong_components(succ: list[np.ndarray], n: int) -> list[list[int]]:
     return components
 
 
-def _period(succ: list[np.ndarray], vertices: list[int]) -> int:
-    """gcd of the cycle lengths through a strongly connected vertex set."""
+def _levels(succ: list[np.ndarray], vertices: list[int]) -> dict[int, int]:
+    """Breadth-first distance from vertices[0] of each vertex of a strongly connected set."""
     level = {v: -1 for v in vertices}
     start = vertices[0]
     level[start] = 0
@@ -129,11 +129,28 @@ def _period(succ: list[np.ndarray], vertices: list[int]) -> int:
                     level[w] = level[u] + 1
                     next_queue.append(w)
         queue = next_queue
+    return level
+
+
+def _period(succ: list[np.ndarray], level: dict[int, int]) -> int:
+    """gcd of the cycle lengths through a strongly connected vertex set, from its levels."""
     g = 0
-    for u in vertices:
+    for u in level:
         for w in succ[u]:
             g = math.gcd(g, level[u] + 1 - level[int(w)])
     return g
+
+
+def _cyclic_classes(pattern: np.ndarray) -> tuple[int, np.ndarray]:
+    """Imprimitivity index d and the cyclic class of every vertex of an irreducible pattern.
+
+    A vertex's class is its level mod d, so every edge runs from class k
+    to class k + 1 mod d.
+    """
+    succ = _successors(pattern)
+    level = _levels(succ, list(range(pattern.shape[0])))
+    period = _period(succ, level)
+    return period, np.array([level[v] % period for v in range(pattern.shape[0])])
 
 
 def _analyze_pattern(pattern: np.ndarray) -> StructureReport:
@@ -145,7 +162,7 @@ def _analyze_pattern(pattern: np.ndarray) -> StructureReport:
 
     # A 1x1 pattern is irreducible only if its single entry is set.
     irreducible = len(ordered) == 1 and (n > 1 or bool(pattern[0, 0]))
-    period = _period(succ, list(ordered[0])) if irreducible else None
+    period = _period(succ, _levels(succ, list(ordered[0]))) if irreducible else None
     return StructureReport(
         components=ordered,
         irreducible=irreducible,

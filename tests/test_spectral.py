@@ -12,6 +12,7 @@ from matpop import (
     as_matrix,
     perron_pair,
     resolvent_inverse,
+    spectral,
     spectral_radius,
 )
 from helpers import (
@@ -123,6 +124,22 @@ class TestSpectralRadius:
         cycle[0, 5] = 1.0
         assert spectral_radius(cycle) == pytest.approx(1e-100 ** (1 / 6), rel=1e-9)
 
+    @pytest.mark.parametrize("fertile_ages", [(200,), (199, 200)])
+    def test_seed_resolves_widely_scaled_perron_vector(self, fertile_ages):
+        # T + F / R0 of a 200-class Leslie model with survival 0.9: root 1,
+        # Perron entries down to 0.9 ** 199, period 200 for a semelparous
+        # model and 1 with two adjacent fertile ages.  The seeded pass must
+        # certify within a few iterations of the single failed probe.
+        n = 200
+        ages = np.array(fertile_ages)
+        m = np.zeros((n, n))
+        m[np.arange(1, n), np.arange(n - 1)] = 0.9
+        m[0, ages - 1] = 0.9 ** -(ages - 1.0) / len(ages)
+        budget = spectral.PROBE_ITERATIONS_PER_ORDER * n + 20
+        assert spectral_radius(m, max_iterations=budget) == pytest.approx(1.0, rel=1e-12)
+        pair = perron_pair(m, max_iterations=budget)
+        assert pair.right == pytest.approx(0.9 ** np.arange(n) * pair.right[0], rel=1e-9)
+
     def test_iteration_budget_exhaustion_reports_bracket(self):
         m = [[0.0, 2.0], [3.0, 0.0]]
         with pytest.raises(ConvergenceError) as info:
@@ -189,6 +206,17 @@ class TestResolventInverse:
         model = plant_model()
         q = model.fertility @ resolvent_inverse(model.transition)
         np.testing.assert_allclose(q, PLANT_Q, atol=1e-14)
+
+    def test_long_lower_triangular_transition(self):
+        # 150 ages surviving 0.9 each, the last with stasis 0.5: N[i, j] is
+        # the survival from age j to age i, over 1 - 0.5 in the last row.
+        n = 150
+        t = np.diag(np.full(n - 1, 0.9), -1)
+        t[-1, -1] = 0.5
+        i, j = np.indices((n, n))
+        expected = np.where(i >= j, 0.9 ** np.maximum(i - j, 0), 0.0)
+        expected[-1] /= 0.5
+        np.testing.assert_allclose(resolvent_inverse(t), expected, rtol=1e-13, atol=0.0)
 
     def test_rejects_immortal_transition(self):
         with pytest.raises(MortalityError):

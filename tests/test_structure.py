@@ -9,6 +9,7 @@ from matpop import (
     next_gen_pattern,
     resolvent_inverse,
 )
+from matpop.structure import _cyclic_classes
 from helpers import (
     PLANT_F,
     PLANT_Q,
@@ -100,6 +101,22 @@ class TestAnalyzeStructure:
             assert lengths
             assert report.imprimitivity_index == math.gcd(*lengths)
             assert all(length % report.imprimitivity_index == 0 for length in lengths)
+
+    def test_edges_advance_one_cyclic_class(self):
+        rng = np.random.default_rng(43)
+        checked = 0
+        while checked < 80:
+            n = int(rng.integers(1, 9))
+            m = rng.uniform(0.1, 1.0, (n, n)) * (rng.random((n, n)) < 0.3)
+            report = analyze_structure(m)
+            if not report.irreducible:
+                continue
+            checked += 1
+            period, classes = _cyclic_classes(m > 0)
+            assert period == report.imprimitivity_index
+            rows, cols = np.nonzero(m)
+            assert ((classes[cols] + 1) % period == classes[rows]).all()
+            assert sorted(set(classes.tolist())) == list(range(period))
 
     def test_plant_cycle_lengths(self):
         lengths = sorted(simple_cycle_lengths(plant_model().projection))
