@@ -44,12 +44,10 @@ from .model import (
     TargetScaleResult,
     Trichotomy,
     analyze,
-    next_generation_matrix,
     r0_positive,
     stabilizing_scale,
     target_growth_scale,
     validate_model,
-    wielandt_bracket,
 )
 from .leslie import LeslieModel, assemble, leslie_growth_rate, leslie_r0, q_poly_eval
 from .dynamics import (
@@ -112,7 +110,6 @@ __all__ = [
     "leslie_growth_rate",
     "leslie_r0",
     "next_gen_pattern",
-    "next_generation_matrix",
     "periodic_limits",
     "perron_pair",
     "q_poly_eval",
@@ -122,5 +119,4 @@ __all__ = [
     "stabilizing_scale",
     "target_growth_scale",
     "validate_model",
-    "wielandt_bracket",
 ]

@@ -25,7 +25,7 @@ import numpy as np
 from . import __version__
 from .dynamics import eventual_limit, iterate, periodic_limits
 from .errors import ModelError, NumericalError
-from .leslie import LeslieModel, assemble
+from .leslie import LeslieModel, _matrices
 from .model import (
     CLASSIFY_TOL,
     AnalysisReport,
@@ -35,8 +35,7 @@ from .model import (
     target_growth_scale,
     validate_model,
 )
-from .spectral import SPECTRAL_TOL, perron_pair, spectral_radius
-from .structure import analyze_structure
+from .spectral import SPECTRAL_TOL, perron_pair
 
 
 def _round_floats(value):
@@ -61,8 +60,10 @@ def _emit_json(payload: dict, stream) -> None:
     stream.write("\n")
 
 
-def load_model_file(path: str, *, tol_spec: float = SPECTRAL_TOL) -> PopulationModel:
-    """Parse a model file into a validated PopulationModel."""
+def load_model_file(
+    path: str, *, tol_spec: float = SPECTRAL_TOL, tol_class: float = CLASSIFY_TOL
+) -> PopulationModel:
+    """Parse a model file into a PopulationModel validated with the given tolerances."""
     try:
         text = Path(path).read_text()
     except OSError as exc:
@@ -89,13 +90,14 @@ def load_model_file(path: str, *, tol_spec: float = SPECTRAL_TOL) -> PopulationM
         block = data["leslie"]
         if not isinstance(block, dict) or set(block) != {"survival", "fertility"}:
             raise ModelError(f"{path}: leslie must be an object with survival and fertility")
-        return assemble(LeslieModel(tuple(block["survival"]), tuple(block["fertility"])))
-
-    if "transition" not in data or "fertility" not in data:
+        t, f = _matrices(LeslieModel(tuple(block["survival"]), tuple(block["fertility"])))
+    elif "transition" in data and "fertility" in data:
+        t, f = data["transition"], data["fertility"]
+    else:
         raise ModelError(
             f"{path}: model file needs transition and fertility matrices, or a leslie block"
         )
-    return validate_model(data["transition"], data["fertility"], tol_spec=tol_spec)
+    return validate_model(t, f, tol_spec=tol_spec, tol_class=tol_class)
 
 
 def _tool_block(args) -> dict:
@@ -134,33 +136,32 @@ def _analysis_payload(model: PopulationModel, report: AnalysisReport, args) -> d
     return payload
 
 
+def _load(args) -> PopulationModel:
+    return load_model_file(args.model, tol_spec=args.tol_spec, tol_class=args.tol_class)
+
+
 def cmd_analyze(args) -> int:
-    model = load_model_file(args.model, tol_spec=args.tol_spec)
-    report = analyze(model, tol_spec=args.tol_spec, tol_class=args.tol_class)
-    _emit_json(_analysis_payload(model, report, args), sys.stdout)
+    model = _load(args)
+    _emit_json(_analysis_payload(model, analyze(model), args), sys.stdout)
     return 0
 
 
 def cmd_scale(args) -> int:
-    model = load_model_file(args.model, tol_spec=args.tol_spec)
+    model = _load(args)
     if args.stationary:
-        r0 = spectral_radius(model.next_generation, tol=args.tol_spec)
-        scaled = stabilizing_scale(model, tol_spec=args.tol_spec, tol_class=args.tol_class)
-        divisor = r0
+        scaled = stabilizing_scale(model)
+        divisor = model.r0
         target = 1.0
-        r0_scaled = r0 / divisor
+        r0_scaled = 1.0
     else:
-        result = target_growth_scale(
-            model, args.target_growth, tol_spec=args.tol_spec, tol_class=args.tol_class
-        )
+        result = target_growth_scale(model, args.target_growth)
         scaled = result.scaled
         divisor = result.q
         target = float(args.target_growth)
         r0_scaled = result.r0_scaled
 
-    achieved = spectral_radius(scaled.projection, tol=args.tol_spec)
-    if analyze_structure(scaled.projection).irreducible:
-        stable = perron_pair(scaled.projection).right.tolist()
+    if scaled.structure.irreducible:
+        stable = perron_pair(scaled.projection, tol=scaled.tol_spec).right.tolist()
     else:
         stable = None
     payload = {
@@ -168,7 +169,7 @@ def cmd_scale(args) -> int:
         "mode": "stationary" if args.stationary else "target_growth",
         "q": divisor,
         "target_growth": target,
-        "achieved_growth": achieved,
+        "achieved_growth": scaled.growth_rate,
         "R0_s": r0_scaled,
         "scaled_fertility": scaled.fertility.tolist(),
         "stable_population": stable,
@@ -200,11 +201,10 @@ def _parse_x0(raw: str, n: int) -> np.ndarray:
     return np.array(values)
 
 
-def _simulation_summary(model: PopulationModel, x0: np.ndarray, args) -> dict:
-    rate = spectral_radius(model.projection, tol=args.tol_spec)
-    summary: dict = {"r": rate}
+def _simulation_summary(model: PopulationModel, x0: np.ndarray) -> dict:
+    summary: dict = {"r": model.growth_rate}
     try:
-        structure = analyze_structure(model.projection)
+        structure = model.structure
         if structure.primitive:
             settled = eventual_limit(model, x0)
             summary["fate"] = settled.fate.value
@@ -221,11 +221,11 @@ def _simulation_summary(model: PopulationModel, x0: np.ndarray, args) -> dict:
 
 
 def cmd_simulate(args) -> int:
-    model = load_model_file(args.model, tol_spec=args.tol_spec)
+    model = _load(args)
     if args.steps < 0:
         raise ModelError(f"--steps must be >= 0, got {args.steps}")
     x0 = _parse_x0(args.x0, model.n)
-    trajectory = iterate(model, x0, args.steps, normalize=args.normalize, tol_class=args.tol_class)
+    trajectory = iterate(model, x0, args.steps, normalize=args.normalize)
 
     header = "step,total," + ",".join(f"class_{i + 1}" for i in range(model.n))
     lines = [header]
@@ -239,7 +239,7 @@ def cmd_simulate(args) -> int:
     else:
         sys.stdout.write(csv_text)
 
-    summary = _round_floats(_simulation_summary(model, x0, args))
+    summary = _round_floats(_simulation_summary(model, x0))
     summary_text = json.dumps(summary, sort_keys=True) + "\n"
     if args.summary:
         Path(args.summary).write_text(summary_text)

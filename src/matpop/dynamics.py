@@ -7,6 +7,9 @@ or explodes according to r < 1, r = 1, or r > 1.  An irreducible but
 imprimitive matrix with index d instead drives x_k / r^k into a permanent
 oscillation through d limit vectors, one per step residue modulo d.
 Long-run limits of reducible models are out of scope and refused.
+
+Every function reads the growth rate and the structure cached on the
+model, and uses the model's spectral and classification tolerances.
 """
 
 from __future__ import annotations
@@ -18,9 +21,8 @@ import numpy as np
 
 from .errors import ConsistencyError, ConvergenceError, ModelError, NumericalError, StructureError
 from .matrices import as_population_vector
-from .model import CLASSIFY_TOL, PopulationModel
-from .spectral import perron_pair, spectral_radius
-from .structure import analyze_structure
+from .model import PopulationModel
+from .spectral import perron_pair
 
 # Per-step change below which a normalized trajectory counts as settled,
 # the number of consecutive settled steps required, and the iteration cap.
@@ -91,14 +93,7 @@ class PopulationClass:
     residual: float
 
 
-def iterate(
-    model: PopulationModel,
-    x0,
-    steps: int,
-    *,
-    normalize: bool = False,
-    tol_class: float = CLASSIFY_TOL,
-) -> Trajectory:
+def iterate(model: PopulationModel, x0, steps: int, *, normalize: bool = False) -> Trajectory:
     """Run the model forward, recording steps 0..steps inclusive.
 
     Normalized mode divides step k by r^k (iterating with P / r), which is
@@ -112,8 +107,8 @@ def iterate(
         raise ModelError(f"step count must be >= 0, got {steps}")
     matrix = model.projection
     if normalize:
-        rate = spectral_radius(matrix)
-        if rate <= tol_class:
+        rate = model.growth_rate
+        if rate <= model.tol_class:
             raise ModelError("growth rate is zero; the normalized trajectory is undefined")
         matrix = matrix / rate
 
@@ -131,29 +126,23 @@ def iterate(
     return Trajectory(steps=tuple(records), normalized=normalize)
 
 
-def _settle(matrix: np.ndarray, start: np.ndarray, tol: float, max_steps: int) -> np.ndarray:
-    """Iterate y <- matrix @ y until CONVERGENCE_WINDOW consecutive small steps."""
+def _settle(matrix: np.ndarray, start: np.ndarray) -> np.ndarray:
+    """Iterate y <- matrix @ y until CONVERGENCE_WINDOW consecutive steps below LIMIT_TOL."""
     y = start
     quiet = 0
-    for _ in range(max_steps):
+    for _ in range(MAX_STEPS):
         y_next = matrix @ y
-        if np.max(np.abs(y_next - y)) < tol:
+        if np.max(np.abs(y_next - y)) < LIMIT_TOL:
             quiet += 1
             if quiet >= CONVERGENCE_WINDOW:
                 return y_next
         else:
             quiet = 0
         y = y_next
-    raise ConvergenceError(f"normalized trajectory did not settle within {max_steps} steps")
+    raise ConvergenceError(f"normalized trajectory did not settle within {MAX_STEPS} steps")
 
 
-def eventual_limit(
-    model: PopulationModel,
-    x0,
-    *,
-    tol: float = LIMIT_TOL,
-    max_steps: int = MAX_STEPS,
-) -> LimitResult:
+def eventual_limit(model: PopulationModel, x0) -> LimitResult:
     """Limit of x_k / r^k for a primitive model, computed two independent ways.
 
     The Perron projection (left @ x0) * right must agree with the settled
@@ -161,38 +150,31 @@ def eventual_limit(
     ConsistencyError is raised.  Imprimitive irreducible models are
     rejected with a pointer to periodic_limits.
     """
-    structure = analyze_structure(model.projection)
-    if not structure.primitive:
+    if not model.structure.primitive:
         raise StructureError(
             "projection matrix is not primitive; use periodic_limits for the oscillating case"
         )
     x = as_population_vector(x0, model.n)
-    pair = perron_pair(model.projection)
+    pair = perron_pair(model.projection, tol=model.tol_spec)
     direct = float(pair.left @ x) * pair.right
     direct.setflags(write=False)
 
-    iterated = _settle(model.projection / pair.rho, x, tol, max_steps)
+    iterated = _settle(model.projection / pair.rho, x)
     if np.max(np.abs(iterated - direct)) > AGREEMENT_TOL * max(1.0, float(np.max(direct))):
         raise ConsistencyError(
             "iterated normalized trajectory disagrees with the Perron projection of x0"
         )
 
-    if pair.rho < 1.0 - CLASSIFY_TOL:
+    if pair.rho < 1.0 - model.tol_class:
         fate = Fate.EXTINCT
-    elif pair.rho > 1.0 + CLASSIFY_TOL:
+    elif pair.rho > 1.0 + model.tol_class:
         fate = Fate.UNBOUNDED
     else:
         fate = Fate.FINITE
     return LimitResult(limit=direct, fate=fate)
 
 
-def periodic_limits(
-    model: PopulationModel,
-    x0,
-    *,
-    tol: float = LIMIT_TOL,
-    max_steps: int = MAX_STEPS,
-) -> PeriodicLimits:
+def periodic_limits(model: PopulationModel, x0) -> PeriodicLimits:
     """Subsequence limits of x_k / r^k along step residues modulo the imprimitivity index.
 
     Requires an irreducible projection matrix; with index 1 this reduces
@@ -200,38 +182,30 @@ def periodic_limits(
     nonzero (in fact all are, since the left Perron functional of the
     normalized trajectory is conserved).
     """
-    structure = analyze_structure(model.projection)
+    structure = model.structure
     if not structure.irreducible:
         raise StructureError("projection matrix is reducible; long-run limits are not supported")
     if structure.imprimitivity_index == 1:
-        settled = eventual_limit(model, x0, tol=tol, max_steps=max_steps)
-        return PeriodicLimits(period=1, limits=(settled.limit,))
+        return PeriodicLimits(period=1, limits=(eventual_limit(model, x0).limit,))
 
     x = as_population_vector(x0, model.n)
     period = structure.imprimitivity_index
-    rate = spectral_radius(model.projection)
-    normalized = model.projection / rate
+    normalized = model.projection / model.growth_rate
     step_matrix = np.linalg.matrix_power(normalized, period)
 
     limits = []
     seed = x
     for _ in range(period):
-        settled = _settle(step_matrix, seed, tol, max_steps)
+        settled = _settle(step_matrix, seed)
         settled.setflags(write=False)
         limits.append(settled)
         seed = normalized @ seed
-    if max(float(np.max(np.abs(w))) for w in limits) <= tol:
+    if max(float(np.max(np.abs(w))) for w in limits) <= LIMIT_TOL:
         raise ConsistencyError("all subsequence limits vanished for an irreducible model")
     return PeriodicLimits(period=period, limits=tuple(limits))
 
 
-def classify_population(
-    model: PopulationModel,
-    x,
-    *,
-    tol: float = LIMIT_TOL,
-    tol_class: float = CLASSIFY_TOL,
-) -> PopulationClass:
+def classify_population(model: PopulationModel, x) -> PopulationClass:
     """Test whether x is stable (P x = lambda x, lambda > 0) or stationary (lambda = 1).
 
     The factor estimate uses the left Perron vector when the projection
@@ -240,16 +214,16 @@ def classify_population(
     """
     x = as_population_vector(x, model.n)
     image = model.projection @ x
-    if analyze_structure(model.projection).irreducible:
-        left = perron_pair(model.projection).left
+    if model.structure.irreducible:
+        left = perron_pair(model.projection, tol=model.tol_spec).left
         factor = float(left @ image) / float(left @ x)
     else:
         support = x > 0
         factor = float(np.median(image[support] / x[support]))
     residual = float(np.max(np.abs(image - factor * x)) / np.max(np.abs(x)))
 
-    if residual <= tol and factor > tol_class:
-        if abs(factor - 1.0) <= tol_class:
+    if residual <= LIMIT_TOL and factor > model.tol_class:
+        if abs(factor - 1.0) <= model.tol_class:
             kind = PopulationKind.STATIONARY
         else:
             kind = PopulationKind.STABLE

@@ -58,15 +58,20 @@ class LeslieModel:
         return len(self.fertility)
 
 
-def assemble(model: LeslieModel) -> PopulationModel:
-    """Generic population model with survival on the subdiagonal and fertility in row 1."""
+def _matrices(model: LeslieModel) -> tuple[np.ndarray, np.ndarray]:
+    """(T, F) with survival on the subdiagonal of T and fertility in row 1 of F."""
     n = model.n
     t = np.zeros((n, n))
     for i, rate in enumerate(model.survival):
         t[i + 1, i] = rate
     f = np.zeros((n, n))
     f[0, :] = model.fertility
-    return validate_model(t, f)
+    return t, f
+
+
+def assemble(model: LeslieModel) -> PopulationModel:
+    """Generic population model with survival on the subdiagonal and fertility in row 1."""
+    return validate_model(*_matrices(model))
 
 
 def _coefficients(model: LeslieModel) -> list[float]:

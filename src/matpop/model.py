@@ -15,6 +15,11 @@ Scaling only the fertility matrix moves the growth rate without touching
 survival: dividing F by R0 makes the model stationary, and dividing by
 q(s) = rho(F (I - T/s)^-1) / s makes the growth rate exactly s for any
 target s above rho(T).
+
+The model carries its spectral and classification tolerances, set once
+by validate_model, and computes each derived quantity (the structure of
+P, rho(T), r, Q and R0) at most once, on first use.  Every function here
+and in the dynamics module reads those cached values.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ import numpy as np
 
 from .errors import ConsistencyError, ModelError, MortalityError, ScalingError, StructureError
 from .matrices import as_matrix
-from .spectral import SPECTRAL_TOL, resolvent_inverse, spectral_radius
+from .spectral import SPECTRAL_TOL, _radius, _resolvent, spectral_radius
 from .structure import QPatternReport, StructureReport, analyze_structure, next_gen_pattern
 
 # Classification band around 1 for the growth trichotomy, and the residual
@@ -50,11 +55,17 @@ class Trichotomy(Enum):
 
 @dataclass(frozen=True, eq=False)
 class PopulationModel:
-    """Validated (transition, fertility) pair with cached derived matrices."""
+    """Validated (transition, fertility) pair with its tolerances and cached derived values.
+
+    ``tol_spec`` is the tolerance of every Perron computation on the
+    model and ``tol_class`` the band of the growth classification.
+    """
 
     transition: np.ndarray
     fertility: np.ndarray
     warnings: tuple[str, ...] = ()
+    tol_spec: float = SPECTRAL_TOL
+    tol_class: float = CLASSIFY_TOL
 
     @property
     def n(self) -> int:
@@ -68,15 +79,35 @@ class PopulationModel:
         return p
 
     @cached_property
+    def structure(self) -> StructureReport:
+        """Strong components, irreducibility and imprimitivity index of P."""
+        return analyze_structure(self.projection)
+
+    @cached_property
+    def rho_transition(self) -> float:
+        """rho(T), below 1 for every validated model."""
+        return spectral_radius(self.transition, tol=self.tol_spec)
+
+    @cached_property
+    def growth_rate(self) -> float:
+        """r = rho(P)."""
+        return _radius(self.projection, self.structure.components, self.tol_spec)
+
+    @cached_property
     def next_generation(self) -> np.ndarray:
         """Next generation matrix Q = F (I - T)^-1.
 
         Entry (i, j) counts the class-i newborns descending from one
         class-j individual over its whole remaining lifetime.
         """
-        q = self.fertility @ resolvent_inverse(self.transition)
+        q = self.fertility @ _resolvent(self.transition)
         q.setflags(write=False)
         return q
+
+    @cached_property
+    def r0(self) -> float:
+        """Net reproductive rate R0 = rho(Q)."""
+        return spectral_radius(self.next_generation, tol=self.tol_spec)
 
 
 @dataclass(frozen=True)
@@ -108,8 +139,14 @@ class TargetScaleResult:
     r0_scaled: float
 
 
-def validate_model(transition, fertility, *, tol_spec: float = SPECTRAL_TOL) -> PopulationModel:
-    """Validate a (T, F) pair into a PopulationModel.
+def validate_model(
+    transition,
+    fertility,
+    *,
+    tol_spec: float = SPECTRAL_TOL,
+    tol_class: float = CLASSIFY_TOL,
+) -> PopulationModel:
+    """Validate a (T, F) pair into a PopulationModel carrying both tolerances.
 
     Rejects dimension mismatches, negative or non-finite entries, a zero
     fertility matrix, and a transition matrix with spectral radius at or
@@ -124,22 +161,29 @@ def validate_model(transition, fertility, *, tol_spec: float = SPECTRAL_TOL) -> 
         )
     if f.max() == 0.0:
         raise ModelError("fertility matrix is zero")
-    rho_t = spectral_radius(t, tol=tol_spec)
-    if rho_t >= 1.0 - tol_spec:
-        raise MortalityError(
-            f"rho(T) >= 1: transition matrix spectral radius is {rho_t:.12g}, the population never dies out"
-        )
     warnings = tuple(
         f"column {j + 1} of the transition matrix sums to {s:.6g} > 1"
         for j, s in enumerate(t.sum(axis=0))
         if s > 1.0
     )
-    return PopulationModel(transition=t, fertility=f, warnings=warnings)
+    model = PopulationModel(t, f, warnings, tol_spec, tol_class)
+    if model.rho_transition >= 1.0 - tol_spec:
+        raise MortalityError(
+            f"rho(T) >= 1: transition matrix spectral radius is {model.rho_transition:.12g}, "
+            "the population never dies out"
+        )
+    return model
 
 
-def next_generation_matrix(model: PopulationModel) -> np.ndarray:
-    """Next generation matrix Q = F (I - T)^-1 of a validated model."""
-    return model.next_generation
+def _rescaled(model: PopulationModel, divisor: float) -> PopulationModel:
+    """The model with fertility F / divisor, sharing T, warnings, tolerances and rho(T)."""
+    f = model.fertility / divisor
+    if not np.isfinite(f).all():
+        raise ModelError("fertility matrix has non-finite entries")
+    f.setflags(write=False)
+    scaled = PopulationModel(model.transition, f, model.warnings, model.tol_spec, model.tol_class)
+    vars(scaled)["rho_transition"] = model.rho_transition
+    return scaled
 
 
 def _classify(r: float, r0: float, tol_class: float) -> Trichotomy:
@@ -154,42 +198,35 @@ def _classify(r: float, r0: float, tol_class: float) -> Trichotomy:
     )
 
 
-def analyze(
-    model: PopulationModel,
-    *,
-    tol_spec: float = SPECTRAL_TOL,
-    tol_class: float = CLASSIFY_TOL,
-    tol_stab: float = STABILITY_TOL,
-) -> AnalysisReport:
+def analyze(model: PopulationModel) -> AnalysisReport:
     """Full analysis: r, R0, trichotomy class, and pattern structure.
 
     For an irreducible projection matrix the report additionally carries
     the next-generation block pattern and the residual of the scaling
-    cross-check rho(T + F/R0) = 1; a residual beyond tol_stab raises
+    cross-check rho(T + F/R0) = 1; a residual beyond STABILITY_TOL raises
     ConsistencyError.
     """
-    r = spectral_radius(model.projection, tol=tol_spec)
-    q = model.next_generation
-    r0 = spectral_radius(q, tol=tol_spec)
-    structure = analyze_structure(model.projection)
+    r = model.growth_rate
+    r0 = model.r0
+    structure = model.structure
     strict = structure.irreducible
 
-    if strict and r0 <= tol_class:
+    if strict and r0 <= model.tol_class:
         raise ConsistencyError(
             "irreducible model computed a zero net reproductive rate, which is impossible"
         )
-    trichotomy = _classify(r, r0, tol_class)
+    trichotomy = _classify(r, r0, model.tol_class)
 
     stability_residual = None
     q_pattern = None
     if strict:
-        scaled_rho = spectral_radius(model.transition + model.fertility / r0, tol=tol_spec)
+        scaled_rho = spectral_radius(model.transition + model.fertility / r0, tol=model.tol_spec)
         stability_residual = abs(scaled_rho - 1.0)
-        if stability_residual > tol_stab:
+        if stability_residual > STABILITY_TOL:
             raise ConsistencyError(
-                f"rho(T + F/R0) = {scaled_rho!r} differs from 1 beyond tolerance {tol_stab}"
+                f"rho(T + F/R0) = {scaled_rho!r} differs from 1 beyond tolerance {STABILITY_TOL}"
             )
-        q_pattern = next_gen_pattern(model.fertility, q)
+        q_pattern = next_gen_pattern(model.fertility, model.next_generation)
 
     return AnalysisReport(
         growth_rate=r,
@@ -202,36 +239,21 @@ def analyze(
     )
 
 
-def stabilizing_scale(
-    model: PopulationModel,
-    *,
-    tol_spec: float = SPECTRAL_TOL,
-    tol_class: float = CLASSIFY_TOL,
-    tol_stab: float = STABILITY_TOL,
-) -> PopulationModel:
+def stabilizing_scale(model: PopulationModel) -> PopulationModel:
     """Model with fertility divided by R0, which has growth rate exactly 1."""
-    r0 = spectral_radius(model.next_generation, tol=tol_spec)
-    if r0 <= tol_class:
+    if model.r0 <= model.tol_class:
         raise ScalingError(
             "net reproductive rate is zero; no fertility scaling yields a stationary model"
         )
-    scaled = validate_model(model.transition, model.fertility / r0, tol_spec=tol_spec)
-    achieved = spectral_radius(scaled.projection, tol=tol_spec)
-    if abs(achieved - 1.0) > tol_stab:
+    scaled = _rescaled(model, model.r0)
+    if abs(scaled.growth_rate - 1.0) > STABILITY_TOL:
         raise ConsistencyError(
-            f"growth rate of the fertility-rescaled model is {achieved!r}, expected 1"
+            f"growth rate of the fertility-rescaled model is {scaled.growth_rate!r}, expected 1"
         )
     return scaled
 
 
-def target_growth_scale(
-    model: PopulationModel,
-    s: float,
-    *,
-    tol_spec: float = SPECTRAL_TOL,
-    tol_class: float = CLASSIFY_TOL,
-    tol_stab: float = STABILITY_TOL,
-) -> TargetScaleResult:
+def target_growth_scale(model: PopulationModel, s: float) -> TargetScaleResult:
     """Scale fertility so the model's growth rate becomes exactly s.
 
     Requires an irreducible projection matrix and a target s above
@@ -240,39 +262,33 @@ def target_growth_scale(
     rate is R0 / q(s).
     """
     s = float(s)
-    if not analyze_structure(model.projection).irreducible:
+    if not model.structure.irreducible:
         raise StructureError(
             "projection matrix is reducible; target-growth scaling needs an irreducible model"
         )
-    rho_t = spectral_radius(model.transition, tol=tol_spec)
-    if not np.isfinite(s) or s <= rho_t + tol_spec:
+    rho_t = model.rho_transition
+    if not np.isfinite(s) or s <= rho_t + model.tol_spec:
         raise ScalingError(f"target growth rate {s:.6g} must exceed rho(T) = {rho_t:.6g}")
 
+    # rho(T / s) = rho(T) / s < 1, so the resolvent needs no second check.
     q_of_s = spectral_radius(
-        model.fertility @ resolvent_inverse(model.transition / s, tol=tol_spec), tol=tol_spec
+        model.fertility @ _resolvent(model.transition / s), tol=model.tol_spec
     ) / s
     if q_of_s <= 0.0:
         raise ConsistencyError("fertility divisor came out nonpositive for an irreducible model")
 
-    scaled = validate_model(model.transition, model.fertility / q_of_s, tol_spec=tol_spec)
-    achieved = spectral_radius(scaled.projection, tol=tol_spec)
-    if abs(achieved - s) > tol_stab:
+    scaled = _rescaled(model, q_of_s)
+    if abs(scaled.growth_rate - s) > STABILITY_TOL:
         raise ConsistencyError(
-            f"growth rate of the fertility-rescaled model is {achieved!r}, expected {s!r}"
+            f"growth rate of the fertility-rescaled model is {scaled.growth_rate!r}, expected {s!r}"
         )
-    r0 = spectral_radius(model.next_generation, tol=tol_spec)
-    r0_scaled = r0 / q_of_s
+    r0_scaled = model.r0 / q_of_s
     # The scaled model's (s, R0(s)) pair must itself satisfy the trichotomy.
-    _classify(s, r0_scaled, tol_class)
+    _classify(s, r0_scaled, model.tol_class)
     return TargetScaleResult(q=q_of_s, scaled=scaled, r0_scaled=r0_scaled)
 
 
-def r0_positive(
-    model: PopulationModel,
-    *,
-    tol_spec: float = SPECTRAL_TOL,
-    tol_class: float = CLASSIFY_TOL,
-) -> bool:
+def r0_positive(model: PopulationModel) -> bool:
     """Whether the net reproductive rate is positive.
 
     Decided structurally for an irreducible projection matrix (the
@@ -282,15 +298,15 @@ def r0_positive(
     The result is cross-checked against rho(Q) directly; disagreement
     raises ConsistencyError.
     """
-    direct = spectral_radius(model.next_generation, tol=tol_spec) > tol_class
-    if analyze_structure(model.projection).irreducible:
+    direct = model.r0 > model.tol_class
+    if model.structure.irreducible:
         found = len(next_gen_pattern(model.fertility, model.next_generation).q11_indices) > 0
     else:
-        rho_t = spectral_radius(model.transition, tol=tol_spec)
         found = False
         a = 1.0
         for _ in range(CERTIFICATE_DOUBLINGS):
-            if spectral_radius(model.transition + a * model.fertility, tol=tol_spec) > rho_t + tol_spec:
+            rho = spectral_radius(model.transition + a * model.fertility, tol=model.tol_spec)
+            if rho > model.rho_transition + model.tol_spec:
                 found = True
                 break
             a *= 2.0
@@ -299,21 +315,3 @@ def r0_positive(
             "scaling certificate for a positive net reproductive rate disagrees with rho(Q)"
         )
     return found
-
-
-def wielandt_bracket(a, x) -> tuple[float, float]:
-    """Collatz-Wielandt bracket: min and max of (A x)_i / x_i for positive x.
-
-    For an irreducible matrix A the spectral radius always lies between
-    the two ratios, with equality exactly when x is the Perron vector.
-    """
-    a = as_matrix(a)
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1 or x.shape[0] != a.shape[0]:
-        raise ModelError(f"test vector must have length {a.shape[0]}, got shape {x.shape}")
-    if not np.isfinite(x).all() or (x <= 0).any():
-        raise ModelError("test vector must be strictly positive")
-    if not analyze_structure(a).irreducible:
-        raise StructureError("ratio bracketing of the spectral radius needs an irreducible matrix")
-    ratios = (a @ x) / x
-    return float(ratios.min()), float(ratios.max())

@@ -257,8 +257,13 @@ def spectral_radius(m, *, tol: float = SPECTRAL_TOL, max_iterations: int = MAX_I
     Trivial 1x1 components contribute their own diagonal entry.
     """
     m = as_matrix(m)
+    return _radius(m, analyze_structure(m).components, tol, max_iterations)
+
+
+def _radius(m: np.ndarray, components, tol: float, max_iterations: int = MAX_ITERATIONS) -> float:
+    """Largest Perron root over the strong components of a validated matrix."""
     rho = 0.0
-    for component in analyze_structure(m).components:
+    for component in components:
         if len(component) == 1:
             i = component[0]
             rho = max(rho, float(m[i, i]))
@@ -315,6 +320,11 @@ def resolvent_inverse(transition, *, tol: float = SPECTRAL_TOL) -> np.ndarray:
         raise MortalityError(
             f"rho(T) >= 1: transition matrix spectral radius is {rho:.12g}, the population never dies out"
         )
+    return _resolvent(t)
+
+
+def _resolvent(t: np.ndarray) -> np.ndarray:
+    """(I - T)^-1 for a validated T already known to have rho(T) < 1."""
     n = t.shape[0]
     if n >= SUBSTITUTION_MIN_ORDER and not np.triu(t, 1).any():
         # Row i of (I - T) N = I reads (1 - t_ii) N_i = e_i + sum_{k<i} t_ik N_k.

@@ -202,7 +202,7 @@ def next_gen_pattern(fertility, next_gen) -> QPatternReport:
             f"of the fertility matrix: {q_zero_rows.tolist()} vs {f_zero_rows.tolist()}"
         )
 
-    nonzero = [i for i in range(q.shape[0]) if i not in set(q_zero_rows.tolist())]
+    nonzero = np.flatnonzero(q_pattern.any(axis=1)).tolist()
     if not nonzero:
         raise ConsistencyError("next generation matrix is entirely zero")
     permutation = tuple(nonzero) + tuple(int(i) for i in q_zero_rows)

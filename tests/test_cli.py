@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from matpop import cli, dynamics, spectral
 from matpop.cli import main
 from helpers import PLANT_R, plant_stable_of_s
 
@@ -325,3 +326,51 @@ class TestToleranceFlags:
         assert main(["--tol-class", "1e-3", "analyze", path]) == 0
         loose_report = json.loads(capsys.readouterr().out)
         assert loose_report["trichotomy"] == "Stationary"
+
+    def test_spectral_tolerance_reaches_leslie_files(self, tmp_path, capsys):
+        # A bracket this tight is unreachable for this model's growth rate,
+        # so the run must fail: the flag reached the Leslie-form model.
+        path = write_model(
+            tmp_path,
+            "leslie.json",
+            {"leslie": {"survival": [0.5, 0.5], "fertility": [0.3, 1.0, 1.0]}},
+        )
+        assert main(["analyze", path]) == 0
+        assert main(["--tol-spec", "1e-30", "analyze", path]) == 3
+        assert "numerical failure" in capsys.readouterr().err
+
+    def test_spectral_tolerance_reaches_every_perron_pair(self, tmp_path, monkeypatch, capsys):
+        seen = []
+
+        def spy(m, **kwargs):
+            seen.append(kwargs.get("tol"))
+            return spectral.perron_pair(m, **kwargs)
+
+        monkeypatch.setattr(cli, "perron_pair", spy)
+        monkeypatch.setattr(dynamics, "perron_pair", spy)
+        path = write_model(
+            tmp_path, "leslie.json", {"leslie": {"survival": [0.5], "fertility": [1, 1]}}
+        )
+        flags = ["--tol-spec", "1e-11"]
+        assert main([*flags, "scale", path, "--stationary"]) == 0
+        summary = str(tmp_path / "summary.json")
+        simulate = ["simulate", path, "--x0", "1,1", "--steps", "2", "--normalize"]
+        assert main([*flags, *simulate, "--summary", summary]) == 0
+        assert seen == [1e-11, 1e-11]
+
+
+class TestCallBudget:
+    """Each model quantity is computed once per command, so kernel calls stay bounded."""
+
+    @pytest.mark.parametrize(
+        "argv, tarjan, perron",
+        [
+            (["analyze", PLANT], 6, 3),
+            (["scale", PLANT, "--stationary"], 4, 4),
+            (["scale", PLANT, "--target-growth", "2"], 6, 5),
+        ],
+    )
+    def test_plant_commands(self, argv, tarjan, perron, kernel_calls, capsys):
+        assert main(argv) == 0
+        assert len(kernel_calls["_analyze_pattern"]) <= tarjan
+        assert len(kernel_calls["_power_root"]) <= perron

@@ -10,19 +10,19 @@ from matpop import (
     StructureError,
     Trichotomy,
     analyze,
-    next_generation_matrix,
+    analyze_structure,
     r0_positive,
     spectral_radius,
     stabilizing_scale,
     target_growth_scale,
     validate_model,
-    wielandt_bracket,
 )
 from helpers import (
+    PLANT_F,
     PLANT_Q,
     PLANT_R,
     PLANT_R0,
-    PLANT_STABLE,
+    PLANT_T,
     plant_q_of_s,
     random_general_model,
     random_irreducible_model,
@@ -64,17 +64,17 @@ class TestValidateModel:
 
 class TestNextGenerationMatrix:
     def test_plant(self, plant):
-        np.testing.assert_allclose(next_generation_matrix(plant), PLANT_Q, atol=1e-14)
+        np.testing.assert_allclose(plant.next_generation, PLANT_Q, atol=1e-14)
 
     def test_zero_transition_gives_fertility(self):
         f = np.array([[1.0, 2.0], [0.5, 0.0]])
         model = validate_model(np.zeros((2, 2)), f)
-        np.testing.assert_array_equal(next_generation_matrix(model), f)
+        np.testing.assert_array_equal(model.next_generation, f)
 
     def test_dead_end_fixture(self):
         model = validate_model(DEAD_END_T, DEAD_END_F)
-        np.testing.assert_allclose(next_generation_matrix(model), DEAD_END_F, atol=1e-14)
-        assert spectral_radius(next_generation_matrix(model)) == 0.0
+        np.testing.assert_allclose(model.next_generation, DEAD_END_F, atol=1e-14)
+        assert spectral_radius(model.next_generation) == 0.0
 
 
 class TestAnalyze:
@@ -190,6 +190,12 @@ class TestTargetGrowthScale:
         with pytest.raises(StructureError):
             target_growth_scale(model, 2.0)
 
+    def test_overflowing_fertility_rejected(self):
+        # q(s) is about f_1 / s, so F / q(1e308) overflows.
+        model = validate_model([[0.0, 0.0], [0.5, 0.0]], [[0.5, 1.0], [0.0, 0.0]])
+        with np.errstate(over="ignore"), pytest.raises(ModelError, match="non-finite"):
+            target_growth_scale(model, 1e308)
+
     def test_q_strictly_decreasing_and_vanishing(self):
         rng = np.random.default_rng(61)
         for _ in range(25):
@@ -239,35 +245,35 @@ class TestR0Positive:
             assert r0_positive(model) == expected
 
 
-class TestWielandtBracket:
-    def test_perron_vector_attains_equality(self):
-        lo, hi = wielandt_bracket([[1.0, 1.0], [1.0, 1.0]], [1.0, 1.0])
-        assert lo == pytest.approx(2.0) and hi == pytest.approx(2.0)
+class TestBoundTolerances:
+    def test_classification_band_is_set_at_validation(self):
+        # r almost exactly 1: Growing at the default band, Stationary at 1e-3.
+        t = [[0.0, 0.0], [0.5, 0.0]]
+        f = [[0.5, 1.0000001], [0.0, 0.0]]
+        assert analyze(validate_model(t, f)).trichotomy is Trichotomy.GROWING
+        loose = validate_model(t, f, tol_class=1e-3)
+        assert analyze(loose).trichotomy is Trichotomy.STATIONARY
 
-    def test_off_vector_brackets_radius(self):
-        lo, hi = wielandt_bracket([[1.0, 1.0], [1.0, 1.0]], [2.0, 1.0])
-        assert lo == pytest.approx(1.5)
-        assert hi == pytest.approx(3.0)
-        assert lo <= 2.0 <= hi
+    def test_scaled_models_keep_tolerances_and_rho_transition(self, kernel_calls):
+        model = validate_model(PLANT_T, PLANT_F, tol_spec=1e-11, tol_class=1e-6)
+        for scaled in (stabilizing_scale(model), target_growth_scale(model, 2.0).scaled):
+            assert (scaled.tol_spec, scaled.tol_class) == (1e-11, 1e-6)
+            assert scaled.transition is model.transition
+            assert scaled.warnings == model.warnings
+            kernel_calls.clear()
+            assert scaled.rho_transition == model.rho_transition
+            assert not kernel_calls
 
-    def test_plant_stable_population(self, plant):
-        lo, hi = wielandt_bracket(plant.projection, PLANT_STABLE)
-        assert lo == pytest.approx(PLANT_R, abs=1e-12)
-        assert hi == pytest.approx(PLANT_R, abs=1e-12)
 
-    def test_rejects_nonpositive_vector(self, plant):
-        with pytest.raises(ModelError):
-            wielandt_bracket(plant.projection, [1.0, 0.0, 1.0, 1.0, 1.0])
-
-    def test_rejects_reducible_matrix(self):
-        with pytest.raises(StructureError):
-            wielandt_bracket([[1.0, 1.0], [0.0, 1.0]], [1.0, 1.0])
-
-    def test_always_contains_radius(self):
-        rng = np.random.default_rng(73)
-        for _ in range(100):
-            model = random_irreducible_model(rng, n_max=8)
-            x = rng.uniform(0.1, 2.0, model.n)
-            lo, hi = wielandt_bracket(model.projection, x)
-            rho = spectral_radius(model.projection)
-            assert lo - 1e-10 <= rho <= hi + 1e-10
+class TestComputeOnce:
+    def test_target_scaling_after_analyze_reuses_r0(self, plant, kernel_calls):
+        analyze(plant)
+        q = plant.next_generation
+        q_blocks = [q[np.ix_(c, c)] for c in analyze_structure(q).components if len(c) > 1]
+        assert q_blocks
+        kernel_calls.clear()
+        target_growth_scale(plant, 2.0)
+        blocks = kernel_calls["_power_root"]
+        # Only q(2) and the scaled model's growth rate need a Perron root.
+        assert len(blocks) <= 2
+        assert not any(np.array_equal(b, qb) for b in blocks for qb in q_blocks)

@@ -17,6 +17,7 @@ from matpop import (
 )
 from helpers import (
     PLANT_Q,
+    PLANT_R,
     PLANT_STABLE,
     char_poly_spectral_radius,
     neumann_partial_sum,
@@ -193,6 +194,43 @@ class TestPerronPair:
             assert np.max(np.abs(p @ pair.right - pair.rho * pair.right)) <= tol
             left_scale = max(1.0, float(np.max(pair.left)))
             assert np.max(np.abs(pair.left @ p - pair.rho * pair.left)) <= tol * left_scale
+
+
+def _ratio_bracket(a, x) -> tuple[float, float]:
+    """Min and max of (A x)_i / x_i for a positive test vector x."""
+    ratios = (np.asarray(a) @ x) / x
+    return float(ratios.min()), float(ratios.max())
+
+
+class TestCollatzWielandtBounds:
+    """For irreducible A and positive x, rho(A) lies between min and max of (A x) / x."""
+
+    def test_perron_vector_attains_equality(self):
+        lo, hi = _ratio_bracket([[1.0, 1.0], [1.0, 1.0]], np.array([1.0, 1.0]))
+        assert lo == pytest.approx(2.0) and hi == pytest.approx(2.0)
+        assert spectral_radius([[1.0, 1.0], [1.0, 1.0]]) == pytest.approx(2.0, abs=1e-12)
+
+    def test_off_vector_brackets_radius(self):
+        lo, hi = _ratio_bracket([[1.0, 1.0], [1.0, 1.0]], np.array([2.0, 1.0]))
+        assert lo == pytest.approx(1.5)
+        assert hi == pytest.approx(3.0)
+        assert lo <= spectral_radius([[1.0, 1.0], [1.0, 1.0]]) <= hi
+
+    def test_plant_stable_population(self):
+        p = plant_model().projection
+        lo, hi = _ratio_bracket(p, PLANT_STABLE)
+        assert lo == pytest.approx(PLANT_R, abs=1e-12)
+        assert hi == pytest.approx(PLANT_R, abs=1e-12)
+        assert spectral_radius(p) == pytest.approx(PLANT_R, abs=1e-9)
+
+    def test_always_contains_radius(self):
+        rng = np.random.default_rng(73)
+        for _ in range(100):
+            model = random_irreducible_model(rng, n_max=8)
+            x = rng.uniform(0.1, 2.0, model.n)
+            lo, hi = _ratio_bracket(model.projection, x)
+            rho = spectral_radius(model.projection)
+            assert lo - 1e-10 <= rho <= hi + 1e-10
 
 
 class TestResolventInverse:
