@@ -58,8 +58,6 @@ from .dynamics import (
     PeriodicLimits,
     PopulationClass,
     PopulationKind,
-    Trajectory,
-    TrajectoryStep,
     classify_population,
     eventual_limit,
     iterate,
@@ -96,8 +94,6 @@ __all__ = [
     "StructureError",
     "StructureReport",
     "TargetScaleResult",
-    "Trajectory",
-    "TrajectoryStep",
     "Trichotomy",
     "analyze",
     "analyze_structure",

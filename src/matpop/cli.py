@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -220,31 +221,38 @@ def _simulation_summary(model: PopulationModel, x0: np.ndarray) -> dict:
     return summary
 
 
+def _csv_lines(trajectory: np.ndarray):
+    yield "step,total," + ",".join(f"class_{i + 1}" for i in range(trajectory.shape[1])) + "\n"
+    for k, row in enumerate(trajectory):
+        yield f"{k},{_format_number(row.sum())},{','.join(map(_format_number, row.tolist()))}\n"
+
+
+def _write(path: str | None, default, lines) -> None:
+    """Write text lines to the file at path, or to the default stream when no path is given."""
+    if not path:
+        try:
+            default.writelines(lines)
+        except BrokenPipeError:
+            # The reader stopped early, as `| head` does; the rest is unwanted.
+            with open(os.devnull, "w") as devnull:
+                os.dup2(devnull.fileno(), default.fileno())
+        return
+    try:
+        with open(path, "w") as stream:
+            stream.writelines(lines)
+    except OSError as exc:
+        raise ModelError(f"cannot write {path}: {exc}") from None
+
+
 def cmd_simulate(args) -> int:
     model = _load(args)
-    if args.steps < 0:
-        raise ModelError(f"--steps must be >= 0, got {args.steps}")
     x0 = _parse_x0(args.x0, model.n)
     trajectory = iterate(model, x0, args.steps, normalize=args.normalize)
 
-    header = "step,total," + ",".join(f"class_{i + 1}" for i in range(model.n))
-    lines = [header]
-    for step in trajectory.steps:
-        cells = [str(step.index), _format_number(step.total)]
-        cells.extend(_format_number(v) for v in step.population)
-        lines.append(",".join(cells))
-    csv_text = "\n".join(lines) + "\n"
-    if args.out:
-        Path(args.out).write_text(csv_text)
-    else:
-        sys.stdout.write(csv_text)
+    _write(args.out, sys.stdout, _csv_lines(trajectory))
 
     summary = _round_floats(_simulation_summary(model, x0))
-    summary_text = json.dumps(summary, sort_keys=True) + "\n"
-    if args.summary:
-        Path(args.summary).write_text(summary_text)
-    else:
-        sys.stderr.write(summary_text)
+    _write(args.summary, sys.stderr, (json.dumps(summary, sort_keys=True) + "\n",))
     return 0
 
 

@@ -1,4 +1,4 @@
-"""Trajectory iteration and long-run behavior of population models.
+"""Population trajectories and the long-run behavior of population models.
 
 For a primitive projection matrix the normalized trajectory x_k / r^k
 converges to (v @ x0) u, where u and v are the right and left Perron
@@ -50,21 +50,6 @@ class PopulationKind(Enum):
 
 
 @dataclass(frozen=True, eq=False)
-class TrajectoryStep:
-    index: int
-    population: np.ndarray
-    total: float
-
-
-@dataclass(frozen=True, eq=False)
-class Trajectory:
-    """Iterates of x_k = P x_{k-1}; in normalized mode each record holds x_k / r^k."""
-
-    steps: tuple[TrajectoryStep, ...]
-    normalized: bool
-
-
-@dataclass(frozen=True, eq=False)
 class LimitResult:
     """Limit of x_k / r^k for a primitive model, with the fate of the raw totals."""
 
@@ -93,13 +78,15 @@ class PopulationClass:
     residual: float
 
 
-def iterate(model: PopulationModel, x0, steps: int, *, normalize: bool = False) -> Trajectory:
-    """Run the model forward, recording steps 0..steps inclusive.
+def iterate(model: PopulationModel, x0, steps: int, *, normalize: bool = False) -> np.ndarray:
+    """Run the model forward: row k of the returned array is x_k = P^k x0.
 
+    The array is read-only, float64 and of shape (steps + 1, n).
     Normalized mode divides step k by r^k (iterating with P / r), which is
     the supported way to follow long horizons without overflow; it is
     refused when the growth rate is zero.  Unnormalized mode raises
-    NumericalError if entries exceed OVERFLOW_LIMIT.
+    NumericalError if entries exceed OVERFLOW_LIMIT, and a step count
+    whose array cannot be allocated raises ModelError.
     """
     x = as_population_vector(x0, model.n)
     steps = int(steps)
@@ -112,18 +99,20 @@ def iterate(model: PopulationModel, x0, steps: int, *, normalize: bool = False) 
             raise ModelError("growth rate is zero; the normalized trajectory is undefined")
         matrix = matrix / rate
 
-    records = [TrajectoryStep(index=0, population=x, total=float(x.sum()))]
-    current = x
+    try:
+        trajectory = np.empty((steps + 1, model.n))
+    except (MemoryError, ValueError):
+        raise ModelError(f"{steps} steps of {model.n} classes do not fit in memory") from None
+    trajectory[0] = x
     with np.errstate(over="ignore"):
         for k in range(1, steps + 1):
-            current = matrix @ current
-            if not normalize and current.max() > OVERFLOW_LIMIT:
+            np.matmul(matrix, trajectory[k - 1], out=trajectory[k])
+            if not normalize and trajectory[k].max() > OVERFLOW_LIMIT:
                 raise NumericalError(
                     f"population overflow at step {k}; rerun with normalization for long horizons"
                 )
-            current.setflags(write=False)
-            records.append(TrajectoryStep(index=k, population=current, total=float(current.sum())))
-    return Trajectory(steps=tuple(records), normalized=normalize)
+    trajectory.setflags(write=False)
+    return trajectory
 
 
 def _settle(matrix: np.ndarray, start: np.ndarray) -> np.ndarray:

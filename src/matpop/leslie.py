@@ -22,9 +22,10 @@ import numpy as np
 from .errors import ConvergenceError, ModelError
 from .model import PopulationModel, validate_model
 
-# Initial lower end of the root bracket; q blows up as s -> 0+, so a sign
-# change against q = 1 exists above some positive seed.
+# Initial lower end of the root bracket (q blows up as s -> 0+, so q = 1 is
+# crossed above some positive seed), and the |q(r) - 1| ending the polish.
 BRACKET_SEED = 1e-8
+ROOT_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -119,13 +120,13 @@ def _q_derivative(model: LeslieModel, s: float) -> float:
     return total
 
 
-def leslie_growth_rate(model: LeslieModel, *, tol: float = 1e-12) -> float:
+def leslie_growth_rate(model: LeslieModel) -> float:
     """Unique positive root of q(r) = 1, by bisection plus a Newton polish.
 
     q is strictly decreasing, so the root is bracketed by expanding
     [BRACKET_SEED, 1] outward until q crosses 1, then bisected to machine
     precision; Newton steps that stay in the bracket sharpen the result
-    until |q(r) - 1| <= tol.
+    until |q(r) - 1| <= ROOT_TOL.
     """
     lo = BRACKET_SEED
     while q_poly_eval(model, lo) < 1.0:
@@ -151,7 +152,7 @@ def leslie_growth_rate(model: LeslieModel, *, tol: float = 1e-12) -> float:
     root = 0.5 * (lo + hi)
     for _ in range(8):
         value = q_poly_eval(model, root)
-        if abs(value - 1.0) <= tol:
+        if abs(value - 1.0) <= ROOT_TOL:
             break
         slope = _q_derivative(model, root)
         if slope == 0.0:
@@ -160,6 +161,6 @@ def leslie_growth_rate(model: LeslieModel, *, tol: float = 1e-12) -> float:
         if not lo <= candidate <= hi:
             break
         root = candidate
-    if abs(q_poly_eval(model, root) - 1.0) > tol:
+    if abs(q_poly_eval(model, root) - 1.0) > ROOT_TOL:
         raise ConvergenceError(f"growth-rate root refinement stalled at q({root!r}) != 1")
     return root

@@ -18,8 +18,8 @@ target s above rho(T).
 
 The model carries its spectral and classification tolerances, set once
 by validate_model, and computes each derived quantity (the structure of
-P, rho(T), r, Q and R0) at most once, on first use.  Every function here
-and in the dynamics module reads those cached values.
+P, rho(T), r, Q, R0 and the model with F / R0) at most once, on first
+use.  Every function here and in the dynamics module reads those values.
 """
 
 from __future__ import annotations
@@ -36,9 +36,9 @@ from .spectral import SPECTRAL_TOL, _radius, _resolvent, spectral_radius
 from .structure import QPatternReport, StructureReport, analyze_structure, next_gen_pattern
 
 # Classification band around 1 for the growth trichotomy, and the residual
-# allowed when verifying that a scaled model hits its prescribed growth
-# rate.  Both sit well above the spectral iteration tolerance to absorb
-# accumulated error.
+# allowed, relative to max(1, s), when verifying that a scaled model hits
+# its prescribed growth rate s.  Both sit well above the spectral
+# iteration tolerance to absorb accumulated error.
 CLASSIFY_TOL = 1e-9
 STABILITY_TOL = 1e-8
 # Doublings tried when searching for a scaling certificate of R0 > 0.
@@ -108,6 +108,11 @@ class PopulationModel:
     def r0(self) -> float:
         """Net reproductive rate R0 = rho(Q)."""
         return spectral_radius(self.next_generation, tol=self.tol_spec)
+
+    @cached_property
+    def stationary(self) -> PopulationModel:
+        """The model with fertility F / R0, whose growth rate is 1 when R0 > 0."""
+        return _rescaled(self, self.r0)
 
 
 @dataclass(frozen=True)
@@ -220,7 +225,7 @@ def analyze(model: PopulationModel) -> AnalysisReport:
     stability_residual = None
     q_pattern = None
     if strict:
-        scaled_rho = spectral_radius(model.transition + model.fertility / r0, tol=model.tol_spec)
+        scaled_rho = model.stationary.growth_rate
         stability_residual = abs(scaled_rho - 1.0)
         if stability_residual > STABILITY_TOL:
             raise ConsistencyError(
@@ -245,7 +250,7 @@ def stabilizing_scale(model: PopulationModel) -> PopulationModel:
         raise ScalingError(
             "net reproductive rate is zero; no fertility scaling yields a stationary model"
         )
-    scaled = _rescaled(model, model.r0)
+    scaled = model.stationary
     if abs(scaled.growth_rate - 1.0) > STABILITY_TOL:
         raise ConsistencyError(
             f"growth rate of the fertility-rescaled model is {scaled.growth_rate!r}, expected 1"
@@ -278,7 +283,7 @@ def target_growth_scale(model: PopulationModel, s: float) -> TargetScaleResult:
         raise ConsistencyError("fertility divisor came out nonpositive for an irreducible model")
 
     scaled = _rescaled(model, q_of_s)
-    if abs(scaled.growth_rate - s) > STABILITY_TOL:
+    if abs(scaled.growth_rate - s) > STABILITY_TOL * max(1.0, s):
         raise ConsistencyError(
             f"growth rate of the fertility-rescaled model is {scaled.growth_rate!r}, expected {s!r}"
         )

@@ -35,7 +35,7 @@ import numpy as np
 
 from .errors import ConvergenceError, MortalityError, NumericalError, StructureError
 from .matrices import as_matrix
-from .structure import _cyclic_classes, analyze_structure
+from .structure import _analyze_pattern, _cyclic_classes
 
 # Stop once the ratio bracket is this tight, relative to max(1, root).
 SPECTRAL_TOL = 1e-12
@@ -257,7 +257,7 @@ def spectral_radius(m, *, tol: float = SPECTRAL_TOL, max_iterations: int = MAX_I
     Trivial 1x1 components contribute their own diagonal entry.
     """
     m = as_matrix(m)
-    return _radius(m, analyze_structure(m).components, tol, max_iterations)
+    return _radius(m, _analyze_pattern(m > 0).components, tol, max_iterations)
 
 
 def _radius(m: np.ndarray, components, tol: float, max_iterations: int = MAX_ITERATIONS) -> float:
@@ -282,7 +282,7 @@ def perron_pair(m, *, tol: float = SPECTRAL_TOL, max_iterations: int = MAX_ITERA
     component separately.
     """
     m = as_matrix(m)
-    if not analyze_structure(m).irreducible:
+    if not _analyze_pattern(m > 0).irreducible:
         raise StructureError("matrix is reducible; analyze each strongly connected component separately")
     n = m.shape[0]
     if n == 1:
@@ -301,7 +301,7 @@ def perron_pair(m, *, tol: float = SPECTRAL_TOL, max_iterations: int = MAX_ITERA
     return SpectralPair(rho=rho, right=right, left=left)
 
 
-def resolvent_inverse(transition, *, tol: float = SPECTRAL_TOL) -> np.ndarray:
+def resolvent_inverse(transition) -> np.ndarray:
     """(I - T)^-1 for a transition matrix with spectral radius below 1.
 
     A lower-triangular T of order SUBSTITUTION_MIN_ORDER or more
@@ -315,8 +315,8 @@ def resolvent_inverse(transition, *, tol: float = SPECTRAL_TOL) -> np.ndarray:
     raises NumericalError.
     """
     t = as_matrix(transition, name="transition matrix")
-    rho = spectral_radius(t, tol=tol)
-    if rho >= 1.0 - tol:
+    rho = _radius(t, _analyze_pattern(t > 0).components, SPECTRAL_TOL)
+    if rho >= 1.0 - SPECTRAL_TOL:
         raise MortalityError(
             f"rho(T) >= 1: transition matrix spectral radius is {rho:.12g}, the population never dies out"
         )

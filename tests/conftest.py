@@ -19,7 +19,13 @@ def kernel_calls(monkeypatch):
     pattern) and "_power_root" (one certified Perron root of a block).
     """
     calls = defaultdict(list)
-    for module, name in ((structure, "_analyze_pattern"), (spectral, "_power_root")):
+    # spectral calls _analyze_pattern through its own imported name.
+    patched = (
+        (structure, "_analyze_pattern"),
+        (spectral, "_analyze_pattern"),
+        (spectral, "_power_root"),
+    )
+    for module, name in patched:
         original = getattr(module, name)
 
         def counted(first, *args, _original=original, _name=name, **kwargs):

@@ -247,7 +247,7 @@ def test_criterion_6_normalized_trajectory_limits():
         failures.append("plant subsequence limits do not alternate")
     trajectory = iterate(plant, PLANT_NEWBORN, 201, normalize=True)
     swings = [
-        float(np.max(np.abs(trajectory.steps[k + 1].population - trajectory.steps[k].population)))
+        float(np.max(np.abs(trajectory[k + 1] - trajectory[k])))
         for k in range(100, 201)
     ]
     if min(swings) <= 1e-3:

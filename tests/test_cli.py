@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -173,6 +176,14 @@ class TestScaleCommand:
         expected = expected / expected.sum()
         np.testing.assert_allclose(stable, expected, atol=1e-8)
 
+    def test_large_target_growth_exits_0(self, tmp_path, capsys):
+        path = write_model(
+            tmp_path, "leslie.json", {"leslie": {"survival": [0.5], "fertility": [0.5, 1.0]}}
+        )
+        assert main(["scale", path, "--target-growth", "1e8"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["achieved_growth"] == pytest.approx(1e8, rel=1e-12)
+
     def test_target_zero_exits_2(self, capsys):
         assert main(["scale", PLANT, "--target-growth", "0"]) == 2
         assert "must exceed rho(T)" in capsys.readouterr().err
@@ -264,6 +275,61 @@ class TestSimulateCommand:
         argv = ["simulate", path, "--x0", x0, "--steps", "200", "--out", str(out_path)]
         assert main(argv) == 0
         assert len(out_path.read_text().strip().splitlines()) == 1 + 201
+
+    @pytest.mark.parametrize(
+        "model, x0, stem",
+        [("plant.json", "1,0,2,0,0", "plant_simulate"), ("leslie3.json", "1,0,2", "leslie3_simulate")],
+    )
+    @pytest.mark.parametrize("normalize", [False, True])
+    def test_csv_and_summary_are_byte_exact(self, model, x0, stem, normalize, tmp_path, capsys):
+        # The periodic-limits branch (plant, d = 2) and the eventual-limit
+        # branch (primitive Leslie model), with and without --normalize.
+        csv = (FIXTURES / f"{stem}{'_normalized' if normalize else ''}.csv").read_text()
+        summary = (FIXTURES / f"{stem}_summary.json").read_text()
+        argv = ["simulate", str(FIXTURES / model), "--x0", x0, "--steps", "40"]
+        argv += ["--normalize"] if normalize else []
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        assert captured.out == csv
+        assert captured.err == summary
+        out_path, summary_path = tmp_path / "run.csv", tmp_path / "summary.json"
+        assert main([*argv, "--out", str(out_path), "--summary", str(summary_path)]) == 0
+        assert out_path.read_text() == csv
+        assert summary_path.read_text() == summary
+
+    def test_overflowing_run_prints_no_row(self, tmp_path, capsys):
+        path = write_model(tmp_path, "explode.json", {"transition": [[0.0]], "fertility": [[1e200]]})
+        assert main(["simulate", path, "--x0", "1", "--steps", "5"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "population overflow" in captured.err
+        out_path = tmp_path / "run.csv"
+        assert main(["simulate", path, "--x0", "1", "--steps", "5", "--out", str(out_path)]) == 3
+        assert not out_path.exists()
+
+    @pytest.mark.parametrize("flag", ["--out", "--summary"])
+    def test_unwritable_output_exits_2(self, flag, tmp_path, capsys):
+        target = str(tmp_path / "missing" / "file")
+        argv = ["simulate", PLANT, "--x0", "1,0,2,0,0", "--steps", "3", flag, target]
+        assert main(argv) == 2
+        assert f"error: cannot write {target}: " in capsys.readouterr().err
+
+    def test_reader_closing_stdout_early_is_not_an_error(self):
+        # Far more CSV than a pipe buffers, read by a consumer that stops
+        # after the header, as `matpop simulate ... | head -1` does.
+        src = str(Path(__file__).parent.parent / "src")
+        env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+        argv = ["simulate", PLANT, "--x0", "1,0,2,0,0", "--steps", "20000"]
+        child = subprocess.Popen(
+            [sys.executable, "-m", "matpop.cli", *argv],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env, text=True,
+        )
+        assert child.stdout.readline() == "step,total,class_1,class_2,class_3,class_4,class_5\n"
+        child.stdout.close()
+        err = child.stderr.read()
+        assert child.wait(timeout=60) == 0
+        assert "Traceback" not in err
+        assert json.loads(err)["d"] == 2
 
     def test_dimension_mismatch_exits_2(self, capsys):
         assert main(["simulate", PLANT, "--x0", "1,2", "--steps", "3"]) == 2

@@ -39,34 +39,39 @@ def all_ones_model():
 class TestIterate:
     def test_zero_steps(self, plant):
         trajectory = iterate(plant, [1.0, 0.0, 2.0, 0.0, 0.0], 0)
-        assert len(trajectory.steps) == 1
-        assert trajectory.steps[0].index == 0
-        assert trajectory.steps[0].total == 3.0
+        assert len(trajectory) == 1
+        assert trajectory.shape == (1, 5)
+        assert trajectory[0].sum() == 3.0
+
+    def test_returns_read_only_array(self, plant):
+        for normalize in (False, True):
+            trajectory = iterate(plant, PLANT_NEWBORN, 7, normalize=normalize)
+            assert isinstance(trajectory, np.ndarray)
+            assert trajectory.dtype == np.float64
+            assert trajectory.shape == (8, 5)
+            assert not trajectory.flags.writeable
+            with pytest.raises(ValueError):
+                trajectory[1, 0] = 1.0
 
     def test_jordan_block_closed_form(self):
         trajectory = iterate(jordan_block_model(), [1.0, 0.0], 5)
-        for step in trajectory.steps:
-            np.testing.assert_allclose(step.population, [1.0, step.index], atol=1e-12)
+        for k, population in enumerate(trajectory):
+            np.testing.assert_allclose(population, [1.0, k], atol=1e-12)
 
     def test_eigenvector_input_scales_exactly(self, plant):
         trajectory = iterate(plant, PLANT_STABLE, 3)
-        for step in trajectory.steps:
-            np.testing.assert_allclose(
-                step.population, PLANT_R**step.index * PLANT_STABLE, atol=1e-12
-            )
+        for k, population in enumerate(trajectory):
+            np.testing.assert_allclose(population, PLANT_R**k * PLANT_STABLE, atol=1e-12)
 
     def test_normalized_eigenvector_is_constant(self, plant):
         trajectory = iterate(plant, PLANT_STABLE, 10, normalize=True)
-        for step in trajectory.steps:
-            np.testing.assert_allclose(step.population, PLANT_STABLE, atol=1e-9)
+        for population in trajectory:
+            np.testing.assert_allclose(population, PLANT_STABLE, atol=1e-9)
 
     def test_records_follow_projection(self, plant):
         trajectory = iterate(plant, [1.0, 2.0, 3.0, 4.0, 5.0], 6)
-        for before, after in zip(trajectory.steps, trajectory.steps[1:]):
-            np.testing.assert_array_equal(
-                after.population, plant.projection @ before.population
-            )
-            assert after.total == after.population.sum()
+        for before, after in zip(trajectory, trajectory[1:]):
+            np.testing.assert_array_equal(after, plant.projection @ before)
 
     def test_linearity(self):
         rng = np.random.default_rng(107)
@@ -82,8 +87,8 @@ class TestIterate:
             second = iterate(model, y, 8)
             for k in range(9):
                 np.testing.assert_allclose(
-                    combined.steps[k].population,
-                    alpha * first.steps[k].population + beta * second.steps[k].population,
+                    combined[k],
+                    alpha * first[k] + beta * second[k],
                     rtol=1e-9,
                     atol=1e-12,
                 )
@@ -99,6 +104,12 @@ class TestIterate:
     def test_rejects_negative_steps(self, plant):
         with pytest.raises(ModelError):
             iterate(plant, PLANT_STABLE, -1)
+
+    def test_rejects_step_count_beyond_memory(self, plant):
+        # 4e19 bytes exceed the address space: numpy refuses the shape
+        # without allocating anything.
+        with pytest.raises(ModelError, match="do not fit in memory"):
+            iterate(plant, PLANT_STABLE, 10**18)
 
     def test_unnormalized_overflow_errors(self):
         model = validate_model(np.zeros((1, 1)), [[1e200]])
@@ -134,7 +145,7 @@ class TestEventualLimit:
         result = eventual_limit(model, [1.0, 1.0])
         assert result.fate is Fate.EXTINCT
         trajectory = iterate(model, [1.0, 1.0], 200)
-        assert trajectory.steps[-1].total < 1e-6
+        assert trajectory[-1].sum() < 1e-6
 
     def test_rejects_imprimitive(self, plant):
         with pytest.raises(StructureError):
@@ -229,7 +240,7 @@ class TestNormalizedPowers:
         for _ in range(10):
             model = random_irreducible_model(rng, n_max=6)
             trajectory = iterate(model, np.ones(model.n), 10_000, normalize=True)
-            peak = max(step.population.max() for step in trajectory.steps)
+            peak = max(population.max() for population in trajectory)
             assert peak < 1e8
 
 

@@ -196,6 +196,13 @@ class TestTargetGrowthScale:
         with np.errstate(over="ignore"), pytest.raises(ModelError, match="non-finite"):
             target_growth_scale(model, 1e308)
 
+    @pytest.mark.parametrize("s", [1e8, 1e9, 1e12])
+    def test_large_targets_are_met_relative_to_s(self, s):
+        # The achieved rate is exact to an ulp, which exceeds 1e-8 absolutely.
+        model = validate_model([[0.0, 0.0], [0.5, 0.0]], [[0.5, 1.0], [0.0, 0.0]])
+        result = target_growth_scale(model, s)
+        assert result.scaled.growth_rate == pytest.approx(s, rel=1e-12)
+
     def test_q_strictly_decreasing_and_vanishing(self):
         rng = np.random.default_rng(61)
         for _ in range(25):
@@ -277,3 +284,11 @@ class TestComputeOnce:
         # Only q(2) and the scaled model's growth rate need a Perron root.
         assert len(blocks) <= 2
         assert not any(np.array_equal(b, qb) for b in blocks for qb in q_blocks)
+
+    def test_stabilizing_scale_after_analyze_reuses_stationary_model(self, plant, kernel_calls):
+        analyze(plant)
+        kernel_calls.clear()
+        scaled = stabilizing_scale(plant)
+        assert not kernel_calls["_power_root"]
+        assert not kernel_calls["_analyze_pattern"]
+        assert scaled is plant.stationary

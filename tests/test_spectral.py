@@ -14,6 +14,7 @@ from matpop import (
     resolvent_inverse,
     spectral,
     spectral_radius,
+    structure,
 )
 from helpers import (
     PLANT_Q,
@@ -47,6 +48,19 @@ class TestAsMatrix:
         m = as_matrix([[1.0, 0.0], [0.0, 1.0]])
         with pytest.raises(ValueError):
             m[0, 0] = 2.0
+
+    @pytest.mark.parametrize("entry", [spectral_radius, perron_pair])
+    def test_kernel_entry_coerces_input_once(self, entry, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return as_matrix(*args, **kwargs)
+
+        monkeypatch.setattr(spectral, "as_matrix", counted)
+        monkeypatch.setattr(structure, "as_matrix", counted)
+        entry([[0.0, 1.0], [2.0, 0.5]])
+        assert len(calls) == 1
 
 
 class TestSpectralRadius:
