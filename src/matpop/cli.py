@@ -38,6 +38,9 @@ from .model import (
 )
 from .spectral import SPECTRAL_TOL, perron_pair
 
+# Values per chunk of CSV rows formatted by one string operation.
+CSV_CHUNK_VALUES = 4096
+
 
 def _round_floats(value):
     """Round every float in a JSON-ready structure to 9 significant digits."""
@@ -50,10 +53,6 @@ def _round_floats(value):
     if isinstance(value, (list, tuple)):
         return [_round_floats(item) for item in value]
     return value
-
-
-def _format_number(value: float) -> str:
-    return f"{float(value):.9g}"
 
 
 def _emit_json(payload: dict, stream) -> None:
@@ -222,9 +221,21 @@ def _simulation_summary(model: PopulationModel, x0: np.ndarray) -> dict:
 
 
 def _csv_lines(trajectory: np.ndarray):
-    yield "step,total," + ",".join(f"class_{i + 1}" for i in range(trajectory.shape[1])) + "\n"
-    for k, row in enumerate(trajectory):
-        yield f"{k},{_format_number(row.sum())},{','.join(map(_format_number, row.tolist()))}\n"
+    """The CSV text of a trajectory: the header, then one string per chunk of rows.
+
+    A chunk holds about CSV_CHUNK_VALUES values, so memory stays bounded
+    whatever the step count, and each chunk is formatted by one % over a
+    repeated row format instead of one call per value.
+    """
+    n = trajectory.shape[1]
+    yield "step,total," + ",".join(f"class_{i + 1}" for i in range(n)) + "\n"
+    row_format = "%d" + ",%.9g" * (n + 1) + "\n"
+    chunk_rows = max(1, CSV_CHUNK_VALUES // (n + 2))
+    for start in range(0, len(trajectory), chunk_rows):
+        rows = trajectory[start:start + chunk_rows]
+        steps = np.arange(start, start + len(rows))
+        table = np.column_stack((steps, rows.sum(axis=1), rows))
+        yield row_format * len(rows) % tuple(table.ravel().tolist())
 
 
 def _write(path: str | None, default, lines) -> None:

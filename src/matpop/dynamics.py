@@ -31,8 +31,10 @@ CONVERGENCE_WINDOW = 3
 MAX_STEPS = 1_000_000
 # Direct (Perron projection) and iterated limits must agree this tightly.
 AGREEMENT_TOL = 1e-6
-# Unnormalized iteration refuses to run past this magnitude.
+# Unnormalized iteration refuses to run past this magnitude, checked once
+# per block of about OVERFLOW_BLOCK_VALUES trajectory entries.
 OVERFLOW_LIMIT = 1e300
+OVERFLOW_BLOCK_VALUES = 4096
 
 
 class Fate(Enum):
@@ -85,8 +87,9 @@ def iterate(model: PopulationModel, x0, steps: int, *, normalize: bool = False) 
     Normalized mode divides step k by r^k (iterating with P / r), which is
     the supported way to follow long horizons without overflow; it is
     refused when the growth rate is zero.  Unnormalized mode raises
-    NumericalError if entries exceed OVERFLOW_LIMIT, and a step count
-    whose array cannot be allocated raises ModelError.
+    NumericalError naming the first step with an entry beyond
+    OVERFLOW_LIMIT, and a step count whose array cannot be allocated
+    raises ModelError.
     """
     x = as_population_vector(x0, model.n)
     steps = int(steps)
@@ -103,13 +106,23 @@ def iterate(model: PopulationModel, x0, steps: int, *, normalize: bool = False) 
         trajectory = np.empty((steps + 1, model.n))
     except (MemoryError, ValueError):
         raise ModelError(f"{steps} steps of {model.n} classes do not fit in memory") from None
-    trajectory[0] = x
-    with np.errstate(over="ignore"):
-        for k in range(1, steps + 1):
-            np.matmul(matrix, trajectory[k - 1], out=trajectory[k])
-            if not normalize and trajectory[k].max() > OVERFLOW_LIMIT:
+    trajectory[0] = previous = x
+    block_rows = max(1, OVERFLOW_BLOCK_VALUES // model.n)
+    # Past an overflow the block runs on through inf and nan, hence errstate;
+    # a nan row fails the check too.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(1, steps + 1, block_rows):
+            block = trajectory[start:start + block_rows]
+            for row in block:
+                np.dot(matrix, previous, out=row)
+                previous = row
+            if normalize:
+                continue
+            over = np.flatnonzero(~(block.max(axis=1) <= OVERFLOW_LIMIT))
+            if over.size:
                 raise NumericalError(
-                    f"population overflow at step {k}; rerun with normalization for long horizons"
+                    f"population overflow at step {start + over[0]}; "
+                    "rerun with normalization for long horizons"
                 )
     trajectory.setflags(write=False)
     return trajectory

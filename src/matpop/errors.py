@@ -31,15 +31,22 @@ class NumericalError(Error):
 
 
 class ConvergenceError(NumericalError):
-    """Iteration budget exhausted before reaching tolerance.
+    """Iteration stopped before reaching tolerance.
 
     ``bracket``, when present, is the last (lo, hi) pair of componentwise
-    ratios known to enclose the spectral radius being computed.
+    ratios known to enclose the spectral radius being computed, and
+    ``iterations`` the number of iterations spent.
     """
 
-    def __init__(self, message: str, bracket: tuple[float, float] | None = None):
+    def __init__(
+        self,
+        message: str,
+        bracket: tuple[float, float] | None = None,
+        iterations: int | None = None,
+    ):
         super().__init__(message)
         self.bracket = bracket
+        self.iterations = iterations
 
 
 class ConsistencyError(NumericalError):

@@ -23,7 +23,9 @@ bracket certifies.  The proposal comes from the block's cyclic classes:
 only the restriction of A^d to one class, of order n / d when the d
 classes are equal, goes to numpy's eig, and the rest of the vector is
 carried along the cycle by products of nonnegative numbers.  The
-iteration budget covers all passes of a block together.
+iteration budget covers all passes of a block together, and a pass whose
+bracket has stopped narrowing for a whole probe length gives up early, so
+an unreachable tolerance fails fast.
 """
 
 from __future__ import annotations
@@ -68,31 +70,49 @@ class SpectralPair:
     left: np.ndarray
 
 
+def _probe_length(n: int) -> int:
+    """Iterations of one cold probe pass on a block of order n."""
+    return max(PROBE_MIN_ITERATIONS, PROBE_ITERATIONS_PER_ORDER * n)
+
+
 def _power_pass(block: np.ndarray, tol: float, max_iterations: int, start: np.ndarray | None = None):
     """One certified power iteration on block + I from a positive start.
 
     The start defaults to the uniform vector.  Returns (root, vector, lo,
     hi, iterations) where [lo, hi] is the final certified bracket around
     the root, the vector sums to 1 and iterations is the number used.
+    The bracket only shrinks in exact arithmetic, so once its width has
+    set no new minimum for a whole probe length it has reached rounding
+    level, and the pass gives up before its budget is spent.
     """
     n = block.shape[0]
     shifted = block + np.eye(n)
     x = np.full(n, 1.0 / n) if start is None else start
     lo = hi = 0.0
+    window = _probe_length(n)
+    narrowest = math.inf
+    narrowest_at = 0
     for iteration in range(1, max_iterations + 1):
         y = shifted @ x
         ratios = y / x
         lo = float(ratios.min())
         hi = float(ratios.max())
-        if hi - lo <= tol * max(1.0, hi):
+        width = hi - lo
+        if width <= tol * max(1.0, hi):
             root = float(x @ y) / float(x @ x) - 1.0
             x = y / y.sum()
             return max(root, 0.0), x, lo - 1.0, hi - 1.0, iteration
         x = y / y.sum()
+        if width < narrowest:
+            narrowest = width
+            narrowest_at = iteration
+        elif iteration - narrowest_at >= window:
+            break
     raise ConvergenceError(
-        f"power iteration did not converge within {max_iterations} iterations; "
+        f"power iteration did not converge in {iteration} iterations; "
         f"spectral radius is in [{lo - 1.0:.17g}, {hi - 1.0:.17g}]",
         bracket=(lo - 1.0, hi - 1.0),
+        iterations=iteration,
     )
 
 
@@ -200,8 +220,7 @@ def _power_root(block: np.ndarray, tol: float, max_iterations: int):
     root relative to lam.  max_iterations bounds all passes of the block
     together.
     """
-    n = block.shape[0]
-    probe_budget = max(PROBE_MIN_ITERATIONS, PROBE_ITERATIONS_PER_ORDER * n)
+    probe_budget = _probe_length(block.shape[0])
     remaining = max_iterations
     scale = 1.0
     bracket = (0.0, math.inf)
@@ -212,7 +231,7 @@ def _power_root(block: np.ndarray, tol: float, max_iterations: int):
         try:
             root, vector, lo, hi, used = _power_pass(block, tol, budget)
         except ConvergenceError as err:
-            remaining -= budget
+            remaining -= err.iterations
             lo, hi = err.bracket
             bracket = (scale * lo, scale * hi)
             if 0.0 < lo and hi < 0.5:
@@ -238,14 +257,17 @@ def _power_root(block: np.ndarray, tol: float, max_iterations: int):
         try:
             root, vector, lo, hi, _ = _power_pass(block, tol, remaining, start)
         except ConvergenceError as err:
+            remaining -= err.iterations
             lo, hi = err.bracket
             bracket = (scale * lo, scale * hi)
         else:
             return scale * root, vector, scale * lo, scale * hi
+    used = max_iterations - remaining
     raise ConvergenceError(
-        f"power iteration did not converge within {max_iterations} iterations; "
+        f"power iteration did not converge in {used} of {max_iterations} iterations; "
         f"spectral radius is in [{bracket[0]:.17g}, {bracket[1]:.17g}]",
         bracket=bracket,
+        iterations=used,
     )
 
 

@@ -7,8 +7,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
-from matpop import cli, dynamics, spectral
+from matpop import cli, dynamics, spectral, validate_model
 from matpop.cli import main
 from helpers import PLANT_R, plant_stable_of_s
 
@@ -20,6 +22,34 @@ def write_model(tmp_path, name, payload) -> str:
     path = tmp_path / name
     path.write_text(json.dumps(payload))
     return str(path)
+
+
+def reference_csv(trajectory: np.ndarray) -> str:
+    """The simulate CSV of a trajectory, formatted one value at a time."""
+    n = trajectory.shape[1]
+    lines = ["step,total," + ",".join(f"class_{i + 1}" for i in range(n)) + "\n"]
+    for k, row in enumerate(trajectory):
+        values = [row.sum(), *row.tolist()]
+        lines.append(f"{k}," + ",".join(format(float(v), ".9g") for v in values) + "\n")
+    return "".join(lines)
+
+
+def chunk_rows(n: int) -> int:
+    return max(1, cli.CSV_CHUNK_VALUES // (n + 2))
+
+
+# Zero, the smallest subnormal, the smallest normal, and entries near the
+# overflow limit, whose row totals may round to infinity.
+EDGE_VALUES = [0.0, 5e-324, 2.2250738585072014e-308, 1e299, 9.99e299]
+
+
+@st.composite
+def trajectories(draw):
+    n = draw(st.sampled_from([1, 2, 5, 30, 200]))
+    chunk = chunk_rows(n)
+    rows = draw(st.sampled_from([1, chunk - 1, chunk, chunk + 1, 2 * chunk + 1]))
+    values = st.one_of(st.sampled_from(EDGE_VALUES), st.floats(0.0, 1e300))
+    return draw(hnp.arrays(np.float64, (rows, n), elements=values, fill=values))
 
 
 def jordan_file(tmp_path) -> str:
@@ -296,6 +326,35 @@ class TestSimulateCommand:
         assert main([*argv, "--out", str(out_path), "--summary", str(summary_path)]) == 0
         assert out_path.read_text() == csv
         assert summary_path.read_text() == summary
+
+    @given(trajectory=trajectories())
+    @settings(max_examples=60, deadline=None)
+    def test_csv_chunks_match_per_value_formatting(self, trajectory):
+        pieces = list(cli._csv_lines(trajectory))
+        assert "".join(pieces) == reference_csv(trajectory)
+        assert all(piece.count("\n") <= chunk_rows(trajectory.shape[1]) for piece in pieces)
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    @pytest.mark.parametrize("n", [1, 5, 30, 200])
+    @pytest.mark.parametrize("normalize", [False, True])
+    def test_csv_across_chunk_boundaries(self, n, normalize, offset, tmp_path, capsys):
+        # A cycle through the n classes carries x0 round unchanged, so rows
+        # keep their zero, subnormal and near-overflow entries at any step.
+        t = np.eye(n, k=-1)
+        f = np.zeros((n, n))
+        f[0, -1] = 1.0
+        path = write_model(tmp_path, "cycle.json", {"transition": t.tolist(), "fertility": f.tolist()})
+        pattern = [1e299, 1.5, *EDGE_VALUES]
+        x0 = [pattern[i % len(pattern)] for i in range(n)]
+        steps = chunk_rows(n) + offset
+        argv = ["simulate", path, "--x0", ",".join(map(repr, x0)), "--steps", str(steps)]
+        argv += ["--normalize"] if normalize else []
+        expected = reference_csv(dynamics.iterate(validate_model(t, f), x0, steps, normalize=normalize))
+        assert main(argv) == 0
+        assert capsys.readouterr().out == expected
+        out_path = tmp_path / "run.csv"
+        assert main([*argv, "--out", str(out_path), "--summary", str(tmp_path / "s.json")]) == 0
+        assert out_path.read_text() == expected
 
     def test_overflowing_run_prints_no_row(self, tmp_path, capsys):
         path = write_model(tmp_path, "explode.json", {"transition": [[0.0]], "fertility": [[1e200]]})

@@ -116,6 +116,31 @@ class TestIterate:
         with pytest.raises(NumericalError):
             iterate(model, [1.0], 3)
 
+    @pytest.mark.parametrize("growth, step", [(1.5, 1704), (1.1, 7248)])
+    def test_overflow_names_first_step_past_limit(self, growth, step):
+        # Steps are checked a block at a time; step 7248 lies beyond the
+        # first block of a one-class model.
+        model = validate_model(np.zeros((1, 1)), [[growth]])
+        with pytest.raises(NumericalError, match=f"overflow at step {step};"):
+            iterate(model, [1.0], 10_000)
+
+    def test_steps_and_row_sums_match_per_step_reference(self):
+        # iterate steps with np.dot and the CSV totals come from one sum over
+        # axis 1; both must give the bits of matmul and row.sum() per row.
+        rng = np.random.default_rng(5)
+        for n in range(1, 201):
+            f = rng.random((n, n)) * (rng.random((n, n)) < 0.3) * 10.0 ** rng.integers(-3, 3, (n, n))
+            f[0, 0] += 1.0
+            model = validate_model(np.zeros((n, n)), f)
+            x0 = rng.random(n) * 10.0 ** rng.integers(-100, 100, n)
+            trajectory = iterate(model, x0, 12)
+            reference = [np.array(x0, dtype=float)]
+            for _ in range(12):
+                reference.append(np.matmul(model.projection, reference[-1]))
+            assert trajectory.tobytes() == np.array(reference).tobytes()
+            totals = np.array([row.sum() for row in trajectory])
+            assert trajectory.sum(axis=1).tobytes() == totals.tobytes()
+
     def test_normalize_rejects_zero_growth(self):
         t = np.array([[0.0, 1.0], [0.0, 0.0]])
         model = validate_model(t, t)

@@ -155,6 +155,16 @@ class TestSpectralRadius:
         pair = perron_pair(m, max_iterations=budget)
         assert pair.right == pytest.approx(0.9 ** np.arange(n) * pair.right[0], rel=1e-9)
 
+    def test_unreachable_tolerance_stops_once_bracket_stalls(self):
+        # Double precision cannot narrow the bracket around R0 = 0.375 to
+        # 1e-30; the pass must notice the stall instead of spending the
+        # whole MAX_ITERATIONS budget.
+        with pytest.raises(ConvergenceError) as info:
+            spectral_radius(plant_model().next_generation, tol=1e-30)
+        lo, hi = info.value.bracket
+        assert lo <= 0.375 <= hi
+        assert info.value.iterations <= 10 * spectral.PROBE_MIN_ITERATIONS
+
     def test_iteration_budget_exhaustion_reports_bracket(self):
         m = [[0.0, 2.0], [3.0, 0.0]]
         with pytest.raises(ConvergenceError) as info:
