@@ -51,7 +51,6 @@ from .model import (
 )
 from .leslie import LeslieModel, assemble, leslie_growth_rate, leslie_r0, q_poly_eval
 from .dynamics import (
-    AGREEMENT_TOL,
     LIMIT_TOL,
     Fate,
     LimitResult,
@@ -66,7 +65,6 @@ from .dynamics import (
 
 __all__ = [
     "__version__",
-    "AGREEMENT_TOL",
     "AnalysisReport",
     "CLAMP_TOL",
     "CLASSIFY_TOL",

@@ -19,18 +19,15 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import ConsistencyError, ConvergenceError, ModelError, NumericalError, StructureError
+from .errors import ConsistencyError, ModelError, NumericalError, StructureError
 from .matrices import as_population_vector
 from .model import PopulationModel
-from .spectral import perron_pair
+from .spectral import _primitive_pair, perron_pair
+from .structure import _cyclic_classes
 
-# Per-step change below which a normalized trajectory counts as settled,
-# the number of consecutive settled steps required, and the iteration cap.
+# Eigenvector residual, relative to the population's largest entry, below
+# which classify_population accepts a population as stable or stationary.
 LIMIT_TOL = 1e-9
-CONVERGENCE_WINDOW = 3
-MAX_STEPS = 1_000_000
-# Direct (Perron projection) and iterated limits must agree this tightly.
-AGREEMENT_TOL = 1e-6
 # Unnormalized iteration refuses to run past this magnitude, checked once
 # per block of about OVERFLOW_BLOCK_VALUES trajectory entries.
 OVERFLOW_LIMIT = 1e300
@@ -128,29 +125,11 @@ def iterate(model: PopulationModel, x0, steps: int, *, normalize: bool = False) 
     return trajectory
 
 
-def _settle(matrix: np.ndarray, start: np.ndarray) -> np.ndarray:
-    """Iterate y <- matrix @ y until CONVERGENCE_WINDOW consecutive steps below LIMIT_TOL."""
-    y = start
-    quiet = 0
-    for _ in range(MAX_STEPS):
-        y_next = matrix @ y
-        if np.max(np.abs(y_next - y)) < LIMIT_TOL:
-            quiet += 1
-            if quiet >= CONVERGENCE_WINDOW:
-                return y_next
-        else:
-            quiet = 0
-        y = y_next
-    raise ConvergenceError(f"normalized trajectory did not settle within {MAX_STEPS} steps")
-
-
 def eventual_limit(model: PopulationModel, x0) -> LimitResult:
-    """Limit of x_k / r^k for a primitive model, computed two independent ways.
+    """Limit (v @ x0) u of x_k / r^k for a primitive model, from its certified Perron pair.
 
-    The Perron projection (left @ x0) * right must agree with the settled
-    iteration of x_k / r^k within AGREEMENT_TOL, otherwise
-    ConsistencyError is raised.  Imprimitive irreducible models are
-    rejected with a pointer to periodic_limits.
+    Imprimitive models are rejected with a pointer to periodic_limits, and
+    a limit beyond the float range raises NumericalError.
     """
     if not model.structure.primitive:
         raise StructureError(
@@ -158,14 +137,10 @@ def eventual_limit(model: PopulationModel, x0) -> LimitResult:
         )
     x = as_population_vector(x0, model.n)
     pair = perron_pair(model.projection, tol=model.tol_spec)
-    direct = float(pair.left @ x) * pair.right
-    direct.setflags(write=False)
-
-    iterated = _settle(model.projection / pair.rho, x)
-    if np.max(np.abs(iterated - direct)) > AGREEMENT_TOL * max(1.0, float(np.max(direct))):
-        raise ConsistencyError(
-            "iterated normalized trajectory disagrees with the Perron projection of x0"
-        )
+    limit = float(pair.left @ x) * pair.right
+    if not np.isfinite(limit).all():
+        raise NumericalError("the long-run limit (v @ x0) u overflows the float range")
+    limit.setflags(write=False)
 
     if pair.rho < 1.0 - model.tol_class:
         fate = Fate.EXTINCT
@@ -173,16 +148,18 @@ def eventual_limit(model: PopulationModel, x0) -> LimitResult:
         fate = Fate.UNBOUNDED
     else:
         fate = Fate.FINITE
-    return LimitResult(limit=direct, fate=fate)
+    return LimitResult(limit=limit, fate=fate)
 
 
 def periodic_limits(model: PopulationModel, x0) -> PeriodicLimits:
-    """Subsequence limits of x_k / r^k along step residues modulo the imprimitivity index.
+    """Subsequence limits of x_k / r^k along step residues modulo the imprimitivity index d.
 
-    Requires an irreducible projection matrix; with index 1 this reduces
-    to the single limit of eventual_limit.  At least one limit is always
-    nonzero (in fact all are, since the left Perron functional of the
-    normalized trajectory is conserved).
+    Requires an irreducible projection matrix; with d = 1 this is the
+    single limit of eventual_limit.  P / r maps cyclic class C_k into the
+    next by A_k; the Perron vectors (u_0, v_0) of M = A_d-1 ... A_0 are
+    carried on by u_k+1 = A_k u_k and v_k = v_k+1 A_k, w_0 = u_c (v_c @ x0_c)
+    on each class c, and w_i = (P / r)^i w_0.  Limits that break
+    (P / r) w_d-1 = w_0 or v @ w_i = v @ x0 raise ConsistencyError.
     """
     structure = model.structure
     if not structure.irreducible:
@@ -191,19 +168,30 @@ def periodic_limits(model: PopulationModel, x0) -> PeriodicLimits:
         return PeriodicLimits(period=1, limits=(eventual_limit(model, x0).limit,))
 
     x = as_population_vector(x0, model.n)
-    period = structure.imprimitivity_index
-    normalized = model.projection / model.growth_rate
-    step_matrix = np.linalg.matrix_power(normalized, period)
+    step = model.projection / model.growth_rate
+    period, classes = _cyclic_classes(model.projection > 0)
+    members = [np.flatnonzero(classes == k) for k in range(period)]
+    maps = [step[np.ix_(members[(k + 1) % period], members[k])] for k in range(period)]
+    cycle = maps[0]
+    for a in maps[1:]:
+        cycle = a @ cycle
+    u, v = np.empty((2, model.n))
+    u[members[0]], v[members[0]] = _primitive_pair(cycle, model.tol_spec)
+    for k in range(1, period):
+        u[members[k]] = maps[k - 1] @ u[members[k - 1]]
+        v[members[-k]] = v[members[1 - k]] @ maps[-k]
 
-    limits = []
-    seed = x
-    for _ in range(period):
-        settled = _settle(step_matrix, seed)
-        settled.setflags(write=False)
-        limits.append(settled)
-        seed = normalized @ seed
-    if max(float(np.max(np.abs(w))) for w in limits) <= LIMIT_TOL:
-        raise ConsistencyError("all subsequence limits vanished for an irreducible model")
+    limits = np.empty((period, model.n))
+    limits[0] = u * np.bincount(classes, weights=v * x)[classes]
+    for i in range(1, period):
+        limits[i] = step @ limits[i - 1]
+    # r's bracket puts M's root within 2 d tol_spec of 1, doubled for M's pair; nan fails.
+    bound = 4 * period * max(model.tol_spec, model.n * np.finfo(float).eps)
+    if not np.max(np.abs(step @ limits[-1] - limits[0])) <= bound * np.max(limits[0]):
+        raise ConsistencyError("subsequence limits do not close the cycle: (P / r) w_d-1 != w_0")
+    if not np.all(np.abs(limits @ v - v @ x) <= bound * (v @ x)):
+        raise ConsistencyError("subsequence limits do not conserve the left Perron functional v @ x0")
+    limits.setflags(write=False)
     return PeriodicLimits(period=period, limits=tuple(limits))
 
 

@@ -203,6 +203,20 @@ def _eig_seed(block: np.ndarray):
     return (lam, x0) if (x0 > 0.0).all() else None
 
 
+def _primitive_pair(m: np.ndarray, tol: float):
+    """Certified right and left Perron vectors (u, v) of a primitive matrix, with v @ u = 1.
+
+    Each side is one pass on m / lam started from LAPACK's proposal
+    (lam, x0), or on m from the uniform vector when there is none.
+    """
+    sides = []
+    for side in (m, m.T):
+        lam, start = _dominant_pair(side) or (1.0, None)
+        sides.append(_power_pass(side / lam, tol, MAX_ITERATIONS, start)[1])
+    right, left = sides
+    return right, left / float(left @ right)
+
+
 def _power_root(block: np.ndarray, tol: float, max_iterations: int):
     """Perron root and sum-1 Perron vector of an irreducible block.
 

@@ -1,9 +1,19 @@
+import os
+import sys
 from collections import defaultdict
+from pathlib import Path
 
-import pytest
+# The matpop under test is the one PYTHONPATH names, if any; otherwise this
+# checkout's src, ahead of an installed copy.  So src goes right after the
+# PYTHONPATH entries.
+_explicit = {os.path.abspath(p) for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p}
+_after = max((i for i, p in enumerate(sys.path) if os.path.abspath(p) in _explicit), default=-1)
+sys.path.insert(_after + 1, str(Path(__file__).resolve().parents[1] / "src"))
 
-from helpers import plant_model
-from matpop import spectral, structure
+import pytest  # noqa: E402
+
+from helpers import plant_model  # noqa: E402
+from matpop import spectral, structure  # noqa: E402
 
 
 @pytest.fixture

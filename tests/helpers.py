@@ -74,6 +74,35 @@ def neumann_partial_sum(transition, terms: int) -> np.ndarray:
     return total
 
 
+def iterated_periodic_limits(projection, x0, period: int, max_steps: int = 1_000_000) -> list:
+    """The d subsequence limits of x_k / r^k, each by iterating (P / r)^d until quiet.
+
+    r is the largest eigenvalue modulus from LAPACK, and limit i is the
+    settled iteration of (P / r)^d from (P / r)^i x0: three consecutive
+    steps that change no entry by more than 1e-13 of the largest.  Nothing
+    is shared with the library's Perron kernel or its closed forms.
+    """
+    p = np.asarray(projection, dtype=float)
+    step = p / float(np.max(np.abs(np.linalg.eigvals(p))))
+    power = np.linalg.matrix_power(step, period)
+    start = np.asarray(x0, dtype=float)
+    limits = []
+    for _ in range(period):
+        y, quiet = start, 0
+        for _ in range(max_steps):
+            y_next = power @ y
+            step_change = np.max(np.abs(y_next - y))
+            quiet = quiet + 1 if step_change <= 1e-13 * np.max(np.abs(y_next)) else 0
+            y = y_next
+            if quiet == 3:
+                break
+        else:
+            raise AssertionError(f"(P / r)^{period} iteration did not settle in {max_steps} steps")
+        limits.append(y)
+        start = step @ start
+    return limits
+
+
 # ---------------------------------------------------------------------------
 # The five-class plant lifecycle fixture (seed and vegetative reproduction)
 # ---------------------------------------------------------------------------

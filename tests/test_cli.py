@@ -376,7 +376,8 @@ class TestSimulateCommand:
     def test_reader_closing_stdout_early_is_not_an_error(self):
         # Far more CSV than a pipe buffers, read by a consumer that stops
         # after the header, as `matpop simulate ... | head -1` does.
-        src = str(Path(__file__).parent.parent / "src")
+        # The child imports the same matpop as this process.
+        src = str(Path(cli.__file__).parents[1])
         env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
         argv = ["simulate", PLANT, "--x0", "1,0,2,0,0", "--steps", "20000"]
         child = subprocess.Popen(
@@ -402,6 +403,21 @@ class TestSimulateCommand:
         assert (
             main(["simulate", path, "--x0", "1,1", "--steps", "3", "--normalize"]) == 2
         )
+
+    def test_slowly_mixing_model_summary_has_a_limit(self, tmp_path, capsys):
+        # Fertile ages 199 and 200: primitive, but too slowly mixing to iterate to a limit.
+        fertility = [0.0] * 198 + [5.0, 5.0]
+        path = write_model(
+            tmp_path, "leslie200.json", {"leslie": {"survival": [0.9] * 199, "fertility": fertility}}
+        )
+        summary_path = tmp_path / "summary.json"
+        x0 = ",".join(["1"] * 200)
+        out = ["--out", str(tmp_path / "run.csv"), "--summary", str(summary_path)]
+        assert main(["simulate", path, "--x0", x0, "--steps", "5", *out]) == 0
+        summary = json.loads(summary_path.read_text())
+        assert summary["fate"] == "Extinct"
+        assert len(summary["limit"]) == 200
+        assert "error" not in summary
 
     def test_reducible_summary_notes_missing_limits(self, tmp_path, capsys):
         assert (

@@ -2,7 +2,10 @@ import numpy as np
 import pytest
 
 from matpop import (
+    ConsistencyError,
     Fate,
+    LeslieModel,
+    assemble,
     ModelError,
     NumericalError,
     PopulationKind,
@@ -19,6 +22,8 @@ from helpers import (
     PLANT_NEWBORN,
     PLANT_R,
     PLANT_STABLE,
+    iterated_periodic_limits,
+    plant_model,
     random_irreducible_model,
     random_primitive_model,
 )
@@ -34,6 +39,27 @@ def jordan_block_model():
 
 def all_ones_model():
     return validate_model(np.zeros((2, 2)), np.ones((2, 2)))
+
+
+def leslie(n: int, fertile: dict, survival: float = 0.9):
+    """Leslie model of n age classes with fertility fertile[a] at each listed 1-based age a."""
+    fertility = [fertile.get(age, 0.0) for age in range(1, n + 1)]
+    return assemble(LeslieModel([survival] * (n - 1), fertility))
+
+
+def oracle_cases():
+    """(model, x0, index) inputs on which periodic_limits is compared with the iterated oracle."""
+    three_cycle = validate_model(np.zeros((3, 3)), np.roll(np.eye(3), 1, axis=0))
+    cases = [
+        pytest.param(plant_model(), PLANT_NEWBORN, 2, id="plant-newborn"),
+        pytest.param(plant_model(), np.ones(5), 2, id="plant-ones"),
+        pytest.param(three_cycle, np.array([1.0, 0.0, 0.0]), 3, id="3-cycle"),
+    ]
+    for d in range(2, 7):
+        # Fertile ages d, 2d and 3d make the index gcd(d, 2d, 3d) = d.
+        model = leslie(3 * d, {d: 1.0, 2 * d: 2.0, 3 * d: 1.5}, survival=0.8)
+        cases.append(pytest.param(model, np.arange(1.0, 3 * d + 1), d, id=f"iteroparous-d{d}"))
+    return cases
 
 
 class TestIterate:
@@ -176,6 +202,20 @@ class TestEventualLimit:
         with pytest.raises(StructureError):
             eventual_limit(plant, PLANT_STABLE)
 
+    def test_limit_beyond_float_range_raises(self):
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericalError):
+            eventual_limit(all_ones_model(), [1.7e308, 1.7e308])
+
+    def test_slowly_mixing_model_gets_its_closed_form(self):
+        # Fertile ages 199 and 200 leave |lambda_2| / r = 0.99999938, so an
+        # iterated limit would need about 3e7 steps to settle.
+        model = leslie(200, {199: 5.0, 200: 5.0})
+        x0 = np.ones(200)
+        pair = perron_pair(model.projection)
+        result = eventual_limit(model, x0)
+        assert result.limit.tobytes() == (float(pair.left @ x0) * pair.right).tobytes()
+        assert result.fate is Fate.EXTINCT
+
     def test_matches_perron_projection_on_random_models(self):
         rng = np.random.default_rng(113)
         for _ in range(30):
@@ -237,6 +277,33 @@ class TestPeriodicLimits:
         model = validate_model(np.array([[0.0, 0.0], [1.0, 0.0]]), np.eye(2))
         with pytest.raises(StructureError):
             periodic_limits(model, [1.0, 1.0])
+
+    @pytest.mark.parametrize("model, x0, index", oracle_cases())
+    def test_matches_iterated_oracle(self, model, x0, index):
+        result = periodic_limits(model, x0)
+        assert result.period == index
+        oracle = iterated_periodic_limits(model.projection, x0, index)
+        np.testing.assert_allclose(np.array(result.limits), np.array(oracle), rtol=0, atol=1e-8)
+
+    @pytest.mark.parametrize("n", [200, 400])
+    def test_semelparous_limits_are_one_cycle(self, n):
+        # (P / r)^n = I, so limit i is step i of the normalized trajectory.
+        model = leslie(n, {n: 5.0})
+        x0 = np.ones(n)
+        result = periodic_limits(model, x0)
+        assert result.period == n
+        trajectory = iterate(model, x0, n - 1, normalize=True)
+        np.testing.assert_allclose(np.array(result.limits), trajectory, rtol=1e-10)
+
+    def test_limit_beyond_float_range_raises(self, plant):
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericalError):
+            periodic_limits(plant, [1.7e308] * 5)
+
+    def test_wrong_growth_rate_breaks_the_cycle_identity(self):
+        model = plant_model()
+        vars(model)["growth_rate"] = PLANT_R * (1.0 + 1e-6)
+        with pytest.raises(ConsistencyError, match="close the cycle"):
+            periodic_limits(model, PLANT_NEWBORN)
 
     def test_left_perron_functional_is_conserved(self, plant):
         pair = perron_pair(plant.projection)
