@@ -33,7 +33,7 @@ import numpy as np
 from .errors import ConsistencyError, ModelError, MortalityError, ScalingError, StructureError
 from .matrices import as_matrix
 from .spectral import SPECTRAL_TOL, _radius, _resolvent, spectral_radius
-from .structure import QPatternReport, StructureReport, analyze_structure, next_gen_pattern
+from .structure import QPatternReport, StructureReport, _analyze_pattern, next_gen_pattern
 
 # Classification band around 1 for the growth trichotomy, and the residual
 # allowed, relative to max(1, s), when verifying that a scaled model hits
@@ -81,17 +81,17 @@ class PopulationModel:
     @cached_property
     def structure(self) -> StructureReport:
         """Strong components, irreducibility and imprimitivity index of P."""
-        return analyze_structure(self.projection)
+        return _analyze_pattern(_finite(self.projection) > 0)
 
     @cached_property
     def rho_transition(self) -> float:
         """rho(T), below 1 for every validated model."""
-        return spectral_radius(self.transition, tol=self.tol_spec)
+        return _radius(self.transition, _analyze_pattern(self.transition > 0), self.tol_spec)
 
     @cached_property
     def growth_rate(self) -> float:
         """r = rho(P)."""
-        return _radius(self.projection, self.structure.components, self.tol_spec)
+        return _radius(self.projection, self.structure, self.tol_spec)
 
     @cached_property
     def next_generation(self) -> np.ndarray:
@@ -107,7 +107,8 @@ class PopulationModel:
     @cached_property
     def r0(self) -> float:
         """Net reproductive rate R0 = rho(Q)."""
-        return spectral_radius(self.next_generation, tol=self.tol_spec)
+        q = _finite(self.next_generation)
+        return _radius(q, _analyze_pattern(q > 0), self.tol_spec)
 
     @cached_property
     def stationary(self) -> PopulationModel:
@@ -178,6 +179,13 @@ def validate_model(
             "the population never dies out"
         )
     return model
+
+
+def _finite(m: np.ndarray) -> np.ndarray:
+    """A matrix computed from validated ones, once checked for overflow to inf or nan."""
+    if not np.isfinite(m).all():
+        raise ModelError("matrix has non-finite entries")
+    return m
 
 
 def _rescaled(model: PopulationModel, divisor: float) -> PopulationModel:

@@ -15,17 +15,21 @@ as the root is a convex combination of those ratios, so it always lies
 inside the final bracket.
 
 Each block first gets short cold probes from the uniform vector, of
-max(500, 20 n) iterations for order n, which certify well-conditioned
-blocks.  On a period-d block the shifted iteration contracts only at
-about cos(pi / d), so a block still uncertified after its probes gets one
-pass started from a proposed Perron pair instead, and the same ratio
-bracket certifies.  The proposal comes from the block's cyclic classes:
-only the restriction of A^d to one class, of order n / d when the d
-classes are equal, goes to numpy's eig, and the rest of the vector is
-carried along the cycle by products of nonnegative numbers.  The
-iteration budget covers all passes of a block together, and a pass whose
-bracket has stopped narrowing for a whole probe length gives up early, so
-an unreachable tolerance fails fast.
+L = max(500, 20 n) iterations for order n, which certify well-conditioned
+blocks.  A block still uncertified after its probes gets one pass started
+from a proposed Perron pair instead, and the same ratio bracket
+certifies.  A block of imprimitivity index d has d eigenvalues on its
+spectral circle, so under the + I shift the second-largest modulus is at
+least cos(pi / d) of the first.  When cos(pi / d) ** L > tol the probes
+cannot certify (unless they start on the Perron vector), and such a
+block goes straight to the seeded pass; the index comes from the
+structure pass that found the block.  The proposal comes from the
+block's cyclic classes: only the restriction of A^d to one class, of
+order n / d when the d classes are equal, goes to numpy's eig, and the
+rest of the vector is carried along the cycle by products of nonnegative
+numbers.  The iteration budget covers all passes of a block together, and
+a pass whose bracket has stopped narrowing for a whole probe length gives
+up early, so an unreachable tolerance fails fast.
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ import numpy as np
 
 from .errors import ConvergenceError, MortalityError, NumericalError, StructureError
 from .matrices import as_matrix
-from .structure import _analyze_pattern, _cyclic_classes
+from .structure import StructureReport, _analyze_pattern, _cyclic_classes
 
 # Stop once the ratio bracket is this tight, relative to max(1, root).
 SPECTRAL_TOL = 1e-12
@@ -217,8 +221,8 @@ def _primitive_pair(m: np.ndarray, tol: float):
     return right, left / float(left @ right)
 
 
-def _power_root(block: np.ndarray, tol: float, max_iterations: int):
-    """Perron root and sum-1 Perron vector of an irreducible block.
+def _power_root(block: np.ndarray, tol: float, max_iterations: int, period: int = 1):
+    """Perron root and sum-1 Perron vector of an irreducible block of index period.
 
     The + I shift makes a single pass both slow and only absolutely
     accurate when the root is small (the iteration contracts at rate
@@ -231,14 +235,22 @@ def _power_root(block: np.ndarray, tol: float, max_iterations: int):
     Probes are cold and short, sized by the block order.  A block still
     uncertified after them gets one pass on block / lam started from the
     proposed Perron pair (lam, x0) of _eig_seed, which also resolves the
-    root relative to lam.  max_iterations bounds all passes of the block
+    root relative to lam.  A block of index d has d eigenvalues on its
+    spectral circle, so the shifted iteration contracts by cos(pi / d) per
+    step at best: when cos(pi / d) ** probe length > tol its probes cannot
+    certify from a start off the Perron vector, and it starts from the
+    seed instead.  A block without a seed
+    is probed as any other.  max_iterations bounds all passes of the block
     together.
     """
     probe_budget = _probe_length(block.shape[0])
     remaining = max_iterations
     scale = 1.0
     bracket = (0.0, math.inf)
-    for _ in range(3):
+    seed = None
+    if period > 1 and math.cos(math.pi / period) ** probe_budget > tol:
+        seed = _eig_seed(block)
+    for _ in range(3 if seed is None else 0):
         if remaining <= 0:
             break
         budget = min(remaining, probe_budget)
@@ -262,7 +274,8 @@ def _power_root(block: np.ndarray, tol: float, max_iterations: int):
             continue
         return scale * root, vector, scale * lo, scale * hi
     if remaining > 0:
-        seed = _eig_seed(block)
+        if seed is None:
+            seed = _eig_seed(block)
         start = None
         if seed is not None:
             lam, start = seed
@@ -293,19 +306,27 @@ def spectral_radius(m, *, tol: float = SPECTRAL_TOL, max_iterations: int = MAX_I
     Trivial 1x1 components contribute their own diagonal entry.
     """
     m = as_matrix(m)
-    return _radius(m, _analyze_pattern(m > 0).components, tol, max_iterations)
+    return _radius(m, _analyze_pattern(m > 0), tol, max_iterations)
 
 
-def _radius(m: np.ndarray, components, tol: float, max_iterations: int = MAX_ITERATIONS) -> float:
-    """Largest Perron root over the strong components of a validated matrix."""
+def _radius(
+    m: np.ndarray, report: StructureReport, tol: float, max_iterations: int = MAX_ITERATIONS
+) -> float:
+    """Largest Perron root over the strong components, listed in report, of a validated matrix.
+
+    An irreducible matrix's block is iterated with its imprimitivity
+    index; the blocks of a reducible one, whose indices are not computed,
+    with index 1.
+    """
+    period = report.imprimitivity_index or 1
     rho = 0.0
-    for component in components:
+    for component in report.components:
         if len(component) == 1:
             i = component[0]
             rho = max(rho, float(m[i, i]))
         else:
             block = m[np.ix_(component, component)]
-            root, _, _, _ = _power_root(block, tol, max_iterations)
+            root, _, _, _ = _power_root(block, tol, max_iterations, period)
             rho = max(rho, root)
     return rho
 
@@ -318,7 +339,8 @@ def perron_pair(m, *, tol: float = SPECTRAL_TOL, max_iterations: int = MAX_ITERA
     component separately.
     """
     m = as_matrix(m)
-    if not _analyze_pattern(m > 0).irreducible:
+    report = _analyze_pattern(m > 0)
+    if not report.irreducible:
         raise StructureError("matrix is reducible; analyze each strongly connected component separately")
     n = m.shape[0]
     if n == 1:
@@ -329,8 +351,9 @@ def perron_pair(m, *, tol: float = SPECTRAL_TOL, max_iterations: int = MAX_ITERA
     # Iterate both sides a notch tighter than requested so the combined
     # residuals of the pair stay within tol.
     inner_tol = tol / 4.0
-    rho, right, _, _ = _power_root(m, inner_tol, max_iterations)
-    _, left, _, _ = _power_root(m.T, inner_tol, max_iterations)
+    period = report.imprimitivity_index
+    rho, right, _, _ = _power_root(m, inner_tol, max_iterations, period)
+    _, left, _, _ = _power_root(m.T, inner_tol, max_iterations, period)
     left = left / float(left @ right)
     right.setflags(write=False)
     left.setflags(write=False)
@@ -351,7 +374,7 @@ def resolvent_inverse(transition) -> np.ndarray:
     raises NumericalError.
     """
     t = as_matrix(transition, name="transition matrix")
-    rho = _radius(t, _analyze_pattern(t > 0).components, SPECTRAL_TOL)
+    rho = _radius(t, _analyze_pattern(t > 0), SPECTRAL_TOL)
     if rho >= 1.0 - SPECTRAL_TOL:
         raise MortalityError(
             f"rho(T) >= 1: transition matrix spectral radius is {rho:.12g}, the population never dies out"

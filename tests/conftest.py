@@ -13,7 +13,7 @@ sys.path.insert(_after + 1, str(Path(__file__).resolve().parents[1] / "src"))
 import pytest  # noqa: E402
 
 from helpers import plant_model  # noqa: E402
-from matpop import spectral, structure  # noqa: E402
+from matpop import ConvergenceError, model, spectral, structure  # noqa: E402
 
 
 @pytest.fixture
@@ -29,10 +29,11 @@ def kernel_calls(monkeypatch):
     pattern) and "_power_root" (one certified Perron root of a block).
     """
     calls = defaultdict(list)
-    # spectral calls _analyze_pattern through its own imported name.
+    # spectral and model call _analyze_pattern through their own imported names.
     patched = (
         (structure, "_analyze_pattern"),
         (spectral, "_analyze_pattern"),
+        (model, "_analyze_pattern"),
         (spectral, "_power_root"),
     )
     for module, name in patched:
@@ -44,3 +45,25 @@ def kernel_calls(monkeypatch):
 
         monkeypatch.setattr(module, name, counted)
     return calls
+
+
+@pytest.fixture
+def power_passes(monkeypatch):
+    """Record (start, iterations) of every power-iteration pass, failed ones included.
+
+    start is None for a cold pass from the uniform vector.
+    """
+    passes = []
+    original = spectral._power_pass
+
+    def recorded(block, tol, max_iterations, start=None):
+        try:
+            result = original(block, tol, max_iterations, start)
+        except ConvergenceError as err:
+            passes.append((start, err.iterations))
+            raise
+        passes.append((start, result[4]))
+        return result
+
+    monkeypatch.setattr(spectral, "_power_pass", recorded)
+    return passes

@@ -164,6 +164,13 @@ class TestLeslieGrowthRate:
         scaled = target_growth_scale(model, 1.05 * r)
         assert scaled.q == pytest.approx(q_poly_eval(leslie, 1.05 * r), rel=1e-9)
 
+    def test_thousand_class_semelparous_model_certifies_from_its_seed(self, power_passes):
+        # Period 1000: cold probes of 20,000 iterations contract by about
+        # cos(pi / 1000) per step and cannot certify; the seeded pass needs one.
+        model = assemble(LeslieModel((0.9,) * 999, (0.0,) * 999 + (5.0,)))
+        assert model.growth_rate == pytest.approx((5.0 * 0.9**999) ** (1 / 1000), rel=1e-12)
+        assert sum(iterations for _, iterations in power_passes) <= 10
+
     def test_unit_r0_forces_unit_growth(self):
         rng = np.random.default_rng(103)
         for _ in range(50):

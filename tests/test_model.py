@@ -11,12 +11,16 @@ from matpop import (
     Trichotomy,
     analyze,
     analyze_structure,
+    as_matrix,
     r0_positive,
+    spectral,
     spectral_radius,
     stabilizing_scale,
+    structure,
     target_growth_scale,
     validate_model,
 )
+from matpop import model as model_layer
 from helpers import (
     PLANT_F,
     PLANT_Q,
@@ -284,6 +288,35 @@ class TestComputeOnce:
         # Only q(2) and the scaled model's growth rate need a Perron root.
         assert len(blocks) <= 2
         assert not any(np.array_equal(b, qb) for b in blocks for qb in q_blocks)
+
+    def test_model_quantities_coerce_no_matrix_after_validation(self, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs.get("name", "matrix"))
+            return as_matrix(*args, **kwargs)
+
+        for module in (model_layer, spectral, structure):
+            monkeypatch.setattr(module, "as_matrix", counted)
+        model = validate_model(PLANT_T, PLANT_F)
+        assert model.structure.irreducible
+        assert model.growth_rate == pytest.approx(PLANT_R)
+        assert model.r0 == pytest.approx(PLANT_R0)
+        assert calls == ["transition matrix", "fertility matrix"]
+
+    @pytest.mark.parametrize(
+        "quantity, t, f",
+        [
+            # P = T + F overflows where both hold 1e308.
+            ("growth_rate", [[0.0, 0.0], [1e308, 0.0]], [[0.0, 1.0], [1e308, 0.0]]),
+            # Q = F (I - T)^-1 overflows: (I - T)^-1 has entries up to 4.
+            ("r0", [[0.5, 0.0], [0.5, 0.5]], [[0.0, 1e308], [0.0, 0.0]]),
+        ],
+    )
+    def test_overflowing_computed_matrix_rejected(self, quantity, t, f):
+        model = validate_model(t, f)
+        with np.errstate(over="ignore"), pytest.raises(ModelError, match="non-finite"):
+            getattr(model, quantity)
 
     def test_stabilizing_scale_after_analyze_reuses_stationary_model(self, plant, kernel_calls):
         analyze(plant)

@@ -17,9 +17,11 @@ from matpop import (
     structure,
 )
 from helpers import (
+    PLANT_F,
     PLANT_Q,
     PLANT_R,
     PLANT_STABLE,
+    PLANT_T,
     char_poly_spectral_radius,
     neumann_partial_sum,
     plant_model,
@@ -171,6 +173,58 @@ class TestSpectralRadius:
             spectral_radius(m, max_iterations=3)
         lo, hi = info.value.bracket
         assert lo <= math.sqrt(6.0) <= hi
+
+
+def _leslie_projection(n: int, fertile_ages) -> np.ndarray:
+    """P of an n-class Leslie model with survival 0.9 and fertility 5 at the given ages."""
+    m = np.zeros((n, n))
+    m[np.arange(1, n), np.arange(n - 1)] = 0.9
+    m[0, np.array(fertile_ages) - 1] = 5.0
+    return m
+
+
+class TestPeriodRouting:
+    """A block of index d skips its cold probes exactly when cos(pi / d) ** L > tol."""
+
+    @pytest.mark.parametrize("n", [10, 12, 48])
+    def test_long_cycles_make_no_cold_pass(self, n, power_passes):
+        m = _leslie_projection(n, [n])
+        r = (5.0 * 0.9 ** (n - 1)) ** (1.0 / n)
+        assert spectral_radius(m) == pytest.approx(r, rel=1e-12)
+        pair = perron_pair(m)
+        assert pair.right == pytest.approx((0.9 / r) ** np.arange(n) * pair.right[0], rel=1e-9)
+        # One pass for the root, one for each side of the pair.
+        assert len(power_passes) == 3
+        assert all(start is not None for start, _ in power_passes)
+
+    @pytest.mark.parametrize(
+        "m, period",
+        [
+            (PLANT_T + PLANT_F, 2),
+            (_leslie_projection(36, range(6, 37, 6)), 6),
+            (_leslie_projection(9, [9]), 9),
+            ([[0.5, 1.0], [0.25, 0.5]], 1),
+        ],
+        ids=["plant", "iteroparous-d6-n36", "semelparous-d9", "primitive"],
+    )
+    def test_other_blocks_start_cold_and_keep_their_bits(self, m, period, power_passes):
+        m = np.asarray(m)
+        assert structure.analyze_structure(m).imprimitivity_index == period
+        rho = spectral_radius(m)
+        pair = perron_pair(m)
+        assert power_passes[0][0] is None
+        # Index 1 is the path every block took before the routing.
+        tol = spectral.SPECTRAL_TOL
+        assert rho == spectral._power_root(m, tol, spectral.MAX_ITERATIONS)[0]
+        right = spectral._power_root(m, tol / 4.0, spectral.MAX_ITERATIONS)[1]
+        left = spectral._power_root(m.T, tol / 4.0, spectral.MAX_ITERATIONS)[1]
+        assert pair.right.tobytes() == right.tobytes()
+        assert pair.left.tobytes() == (left / float(left @ right)).tobytes()
+
+    def test_rule_boundary_at_the_minimum_probe_length(self):
+        # Orders 9 and 10 both get probes of PROBE_MIN_ITERATIONS = 500.
+        assert spectral._probe_length(9) == spectral._probe_length(10) == 500
+        assert math.cos(math.pi / 9) ** 500 < spectral.SPECTRAL_TOL < math.cos(math.pi / 10) ** 500
 
 
 class TestPerronPair:
