@@ -36,7 +36,7 @@ from .model import (
     target_growth_scale,
     validate_model,
 )
-from .spectral import SPECTRAL_TOL, perron_pair
+from .spectral import SPECTRAL_TOL, _pair
 
 # Values per chunk of CSV rows formatted by one string operation.
 CSV_CHUNK_VALUES = 4096
@@ -88,8 +88,9 @@ def load_model_file(
                 f"{path}: give either transition+fertility or leslie, not both"
             )
         block = data["leslie"]
-        if not isinstance(block, dict) or set(block) != {"survival", "fertility"}:
-            raise ModelError(f"{path}: leslie must be an object with survival and fertility")
+        if not (isinstance(block, dict) and set(block) == {"survival", "fertility"}
+                and all(isinstance(value, list) for value in block.values())):
+            raise ModelError(f"{path}: leslie must be an object with survival and fertility lists")
         t, f = _matrices(LeslieModel(tuple(block["survival"]), tuple(block["fertility"])))
     elif "transition" in data and "fertility" in data:
         t, f = data["transition"], data["fertility"]
@@ -161,7 +162,7 @@ def cmd_scale(args) -> int:
         r0_scaled = result.r0_scaled
 
     if scaled.structure.irreducible:
-        stable = perron_pair(scaled.projection, tol=scaled.tol_spec).right.tolist()
+        stable = _pair(scaled.projection, scaled.structure, scaled.tol_spec).right.tolist()
     else:
         stable = None
     payload = {

@@ -22,8 +22,7 @@ import numpy as np
 from .errors import ConsistencyError, ModelError, NumericalError, StructureError
 from .matrices import as_population_vector
 from .model import PopulationModel
-from .spectral import _primitive_pair, perron_pair
-from .structure import _cyclic_classes
+from .spectral import _pair, _primitive_pair
 
 # Eigenvector residual, relative to the population's largest entry, below
 # which classify_population accepts a population as stable or stationary.
@@ -136,7 +135,7 @@ def eventual_limit(model: PopulationModel, x0) -> LimitResult:
             "projection matrix is not primitive; use periodic_limits for the oscillating case"
         )
     x = as_population_vector(x0, model.n)
-    pair = perron_pair(model.projection, tol=model.tol_spec)
+    pair = _pair(model.projection, model.structure, model.tol_spec)
     limit = float(pair.left @ x) * pair.right
     if not np.isfinite(limit).all():
         raise NumericalError("the long-run limit (v @ x0) u overflows the float range")
@@ -169,7 +168,8 @@ def periodic_limits(model: PopulationModel, x0) -> PeriodicLimits:
 
     x = as_population_vector(x0, model.n)
     step = model.projection / model.growth_rate
-    period, classes = _cyclic_classes(model.projection > 0)
+    period = structure.imprimitivity_index
+    classes = np.array(structure.cyclic_classes)
     members = [np.flatnonzero(classes == k) for k in range(period)]
     maps = [step[np.ix_(members[(k + 1) % period], members[k])] for k in range(period)]
     cycle = maps[0]
@@ -205,7 +205,7 @@ def classify_population(model: PopulationModel, x) -> PopulationClass:
     x = as_population_vector(x, model.n)
     image = model.projection @ x
     if model.structure.irreducible:
-        left = perron_pair(model.projection, tol=model.tol_spec).left
+        left = _pair(model.projection, model.structure, model.tol_spec).left
         factor = float(left @ image) / float(left @ x)
     else:
         support = x > 0

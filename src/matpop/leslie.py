@@ -36,8 +36,11 @@ class LeslieModel:
     fertility: tuple[float, ...]
 
     def __post_init__(self):
-        survival = tuple(float(t) for t in self.survival)
-        fertility = tuple(float(f) for f in self.fertility)
+        try:
+            survival = tuple(float(t) for t in self.survival)
+            fertility = tuple(float(f) for f in self.fertility)
+        except (TypeError, ValueError) as exc:
+            raise ModelError(f"survival and fertility must be sequences of numbers: {exc}") from None
         object.__setattr__(self, "survival", survival)
         object.__setattr__(self, "fertility", fertility)
         n = len(fertility)

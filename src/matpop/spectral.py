@@ -22,14 +22,15 @@ certifies.  A block of imprimitivity index d has d eigenvalues on its
 spectral circle, so under the + I shift the second-largest modulus is at
 least cos(pi / d) of the first.  When cos(pi / d) ** L > tol the probes
 cannot certify (unless they start on the Perron vector), and such a
-block goes straight to the seeded pass; the index comes from the
-structure pass that found the block.  The proposal comes from the
+block goes straight to the seeded pass.  The proposal comes from the
 block's cyclic classes: only the restriction of A^d to one class, of
 order n / d when the d classes are equal, goes to numpy's eig, and the
 rest of the vector is carried along the cycle by products of nonnegative
-numbers.  The iteration budget covers all passes of a block together, and
-a pass whose bracket has stopped narrowing for a whole probe length gives
-up early, so an unreachable tolerance fails fast.
+numbers.  The index and the classes come from the caller's structure
+report; only the seeded pass of a reducible matrix's block analyzes that
+block's pattern.  The iteration budget covers all passes of a block
+together, and a pass whose bracket has stopped narrowing for a whole
+probe length gives up early, so an unreachable tolerance fails fast.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ import numpy as np
 
 from .errors import ConvergenceError, MortalityError, NumericalError, StructureError
 from .matrices import as_matrix
-from .structure import StructureReport, _analyze_pattern, _cyclic_classes
+from .structure import StructureReport, _analyze_pattern
 
 # Stop once the ratio bracket is this tight, relative to max(1, root).
 SPECTRAL_TOL = 1e-12
@@ -165,20 +166,22 @@ def _balanced_pair(block: np.ndarray):
     return (lam, x) if (x > 0.0).all() else pair
 
 
-def _eig_seed(block: np.ndarray):
+def _eig_seed(block: np.ndarray, classes: tuple[int, ...]):
     """A proposed Perron pair (lam, x0) of an irreducible block, or None.
 
-    The block of imprimitivity index d maps each cyclic class C_k into the
-    next: A_k = A[C_k+1, C_k].  Its Perron root is the d-th root of that
-    of M = A_d-1 ... A_1 A_0, the primitive restriction of A^d to C_0, and
-    its Perron vector is M's on C_0, carried on by x_k+1 = A_k x_k / lam.
+    The block of imprimitivity index d maps each cyclic class C_k (from
+    classes) into the next: A_k = A[C_k+1, C_k].  Its Perron root is the
+    d-th root of that of M = A_d-1 ... A_1 A_0, the primitive restriction
+    of A^d to C_0, and its Perron vector is M's on C_0, carried on by
+    x_k+1 = A_k x_k / lam.
     Only M, of order |C_0|, goes to eig, so a long-period block costs a
     chain of small products, and the carried entries are products of
     nonnegative numbers, accurate however widely they range.  For d = 1,
     M is the block itself.  The pair is only a proposal: the pass it seeds
     still has to certify the root with a ratio bracket.
     """
-    period, classes = _cyclic_classes(block > 0)
+    classes = np.array(classes)
+    period = int(classes.max()) + 1
     members = [np.flatnonzero(classes == k) for k in range(period)]
     maps = [block[np.ix_(members[(k + 1) % period], members[k])] for k in range(period)]
     # M is formed with each partial product scaled to unit maximum, so a
@@ -221,8 +224,10 @@ def _primitive_pair(m: np.ndarray, tol: float):
     return right, left / float(left @ right)
 
 
-def _power_root(block: np.ndarray, tol: float, max_iterations: int, period: int = 1):
-    """Perron root and sum-1 Perron vector of an irreducible block of index period.
+def _power_root(block: np.ndarray, tol: float, classes: tuple[int, ...] | None = None):
+    """Perron root and sum-1 Perron vector of an irreducible block of the given cyclic classes.
+
+    classes is None for a block of a reducible matrix, routed as index 1.
 
     The + I shift makes a single pass both slow and only absolutely
     accurate when the root is small (the iteration contracts at rate
@@ -239,17 +244,17 @@ def _power_root(block: np.ndarray, tol: float, max_iterations: int, period: int 
     spectral circle, so the shifted iteration contracts by cos(pi / d) per
     step at best: when cos(pi / d) ** probe length > tol its probes cannot
     certify from a start off the Perron vector, and it starts from the
-    seed instead.  A block without a seed
-    is probed as any other.  max_iterations bounds all passes of the block
-    together.
+    seed instead.  A block without a seed is probed as any other.
+    MAX_ITERATIONS bounds all passes of the block together.
     """
     probe_budget = _probe_length(block.shape[0])
-    remaining = max_iterations
+    remaining = MAX_ITERATIONS
     scale = 1.0
     bracket = (0.0, math.inf)
     seed = None
+    period = 1 if classes is None else max(classes) + 1
     if period > 1 and math.cos(math.pi / period) ** probe_budget > tol:
-        seed = _eig_seed(block)
+        seed = _eig_seed(block, classes)
     for _ in range(3 if seed is None else 0):
         if remaining <= 0:
             break
@@ -275,7 +280,7 @@ def _power_root(block: np.ndarray, tol: float, max_iterations: int, period: int 
         return scale * root, vector, scale * lo, scale * hi
     if remaining > 0:
         if seed is None:
-            seed = _eig_seed(block)
+            seed = _eig_seed(block, classes or _analyze_pattern(block > 0).cyclic_classes)
         start = None
         if seed is not None:
             lam, start = seed
@@ -289,16 +294,16 @@ def _power_root(block: np.ndarray, tol: float, max_iterations: int, period: int 
             bracket = (scale * lo, scale * hi)
         else:
             return scale * root, vector, scale * lo, scale * hi
-    used = max_iterations - remaining
+    used = MAX_ITERATIONS - remaining
     raise ConvergenceError(
-        f"power iteration did not converge in {used} of {max_iterations} iterations; "
+        f"power iteration did not converge in {used} of {MAX_ITERATIONS} iterations; "
         f"spectral radius is in [{bracket[0]:.17g}, {bracket[1]:.17g}]",
         bracket=bracket,
         iterations=used,
     )
 
 
-def spectral_radius(m, *, tol: float = SPECTRAL_TOL, max_iterations: int = MAX_ITERATIONS) -> float:
+def spectral_radius(m, *, tol: float = SPECTRAL_TOL) -> float:
     """Spectral radius of a square nonnegative matrix.
 
     Works for reducible matrices: the pattern is condensed into strongly
@@ -306,19 +311,16 @@ def spectral_radius(m, *, tol: float = SPECTRAL_TOL, max_iterations: int = MAX_I
     Trivial 1x1 components contribute their own diagonal entry.
     """
     m = as_matrix(m)
-    return _radius(m, _analyze_pattern(m > 0), tol, max_iterations)
+    return _radius(m, _analyze_pattern(m > 0), tol)
 
 
-def _radius(
-    m: np.ndarray, report: StructureReport, tol: float, max_iterations: int = MAX_ITERATIONS
-) -> float:
+def _radius(m: np.ndarray, report: StructureReport, tol: float) -> float:
     """Largest Perron root over the strong components, listed in report, of a validated matrix.
 
-    An irreducible matrix's block is iterated with its imprimitivity
-    index; the blocks of a reducible one, whose indices are not computed,
-    with index 1.
+    An irreducible matrix's block is iterated with its cyclic classes;
+    the blocks of a reducible one, whose classes are not computed, as
+    index 1.
     """
-    period = report.imprimitivity_index or 1
     rho = 0.0
     for component in report.components:
         if len(component) == 1:
@@ -326,12 +328,12 @@ def _radius(
             rho = max(rho, float(m[i, i]))
         else:
             block = m[np.ix_(component, component)]
-            root, _, _, _ = _power_root(block, tol, max_iterations, period)
+            root, _, _, _ = _power_root(block, tol, report.cyclic_classes)
             rho = max(rho, root)
     return rho
 
 
-def perron_pair(m, *, tol: float = SPECTRAL_TOL, max_iterations: int = MAX_ITERATIONS) -> SpectralPair:
+def perron_pair(m, *, tol: float = SPECTRAL_TOL) -> SpectralPair:
     """Perron root and positive left/right Perron vectors of an irreducible matrix.
 
     Raises StructureError for a reducible matrix: its Perron vectors need
@@ -339,7 +341,11 @@ def perron_pair(m, *, tol: float = SPECTRAL_TOL, max_iterations: int = MAX_ITERA
     component separately.
     """
     m = as_matrix(m)
-    report = _analyze_pattern(m > 0)
+    return _pair(m, _analyze_pattern(m > 0), tol)
+
+
+def _pair(m: np.ndarray, report: StructureReport, tol: float) -> SpectralPair:
+    """perron_pair of a validated matrix whose structure report is given."""
     if not report.irreducible:
         raise StructureError("matrix is reducible; analyze each strongly connected component separately")
     n = m.shape[0]
@@ -351,9 +357,10 @@ def perron_pair(m, *, tol: float = SPECTRAL_TOL, max_iterations: int = MAX_ITERA
     # Iterate both sides a notch tighter than requested so the combined
     # residuals of the pair stay within tol.
     inner_tol = tol / 4.0
-    period = report.imprimitivity_index
-    rho, right, _, _ = _power_root(m, inner_tol, max_iterations, period)
-    _, left, _, _ = _power_root(m.T, inner_tol, max_iterations, period)
+    classes, period = report.cyclic_classes, report.imprimitivity_index
+    rho, right, _, _ = _power_root(m, inner_tol, classes)
+    # The transpose reverses every edge, so its classes run the other way.
+    _, left, _, _ = _power_root(m.T, inner_tol, tuple(-k % period for k in classes))
     left = left / float(left @ right)
     right.setflags(write=False)
     left.setflags(write=False)

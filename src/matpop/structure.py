@@ -2,10 +2,11 @@
 
 The positivity digraph of a matrix M has an edge j -> i whenever M[i, j] > 0,
 so population moves along directed walks.  Strong components come from an
-iterative Tarjan pass; the imprimitivity index of a strongly connected
-pattern is the gcd of its cycle lengths, computed from BFS levels: every
-edge u -> v contributes gcd-term level(u) + 1 - level(v), and tree edges
-contribute nothing.
+iterative Tarjan pass.  One BFS of a strongly connected pattern gives its
+imprimitivity index d, the gcd of its cycle lengths, and its cyclic
+classes: every edge u -> v contributes gcd-term level(u) + 1 - level(v),
+and a vertex's class is its level mod d.  No other module walks a
+pattern's edges.
 
 User-supplied matrices are thresholded at exactly zero.  Computed matrices
 (the next generation matrix) carry floating-point fuzz, so their pattern is
@@ -34,12 +35,15 @@ class StructureReport:
     edge of the condensation points from an earlier component to a later
     one.  ``imprimitivity_index`` is defined only for irreducible patterns;
     a primitive pattern is an irreducible one with index 1.
+    ``cyclic_classes`` (None when reducible) puts index 0 in class 0 and
+    every edge from class k to class k + 1 mod d.
     """
 
     components: tuple[tuple[int, ...], ...]
     irreducible: bool
     imprimitivity_index: int | None
     primitive: bool
+    cyclic_classes: tuple[int, ...] | None
 
 
 @dataclass(frozen=True)
@@ -114,12 +118,12 @@ def _strong_components(succ: list[np.ndarray], n: int) -> list[list[int]]:
     return components
 
 
-def _levels(succ: list[np.ndarray], vertices: list[int]) -> dict[int, int]:
-    """Breadth-first distance from vertices[0] of each vertex of a strongly connected set."""
-    level = {v: -1 for v in vertices}
-    start = vertices[0]
-    level[start] = 0
-    queue = [start]
+def _cyclic_walk(succ: list[np.ndarray], n: int) -> tuple[int, tuple[int, ...]]:
+    """Imprimitivity index and cyclic classes of a strongly connected pattern, by BFS from vertex 0."""
+    level = [-1] * n
+    level[0] = 0
+    queue = [0]
+    period = 0
     while queue:
         next_queue = []
         for u in queue:
@@ -128,29 +132,9 @@ def _levels(succ: list[np.ndarray], vertices: list[int]) -> dict[int, int]:
                 if level[w] == -1:
                     level[w] = level[u] + 1
                     next_queue.append(w)
+                period = math.gcd(period, level[u] + 1 - level[w])
         queue = next_queue
-    return level
-
-
-def _period(succ: list[np.ndarray], level: dict[int, int]) -> int:
-    """gcd of the cycle lengths through a strongly connected vertex set, from its levels."""
-    g = 0
-    for u in level:
-        for w in succ[u]:
-            g = math.gcd(g, level[u] + 1 - level[int(w)])
-    return g
-
-
-def _cyclic_classes(pattern: np.ndarray) -> tuple[int, np.ndarray]:
-    """Imprimitivity index d and the cyclic class of every vertex of an irreducible pattern.
-
-    A vertex's class is its level mod d, so every edge runs from class k
-    to class k + 1 mod d.
-    """
-    succ = _successors(pattern)
-    level = _levels(succ, list(range(pattern.shape[0])))
-    period = _period(succ, level)
-    return period, np.array([level[v] % period for v in range(pattern.shape[0])])
+    return period, tuple(x % period for x in level)
 
 
 def _analyze_pattern(pattern: np.ndarray) -> StructureReport:
@@ -162,12 +146,13 @@ def _analyze_pattern(pattern: np.ndarray) -> StructureReport:
 
     # A 1x1 pattern is irreducible only if its single entry is set.
     irreducible = len(ordered) == 1 and (n > 1 or bool(pattern[0, 0]))
-    period = _period(succ, _levels(succ, list(ordered[0]))) if irreducible else None
+    period, classes = _cyclic_walk(succ, n) if irreducible else (None, None)
     return StructureReport(
         components=ordered,
         irreducible=irreducible,
         imprimitivity_index=period,
         primitive=irreducible and period == 1,
+        cyclic_classes=classes,
     )
 
 
@@ -180,10 +165,12 @@ def next_gen_pattern(fertility, next_gen) -> QPatternReport:
     """Block pattern of the next generation matrix of an irreducible model.
 
     Verifies the pattern laws relating Q to F (matching zero rows, an
-    irreducible leading block, no zero column across the nonzero rows,
-    and Q irreducible exactly when every row of F is nonzero).  Any
-    violation signals upstream numerical corruption or a projection
-    matrix that is not irreducible, and raises ConsistencyError.
+    irreducible leading block, no zero column across the nonzero rows).
+    Any violation signals upstream numerical corruption or a projection
+    matrix that is not irreducible, and raises ConsistencyError.  Q is
+    then irreducible exactly when every row of F is nonzero: a zero row
+    of Q is a class with no incoming edge, and with no zero row Q is its
+    own leading block.
     """
     f = as_matrix(fertility, name="fertility matrix")
     q = as_matrix(next_gen, name="next generation matrix")
@@ -193,9 +180,8 @@ def next_gen_pattern(fertility, next_gen) -> QPatternReport:
         )
 
     q_pattern = q > COMPUTED_PATTERN_TOL
-    f_pattern = f > 0
     q_zero_rows = np.flatnonzero(~q_pattern.any(axis=1))
-    f_zero_rows = np.flatnonzero(~f_pattern.any(axis=1))
+    f_zero_rows = np.flatnonzero(~(f > 0).any(axis=1))
     if not np.array_equal(q_zero_rows, f_zero_rows):
         raise ConsistencyError(
             "zero rows of the next generation matrix do not match the zero rows "
@@ -205,7 +191,7 @@ def next_gen_pattern(fertility, next_gen) -> QPatternReport:
     nonzero = np.flatnonzero(q_pattern.any(axis=1)).tolist()
     if not nonzero:
         raise ConsistencyError("next generation matrix is entirely zero")
-    permutation = tuple(nonzero) + tuple(int(i) for i in q_zero_rows)
+    zero_rows = tuple(int(i) for i in q_zero_rows)
 
     block = _analyze_pattern(q_pattern[np.ix_(nonzero, nonzero)])
     if not block.irreducible:
@@ -218,16 +204,9 @@ def next_gen_pattern(fertility, next_gen) -> QPatternReport:
             "a column of the nonzero-row submatrix of the next generation matrix is zero"
         )
 
-    q_irreducible = _analyze_pattern(q_pattern).irreducible
-    if q_irreducible != bool(f_pattern.any(axis=1).all()):
-        raise ConsistencyError(
-            "irreducibility of the next generation matrix disagrees with the "
-            "all-rows-nonzero test on the fertility matrix"
-        )
-
     return QPatternReport(
-        permutation=permutation,
+        permutation=tuple(nonzero) + zero_rows,
         q11_indices=tuple(nonzero),
-        zero_rows=tuple(int(i) for i in q_zero_rows),
-        q_irreducible=q_irreducible,
+        zero_rows=zero_rows,
+        q_irreducible=not zero_rows,
     )

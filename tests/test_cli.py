@@ -141,6 +141,21 @@ class TestAnalyzeCommand:
         assert main(["analyze", str(path)]) == 2
         assert "fecundity" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "leslie",
+        [
+            {"survival": 5, "fertility": [1, 1]},
+            {"survival": ["x"], "fertility": [1, 1]},
+            {"survival": [0.5], "fertility": [1, None]},
+            {"survival": [0.5], "fertility": "11"},
+        ],
+        ids=["scalar-survival", "string-entry", "null-entry", "string-fertility"],
+    )
+    def test_malformed_leslie_block_exits_2(self, leslie, tmp_path, capsys):
+        path = write_model(tmp_path, "leslie.json", {"leslie": leslie})
+        assert main(["analyze", path]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_ragged_matrix_rejected(self, tmp_path, capsys):
         path = write_model(
             tmp_path, "ragged.json", {"transition": [[0.0, 0.0], [0.0]], "fertility": [[1.0]]}
@@ -483,12 +498,12 @@ class TestToleranceFlags:
     def test_spectral_tolerance_reaches_every_perron_pair(self, tmp_path, monkeypatch, capsys):
         seen = []
 
-        def spy(m, **kwargs):
-            seen.append(kwargs.get("tol"))
-            return spectral.perron_pair(m, **kwargs)
+        def spy(m, report, tol):
+            seen.append(tol)
+            return spectral._pair(m, report, tol)
 
-        monkeypatch.setattr(cli, "perron_pair", spy)
-        monkeypatch.setattr(dynamics, "perron_pair", spy)
+        monkeypatch.setattr(cli, "_pair", spy)
+        monkeypatch.setattr(dynamics, "_pair", spy)
         path = write_model(
             tmp_path, "leslie.json", {"leslie": {"survival": [0.5], "fertility": [1, 1]}}
         )
@@ -506,9 +521,9 @@ class TestCallBudget:
     @pytest.mark.parametrize(
         "argv, tarjan, perron",
         [
-            (["analyze", PLANT], 6, 3),
-            (["scale", PLANT, "--stationary"], 4, 4),
-            (["scale", PLANT, "--target-growth", "2"], 6, 5),
+            (["analyze", PLANT], 5, 3),
+            (["scale", PLANT, "--stationary"], 3, 4),
+            (["scale", PLANT, "--target-growth", "2"], 5, 5),
         ],
     )
     def test_plant_commands(self, argv, tarjan, perron, kernel_calls, capsys):

@@ -142,7 +142,7 @@ class TestSpectralRadius:
         assert spectral_radius(cycle) == pytest.approx(1e-100 ** (1 / 6), rel=1e-9)
 
     @pytest.mark.parametrize("fertile_ages", [(200,), (199, 200)])
-    def test_seed_resolves_widely_scaled_perron_vector(self, fertile_ages):
+    def test_seed_resolves_widely_scaled_perron_vector(self, fertile_ages, monkeypatch):
         # T + F / R0 of a 200-class Leslie model with survival 0.9: root 1,
         # Perron entries down to 0.9 ** 199, period 200 for a semelparous
         # model and 1 with two adjacent fertile ages.  The seeded pass must
@@ -152,9 +152,9 @@ class TestSpectralRadius:
         m = np.zeros((n, n))
         m[np.arange(1, n), np.arange(n - 1)] = 0.9
         m[0, ages - 1] = 0.9 ** -(ages - 1.0) / len(ages)
-        budget = spectral.PROBE_ITERATIONS_PER_ORDER * n + 20
-        assert spectral_radius(m, max_iterations=budget) == pytest.approx(1.0, rel=1e-12)
-        pair = perron_pair(m, max_iterations=budget)
+        monkeypatch.setattr(spectral, "MAX_ITERATIONS", spectral.PROBE_ITERATIONS_PER_ORDER * n + 20)
+        assert spectral_radius(m) == pytest.approx(1.0, rel=1e-12)
+        pair = perron_pair(m)
         assert pair.right == pytest.approx(0.9 ** np.arange(n) * pair.right[0], rel=1e-9)
 
     def test_unreachable_tolerance_stops_once_bracket_stalls(self):
@@ -167,10 +167,11 @@ class TestSpectralRadius:
         assert lo <= 0.375 <= hi
         assert info.value.iterations <= 10 * spectral.PROBE_MIN_ITERATIONS
 
-    def test_iteration_budget_exhaustion_reports_bracket(self):
+    def test_iteration_budget_exhaustion_reports_bracket(self, monkeypatch):
         m = [[0.0, 2.0], [3.0, 0.0]]
+        monkeypatch.setattr(spectral, "MAX_ITERATIONS", 3)
         with pytest.raises(ConvergenceError) as info:
-            spectral_radius(m, max_iterations=3)
+            spectral_radius(m)
         lo, hi = info.value.bracket
         assert lo <= math.sqrt(6.0) <= hi
 
@@ -215,9 +216,9 @@ class TestPeriodRouting:
         assert power_passes[0][0] is None
         # Index 1 is the path every block took before the routing.
         tol = spectral.SPECTRAL_TOL
-        assert rho == spectral._power_root(m, tol, spectral.MAX_ITERATIONS)[0]
-        right = spectral._power_root(m, tol / 4.0, spectral.MAX_ITERATIONS)[1]
-        left = spectral._power_root(m.T, tol / 4.0, spectral.MAX_ITERATIONS)[1]
+        assert rho == spectral._power_root(m, tol)[0]
+        right = spectral._power_root(m, tol / 4.0)[1]
+        left = spectral._power_root(m.T, tol / 4.0)[1]
         assert pair.right.tobytes() == right.tobytes()
         assert pair.left.tobytes() == (left / float(left @ right)).tobytes()
 

@@ -1,5 +1,6 @@
 import math
 
+import networkx as nx
 import numpy as np
 import pytest
 
@@ -9,10 +10,10 @@ from matpop import (
     next_gen_pattern,
     resolvent_inverse,
 )
-from matpop.structure import _cyclic_classes
 from helpers import (
     PLANT_F,
     PLANT_Q,
+    digraph_of,
     pattern_power_positive,
     plant_model,
     random_irreducible_model,
@@ -110,13 +111,33 @@ class TestAnalyzeStructure:
             m = rng.uniform(0.1, 1.0, (n, n)) * (rng.random((n, n)) < 0.3)
             report = analyze_structure(m)
             if not report.irreducible:
+                assert report.cyclic_classes is None
                 continue
             checked += 1
-            period, classes = _cyclic_classes(m > 0)
-            assert period == report.imprimitivity_index
+            period = report.imprimitivity_index
+            classes = np.array(report.cyclic_classes)
+            assert classes[0] == 0
             rows, cols = np.nonzero(m)
             assert ((classes[cols] + 1) % period == classes[rows]).all()
             assert sorted(set(classes.tolist())) == list(range(period))
+
+    @pytest.mark.parametrize("period", range(2, 49))
+    def test_transpose_classes_run_backwards(self, period):
+        # Positive maps between shuffled classes of sizes 1-3, and a Leslie
+        # pattern whose fertile ages are multiples of the period.
+        rng = np.random.default_rng(period)
+        sizes = rng.integers(1, 4, period)
+        n = int(sizes.sum())
+        labels = rng.permutation(np.repeat(np.arange(period), sizes))
+        cyclic = (labels[:, None] == (labels[None, :] + 1) % period).astype(float)
+        leslie = np.zeros((3 * period, 3 * period))
+        leslie[np.arange(1, 3 * period), np.arange(3 * period - 1)] = 0.9
+        leslie[0, [period - 1, 3 * period - 1]] = 5.0
+        for m in (cyclic * rng.uniform(0.1, 1.0, (n, n)), leslie):
+            report = analyze_structure(m)
+            assert report.imprimitivity_index == period
+            classes = -np.array(report.cyclic_classes) % period
+            assert tuple(classes.tolist()) == analyze_structure(m.T).cyclic_classes
 
     def test_plant_cycle_lengths(self):
         lengths = sorted(simple_cycle_lengths(plant_model().projection))
@@ -168,6 +189,7 @@ class TestNextGenPattern:
             f_zero = {int(i) for i in np.flatnonzero(~(model.fertility > 0).any(axis=1))}
             assert set(report.zero_rows) == f_zero
             assert report.q_irreducible == (len(f_zero) == 0)
+            assert report.q_irreducible == nx.is_strongly_connected(digraph_of(q > 1e-12))
             live = list(report.q11_indices)
             assert (q[live, :] > 1e-12).any(axis=0).all()
             assert analyze_structure(np.sign(q[np.ix_(live, live)])).irreducible
