@@ -30,7 +30,6 @@ from .spectral import (
     spectral_radius,
 )
 from .structure import (
-    COMPUTED_PATTERN_TOL,
     QPatternReport,
     StructureReport,
     analyze_structure,
@@ -68,7 +67,6 @@ __all__ = [
     "AnalysisReport",
     "CLAMP_TOL",
     "CLASSIFY_TOL",
-    "COMPUTED_PATTERN_TOL",
     "ConsistencyError",
     "ConvergenceError",
     "Error",

@@ -24,8 +24,9 @@ from .matrices import as_population_vector
 from .model import PopulationModel
 from .spectral import _pair, _primitive_pair
 
-# Eigenvector residual, relative to the population's largest entry, below
-# which classify_population accepts a population as stable or stationary.
+# Eigenvector residual, relative to the factor times the population's
+# largest entry, below which classify_population accepts a population as
+# stable or stationary.
 LIMIT_TOL = 1e-9
 # Unnormalized iteration refuses to run past this magnitude, checked once
 # per block of about OVERFLOW_BLOCK_VALUES trajectory entries.
@@ -82,7 +83,8 @@ def iterate(model: PopulationModel, x0, steps: int, *, normalize: bool = False) 
     The array is read-only, float64 and of shape (steps + 1, n).
     Normalized mode divides step k by r^k (iterating with P / r), which is
     the supported way to follow long horizons without overflow; it is
-    refused when the growth rate is zero.  Unnormalized mode raises
+    refused when the growth rate is zero or so small that P / r
+    overflows.  Unnormalized mode raises
     NumericalError naming the first step with an entry beyond
     OVERFLOW_LIMIT, and a step count whose array cannot be allocated
     raises ModelError.
@@ -94,9 +96,12 @@ def iterate(model: PopulationModel, x0, steps: int, *, normalize: bool = False) 
     matrix = model.projection
     if normalize:
         rate = model.growth_rate
-        if rate <= model.tol_class:
+        if rate == 0.0:
             raise ModelError("growth rate is zero; the normalized trajectory is undefined")
-        matrix = matrix / rate
+        with np.errstate(over="ignore"):
+            matrix = matrix / rate
+        if not np.isfinite(matrix).all():
+            raise ModelError(f"growth rate {rate!r} is too small to normalize by: P / r overflows")
 
     try:
         trajectory = np.empty((steps + 1, model.n))
@@ -200,7 +205,8 @@ def classify_population(model: PopulationModel, x) -> PopulationClass:
 
     The factor estimate uses the left Perron vector when the projection
     matrix is irreducible and falls back to the median componentwise
-    ratio on the support of x otherwise.
+    ratio on the support of x otherwise.  Any positive factor qualifies,
+    so the residual is judged relative to it.
     """
     x = as_population_vector(x, model.n)
     image = model.projection @ x
@@ -212,7 +218,7 @@ def classify_population(model: PopulationModel, x) -> PopulationClass:
         factor = float(np.median(image[support] / x[support]))
     residual = float(np.max(np.abs(image - factor * x)) / np.max(np.abs(x)))
 
-    if residual <= LIMIT_TOL and factor > model.tol_class:
+    if factor > 0.0 and residual <= LIMIT_TOL * factor:
         if abs(factor - 1.0) <= model.tol_class:
             kind = PopulationKind.STATIONARY
         else:

@@ -23,19 +23,26 @@ from .errors import ConvergenceError, ModelError
 from .model import PopulationModel, validate_model
 
 # Initial lower end of the root bracket (q blows up as s -> 0+, so q = 1 is
-# crossed above some positive seed), and the |q(r) - 1| ending the polish.
+# crossed above some positive seed), and the |q(r) - 1| the bisected root
+# must meet.
 BRACKET_SEED = 1e-8
 ROOT_TOL = 1e-12
 
 
 @dataclass(frozen=True)
 class LeslieModel:
-    """Survival fractions t_1..t_{n-1} in (0, 1] and fertilities f_1..f_n >= 0, not all zero."""
+    """Survival fractions t_1..t_{n-1} in (0, 1] and fertilities f_1..f_n >= 0, not all zero.
+
+    Either field takes any iterable of numbers except str, bytes and
+    bytearray, whose characters or byte values would pass for numbers.
+    """
 
     survival: tuple[float, ...]
     fertility: tuple[float, ...]
 
     def __post_init__(self):
+        if any(isinstance(v, (str, bytes, bytearray)) for v in (self.survival, self.fertility)):
+            raise ModelError("survival and fertility must be sequences of numbers, not text or bytes")
         try:
             survival = tuple(float(t) for t in self.survival)
             fertility = tuple(float(f) for f in self.fertility)
@@ -93,18 +100,15 @@ def q_poly_eval(model: LeslieModel, s: float) -> float:
     """Fertility divisor q(s), evaluated by Horner's rule in 1/s.
 
     Matches the generic divisor rho(F (I - T/s)^-1) / s of the assembled
-    model.  Returns inf when the value overflows for very small s.
+    model.  Float arithmetic overflows to inf for very small s.
     """
     s = float(s)
     if not s > 0.0:
         raise ModelError(f"growth rate argument must be positive, got {s:.6g}")
     u = 1.0 / s
     acc = 0.0
-    try:
-        for c in reversed(_coefficients(model)):
-            acc = u * (c + acc)
-    except OverflowError:
-        return math.inf
+    for c in reversed(_coefficients(model)):
+        acc = u * (c + acc)
     return acc
 
 
@@ -113,33 +117,22 @@ def leslie_r0(model: LeslieModel) -> float:
     return q_poly_eval(model, 1.0)
 
 
-def _q_derivative(model: LeslieModel, s: float) -> float:
-    u = 1.0 / s
-    total = 0.0
-    power = u * u
-    for k, c in enumerate(_coefficients(model), start=1):
-        total -= k * c * power
-        power *= u
-    return total
-
-
 def leslie_growth_rate(model: LeslieModel) -> float:
-    """Unique positive root of q(r) = 1, by bisection plus a Newton polish.
+    """Unique positive root of q(r) = 1, by bisection.
 
-    q is strictly decreasing, so the root is bracketed by expanding
-    [BRACKET_SEED, 1] outward until q crosses 1, then bisected to machine
-    precision; Newton steps that stay in the bracket sharpen the result
-    until |q(r) - 1| <= ROOT_TOL.
+    q is strictly decreasing, so the root is bracketed by halving
+    BRACKET_SEED until q drops below 1, keeping the last point where it
+    was below 1 as the upper end, or else by doubling 1 until q drops
+    below 1.  Bisection then closes the bracket to adjacent floats, and
+    the root must meet |q(r) - 1| <= ROOT_TOL.
     """
-    lo = BRACKET_SEED
+    lo, hi = BRACKET_SEED, 1.0
     while q_poly_eval(model, lo) < 1.0:
-        lo *= 0.5
+        lo, hi = 0.5 * lo, lo
         if lo < 1e-300:
             raise ConvergenceError("could not bracket the growth rate from below")
-    hi = max(1.0, 2.0 * lo)
     while q_poly_eval(model, hi) > 1.0:
-        lo = hi
-        hi *= 2.0
+        lo, hi = hi, 2.0 * hi
         if hi > 1e300:
             raise ConvergenceError("could not bracket the growth rate from above")
 
@@ -153,17 +146,6 @@ def leslie_growth_rate(model: LeslieModel) -> float:
             hi = mid
 
     root = 0.5 * (lo + hi)
-    for _ in range(8):
-        value = q_poly_eval(model, root)
-        if abs(value - 1.0) <= ROOT_TOL:
-            break
-        slope = _q_derivative(model, root)
-        if slope == 0.0:
-            break
-        candidate = root - (value - 1.0) / slope
-        if not lo <= candidate <= hi:
-            break
-        root = candidate
     if abs(q_poly_eval(model, root) - 1.0) > ROOT_TOL:
         raise ConvergenceError(f"growth-rate root refinement stalled at q({root!r}) != 1")
     return root

@@ -38,11 +38,10 @@ from .structure import QPatternReport, StructureReport, _analyze_pattern, next_g
 # Classification band around 1 for the growth trichotomy, and the residual
 # allowed, relative to max(1, s), when verifying that a scaled model hits
 # its prescribed growth rate s.  Both sit well above the spectral
-# iteration tolerance to absorb accumulated error.
+# iteration tolerance to absorb accumulated error.  Signs and patterns
+# are read at exactly zero, never against either band.
 CLASSIFY_TOL = 1e-9
 STABILITY_TOL = 1e-8
-# Doublings tried when searching for a scaling certificate of R0 > 0.
-CERTIFICATE_DOUBLINGS = 33
 
 
 class Trichotomy(Enum):
@@ -58,7 +57,8 @@ class PopulationModel:
     """Validated (transition, fertility) pair with its tolerances and cached derived values.
 
     ``tol_spec`` is the tolerance of every Perron computation on the
-    model and ``tol_class`` the band of the growth classification.
+    model and ``tol_class`` the band around 1 of the growth
+    classification, of stationary populations and of the Finite fate.
     """
 
     transition: np.ndarray
@@ -106,7 +106,14 @@ class PopulationModel:
 
     @cached_property
     def r0(self) -> float:
-        """Net reproductive rate R0 = rho(Q)."""
+        """Net reproductive rate R0 = rho(Q), exactly 0 when no cycle of P takes an edge of F.
+
+        Q has a cycle exactly when P has one through an edge of F.  A Q
+        without one is not iterated, since the pivoted solve for
+        (I - T)^-1 can leave rounding-level entries at its structural zeros.
+        """
+        if not _fertile_cycle(self.structure, self.fertility):
+            return 0.0
         q = _finite(self.next_generation)
         return _radius(q, _analyze_pattern(q > 0), self.tol_spec)
 
@@ -188,14 +195,31 @@ def _finite(m: np.ndarray) -> np.ndarray:
     return m
 
 
+def _fertile_cycle(structure: StructureReport, fertility: np.ndarray) -> bool:
+    """Whether an edge of F lies on a cycle of P, whose strong components are given."""
+    if structure.irreducible:
+        return True
+    component = np.empty(fertility.shape[0], dtype=int)
+    for k, members in enumerate(structure.components):
+        component[list(members)] = k
+    rows, cols = np.nonzero(fertility)
+    return bool((component[rows] == component[cols]).any())
+
+
 def _rescaled(model: PopulationModel, divisor: float) -> PopulationModel:
-    """The model with fertility F / divisor, sharing T, warnings, tolerances and rho(T)."""
+    """The model with fertility F / divisor, sharing T, warnings, tolerances and rho(T).
+
+    While F / divisor keeps F's pattern, it shares P's structure too.
+    """
     f = model.fertility / divisor
     if not np.isfinite(f).all():
         raise ModelError("fertility matrix has non-finite entries")
     f.setflags(write=False)
     scaled = PopulationModel(model.transition, f, model.warnings, model.tol_spec, model.tol_class)
     vars(scaled)["rho_transition"] = model.rho_transition
+    if np.array_equal(f > 0, model.fertility > 0):
+        vars(scaled)["structure"] = model.structure
+        _finite(scaled.projection)
     return scaled
 
 
@@ -224,7 +248,7 @@ def analyze(model: PopulationModel) -> AnalysisReport:
     structure = model.structure
     strict = structure.irreducible
 
-    if strict and r0 <= model.tol_class:
+    if strict and r0 <= 0.0:
         raise ConsistencyError(
             "irreducible model computed a zero net reproductive rate, which is impossible"
         )
@@ -253,8 +277,12 @@ def analyze(model: PopulationModel) -> AnalysisReport:
 
 
 def stabilizing_scale(model: PopulationModel) -> PopulationModel:
-    """Model with fertility divided by R0, which has growth rate exactly 1."""
-    if model.r0 <= model.tol_class:
+    """Model with fertility divided by R0, which has growth rate exactly 1.
+
+    Refused only for a net reproductive rate of exactly zero, however
+    small a positive R0 is.
+    """
+    if model.r0 <= 0.0:
         raise ScalingError(
             "net reproductive rate is zero; no fertility scaling yields a stationary model"
         )
@@ -302,29 +330,19 @@ def target_growth_scale(model: PopulationModel, s: float) -> TargetScaleResult:
 
 
 def r0_positive(model: PopulationModel) -> bool:
-    """Whether the net reproductive rate is positive.
+    """Whether the net reproductive rate is positive, certified by the paper's criterion.
 
-    Decided structurally for an irreducible projection matrix (the
-    leading block of the next generation pattern is then never empty) and
-    by a scaling certificate otherwise: R0 > 0 exactly when rho(T + a F)
-    exceeds rho(T) for some a > 0, searched over doubling values of a.
-    The result is cross-checked against rho(Q) directly; disagreement
-    raises ConsistencyError.
+    R0 > 0 exactly when rho(T + a F) > rho(T) for some a > 0.  When R0 is
+    positive, a = 1 / R0 is a witness, since rho(T + F/R0) = 1 > rho(T);
+    when R0 is zero, rho(T + F) = rho(T).  So the cached growth rate of
+    the stationary model, or of the model itself when R0 is zero, must
+    exceed rho(T) + tol_spec exactly when R0 > 0; disagreement raises
+    ConsistencyError.
     """
-    direct = model.r0 > model.tol_class
-    if model.structure.irreducible:
-        found = len(next_gen_pattern(model.fertility, model.next_generation).q11_indices) > 0
-    else:
-        found = False
-        a = 1.0
-        for _ in range(CERTIFICATE_DOUBLINGS):
-            rho = spectral_radius(model.transition + a * model.fertility, tol=model.tol_spec)
-            if rho > model.rho_transition + model.tol_spec:
-                found = True
-                break
-            a *= 2.0
-    if found != direct:
+    positive = model.r0 > 0.0
+    witness = model.stationary.growth_rate if positive else model.growth_rate
+    if (witness > model.rho_transition + model.tol_spec) != positive:
         raise ConsistencyError(
             "scaling certificate for a positive net reproductive rate disagrees with rho(Q)"
         )
-    return found
+    return positive

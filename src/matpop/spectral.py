@@ -84,11 +84,12 @@ def _power_pass(block: np.ndarray, tol: float, max_iterations: int, start: np.nd
     """One certified power iteration on block + I from a positive start.
 
     The start defaults to the uniform vector.  Returns (root, vector, lo,
-    hi, iterations) where [lo, hi] is the final certified bracket around
-    the root, the vector sums to 1 and iterations is the number used.
-    The bracket only shrinks in exact arithmetic, so once its width has
-    set no new minimum for a whole probe length it has reached rounding
-    level, and the pass gives up before its budget is spent.
+    hi, iterations) where [lo, hi] is the final bracket around the root,
+    the vector sums to 1 and iterations is the number used.  root is None
+    when the bracket did not certify within the budget.  The bracket only
+    shrinks in exact arithmetic, so once its width has set no new minimum
+    for a whole probe length it has reached rounding level, and the pass
+    gives up before its budget is spent.
     """
     n = block.shape[0]
     shifted = block + np.eye(n)
@@ -113,12 +114,7 @@ def _power_pass(block: np.ndarray, tol: float, max_iterations: int, start: np.nd
             narrowest_at = iteration
         elif iteration - narrowest_at >= window:
             break
-    raise ConvergenceError(
-        f"power iteration did not converge in {iteration} iterations; "
-        f"spectral radius is in [{lo - 1.0:.17g}, {hi - 1.0:.17g}]",
-        bracket=(lo - 1.0, hi - 1.0),
-        iterations=iteration,
-    )
+    return None, x, lo - 1.0, hi - 1.0, iteration
 
 
 def _dominant_pair(block: np.ndarray):
@@ -219,7 +215,15 @@ def _primitive_pair(m: np.ndarray, tol: float):
     sides = []
     for side in (m, m.T):
         lam, start = _dominant_pair(side) or (1.0, None)
-        sides.append(_power_pass(side / lam, tol, MAX_ITERATIONS, start)[1])
+        root, vector, lo, hi, used = _power_pass(side / lam, tol, MAX_ITERATIONS, start)
+        if root is None:
+            raise ConvergenceError(
+                f"power iteration did not converge in {used} iterations; "
+                f"spectral radius is in [{lo:.17g}, {hi:.17g}]",
+                bracket=(lo, hi),
+                iterations=used,
+            )
+        sides.append(vector)
     right, left = sides
     return right, left / float(left @ right)
 
@@ -259,25 +263,17 @@ def _power_root(block: np.ndarray, tol: float, classes: tuple[int, ...] | None =
         if remaining <= 0:
             break
         budget = min(remaining, probe_budget)
-        try:
-            root, vector, lo, hi, used = _power_pass(block, tol, budget)
-        except ConvergenceError as err:
-            remaining -= err.iterations
-            lo, hi = err.bracket
-            bracket = (scale * lo, scale * hi)
-            if 0.0 < lo and hi < 0.5:
-                midpoint = 0.5 * (lo + hi)
-                scale *= midpoint
-                block = block / midpoint
-                continue
-            break  # not a small root, just slow: finish from the seed below
+        root, vector, lo, hi, used = _power_pass(block, tol, budget)
         remaining -= used
         bracket = (scale * lo, scale * hi)
-        if 0.0 < root < 0.5:
-            scale *= root
-            block = block / root
-            continue
-        return scale * root, vector, scale * lo, scale * hi
+        if root is None:
+            if not (0.0 < lo and hi < 0.5):
+                break  # not a small root, just slow: finish from the seed below
+            root = 0.5 * (lo + hi)
+        elif not 0.0 < root < 0.5:
+            return scale * root, vector, scale * lo, scale * hi
+        scale *= root
+        block = block / root
     if remaining > 0:
         if seed is None:
             seed = _eig_seed(block, classes or _analyze_pattern(block > 0).cyclic_classes)
@@ -286,14 +282,11 @@ def _power_root(block: np.ndarray, tol: float, classes: tuple[int, ...] | None =
             lam, start = seed
             scale *= lam
             block = block / lam
-        try:
-            root, vector, lo, hi, _ = _power_pass(block, tol, remaining, start)
-        except ConvergenceError as err:
-            remaining -= err.iterations
-            lo, hi = err.bracket
-            bracket = (scale * lo, scale * hi)
-        else:
+        root, vector, lo, hi, used = _power_pass(block, tol, remaining, start)
+        if root is not None:
             return scale * root, vector, scale * lo, scale * hi
+        remaining -= used
+        bracket = (scale * lo, scale * hi)
     used = MAX_ITERATIONS - remaining
     raise ConvergenceError(
         f"power iteration did not converge in {used} of {MAX_ITERATIONS} iterations; "

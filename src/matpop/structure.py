@@ -8,9 +8,11 @@ classes: every edge u -> v contributes gcd-term level(u) + 1 - level(v),
 and a vertex's class is its level mod d.  No other module walks a
 pattern's edges.
 
-User-supplied matrices are thresholded at exactly zero.  Computed matrices
-(the next generation matrix) carry floating-point fuzz, so their pattern is
-extracted with a small positive threshold instead.
+Every pattern, of a given or a computed matrix, is read at exactly zero.
+The next generation matrix Q = F (I - T)^-1 needs no threshold either: a
+zero row of F gives an exactly zero row of Q, and for an irreducible
+projection matrix rounding can only add entries to Q's pattern, which
+cannot break the pattern laws that next_gen_pattern checks.
 """
 
 from __future__ import annotations
@@ -22,9 +24,6 @@ import numpy as np
 
 from .errors import ConsistencyError, ModelError
 from .matrices import as_matrix
-
-# Entries of a computed matrix below this are treated as structural zeros.
-COMPUTED_PATTERN_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -179,7 +178,7 @@ def next_gen_pattern(fertility, next_gen) -> QPatternReport:
             f"fertility and next generation matrices differ in order: {f.shape[0]} vs {q.shape[0]}"
         )
 
-    q_pattern = q > COMPUTED_PATTERN_TOL
+    q_pattern = q > 0
     q_zero_rows = np.flatnonzero(~q_pattern.any(axis=1))
     f_zero_rows = np.flatnonzero(~(f > 0).any(axis=1))
     if not np.array_equal(q_zero_rows, f_zero_rows):

@@ -173,6 +173,13 @@ class TestAnalyzeCommand:
         assert len(report["warnings"]) == 1
         assert "column 1" in report["warnings"][0]
 
+    def test_tiny_net_reproductive_rate_exits_0(self, tmp_path, capsys):
+        path = write_model(tmp_path, "tiny.json", {"transition": [[0.5]], "fertility": [[1e-10]]})
+        assert main(["analyze", path]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["R0"] == pytest.approx(2e-10, rel=1e-9)
+        assert report["trichotomy"] == "Declining"
+
     def test_report_round_trips(self, capsys):
         assert main(["analyze", PLANT]) == 0
         text = capsys.readouterr().out
@@ -240,6 +247,24 @@ class TestScaleCommand:
             {"transition": [[0.0, 1.0], [0.0, 0.0]], "fertility": [[0.0, 1.0], [0.0, 0.0]]},
         )
         assert main(["scale", path, "--stationary"]) == 2
+
+    def test_tiny_r0_stationary_exits_0(self, tmp_path, capsys):
+        path = write_model(tmp_path, "tiny.json", {"transition": [[0.5]], "fertility": [[1e-10]]})
+        assert main(["scale", path, "--stationary"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["q"] == pytest.approx(2e-10, rel=1e-9)
+        assert payload["achieved_growth"] == pytest.approx(1.0, rel=1e-12)
+
+    def test_reducible_stationary_has_no_stable_population(self, tmp_path, capsys):
+        path = write_model(
+            tmp_path,
+            "reducible.json",
+            {"transition": [[0.5, 0.0], [0.3, 0.4]], "fertility": [[1.0, 0.0], [0.0, 0.0]]},
+        )
+        assert main(["scale", path, "--stationary"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["q"] == 2.0
+        assert payload["stable_population"] is None
 
     def test_reducible_target_exits_2(self, tmp_path, capsys):
         assert main(["scale", jordan_file(tmp_path), "--target-growth", "2"]) == 2
@@ -418,6 +443,19 @@ class TestSimulateCommand:
         assert (
             main(["simulate", path, "--x0", "1,1", "--steps", "3", "--normalize"]) == 2
         )
+
+    def test_normalize_with_subnormal_growth_exits_2(self, tmp_path, capsys):
+        # r = 1e-310: P / r overflows.
+        path = write_model(
+            tmp_path,
+            "subnormal.json",
+            {"transition": [[0.0, 0.0], [0.5, 0.0]], "fertility": [[1e-310, 0.0], [0.0, 0.0]]},
+        )
+        argv = ["simulate", path, "--x0", "1,1", "--steps", "3", "--normalize"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
 
     def test_slowly_mixing_model_summary_has_a_limit(self, tmp_path, capsys):
         # Fertile ages 199 and 200: primitive, but too slowly mixing to iterate to a limit.

@@ -173,6 +173,18 @@ class TestIterate:
         with pytest.raises(ModelError):
             iterate(model, [1.0, 1.0], 3, normalize=True)
 
+    def test_normalize_accepts_tiny_growth(self):
+        model = validate_model([[0.0]], [[1e-10]])
+        trajectory = iterate(model, [1.0], 3, normalize=True)
+        assert trajectory.tolist() == [[1.0]] * 4
+
+    def test_normalize_rejects_growth_rate_whose_inverse_overflows(self):
+        # r = 1e-310, so P / r holds 0.5 / 1e-310 = inf.
+        model = validate_model([[0.0, 0.0], [0.5, 0.0]], [[1e-310, 0.0], [0.0, 0.0]])
+        assert model.growth_rate == 1e-310
+        with pytest.raises(ModelError, match="too small to normalize"):
+            iterate(model, [1.0, 1.0], 3, normalize=True)
+
 
 class TestEventualLimit:
     def test_all_ones_model(self):
@@ -351,6 +363,18 @@ class TestClassifyPopulation:
     def test_jordan_block_growing_population_is_neither(self):
         result = classify_population(jordan_block_model(), [1.0, 0.0])
         assert result.kind is PopulationKind.NEITHER
+
+    def test_tiny_factor_is_stable(self):
+        result = classify_population(validate_model([[0.0]], [[1e-10]]), [1.0])
+        assert result.kind is PopulationKind.STABLE
+        assert result.eigenvalue == 1e-10
+
+    def test_tiny_scale_non_eigenvector_is_neither(self):
+        # Every entry of P is at most 1e-10, so |P x - lambda x| is tiny for any x.
+        model = validate_model([[0.0, 0.0], [1e-10, 0.0]], [[1e-10, 1e-10], [0.0, 0.0]])
+        result = classify_population(model, [1.0, 0.0])
+        assert result.kind is PopulationKind.NEITHER
+        assert result.residual < 1e-9
 
     def test_plant_uniform_population_is_neither(self, plant):
         result = classify_population(plant, np.ones(5))

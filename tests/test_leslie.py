@@ -12,8 +12,10 @@ from matpop import (
     leslie_growth_rate,
     leslie_r0,
     q_poly_eval,
+    r0_positive,
     resolvent_inverse,
     spectral_radius,
+    stabilizing_scale,
     target_growth_scale,
 )
 from helpers import random_leslie_model
@@ -38,6 +40,25 @@ class TestLeslieModel:
     def test_rejects_wrong_survival_length(self):
         with pytest.raises(ModelError):
             LeslieModel((0.5, 0.5), (1.0, 1.0))
+
+    @pytest.mark.parametrize(
+        "survival, fertility",
+        [
+            # Iterated, each would pass for a valid model: "1" and b"\x01" as
+            # survival (1.0,), "11" as fertility (1.0, 1.0), b"12" as (49.0, 50.0).
+            ("1", [1.0, 1.0]),
+            (b"\x01", [1.0, 1.0]),
+            (bytearray(b"\x01"), [1.0, 1.0]),
+            ([0.5], "11"),
+            ([0.5], b"12"),
+            ([0.5], bytearray(b"12")),
+        ],
+        ids=["survival-str", "survival-bytes", "survival-bytearray",
+             "fertility-str", "fertility-bytes", "fertility-bytearray"],
+    )
+    def test_rejects_text_and_bytes(self, survival, fertility):
+        with pytest.raises(ModelError, match="not text or bytes"):
+            LeslieModel(survival, fertility)
 
     def test_rejects_negative_fertility(self):
         with pytest.raises(ModelError):
@@ -134,6 +155,12 @@ class TestLeslieGrowthRate:
             1.0, abs=1e-12
         )
 
+    @pytest.mark.parametrize("f", [1e-100, 1e-200, 1e-290])
+    def test_tiny_root_is_exact(self, f):
+        # q(s) = f / s, so r = f; the downward search keeps its last point
+        # above the root as the bracket's upper end.
+        assert leslie_growth_rate(LeslieModel((), (f,))) == f
+
     def test_root_satisfies_equation(self):
         rng = np.random.default_rng(97)
         for _ in range(100):
@@ -181,3 +208,20 @@ class TestLeslieGrowthRate:
             )
             assert leslie_r0(balanced) == pytest.approx(1.0, abs=1e-12)
             assert leslie_growth_rate(balanced) == pytest.approx(1.0, abs=1e-8)
+
+
+class TestSemelparousModelsAtFullLength:
+    """Long semelparous models, whose R0 and Q entries fall far below any fixed tolerance."""
+
+    @pytest.mark.parametrize("n", [400, 1000])
+    def test_analysis_and_scalings_match_closed_forms(self, n):
+        leslie = LeslieModel((0.9,) * (n - 1), (0.0,) * (n - 1) + (5.0,))
+        model = assemble(leslie)
+        report = analyze(model)
+        assert report.growth_rate == pytest.approx(leslie_growth_rate(leslie), rel=1e-12)
+        assert report.net_reproductive_rate == pytest.approx(leslie_r0(leslie), rel=1e-12)
+        assert report.q_pattern.q11_indices == (0,)
+        assert stabilizing_scale(model).growth_rate == pytest.approx(1.0, rel=1e-12)
+        scaled = target_growth_scale(model, 0.95)
+        assert scaled.q == pytest.approx(q_poly_eval(leslie, 0.95), rel=1e-12)
+        assert r0_positive(model)

@@ -256,6 +256,41 @@ class TestR0Positive:
             assert r0_positive(model) == expected
 
 
+class TestExactZero:
+    """Signs and patterns are read at exactly zero, whatever the scale of F."""
+
+    def test_tiny_fertility_has_positive_r0(self):
+        model = validate_model([[0.5]], [[1e-10]])
+        report = analyze(model)
+        assert report.net_reproductive_rate == pytest.approx(2e-10, rel=1e-12)
+        assert report.trichotomy is Trichotomy.DECLINING
+        assert stabilizing_scale(model).growth_rate == pytest.approx(1.0, rel=1e-12)
+        assert r0_positive(model)
+
+    def test_tiny_next_generation_entry_counts_for_the_column_law(self):
+        # Q = [[2, 2e-13], [0, 0]]: column 2 of Q's nonzero row is positive.
+        model = validate_model([[0.5, 0.0], [0.3, 0.4]], [[1.0, 1e-13], [0.0, 0.0]])
+        pattern = analyze(model).q_pattern
+        assert pattern.q11_indices == (0,)
+        assert pattern.zero_rows == (1,)
+
+    def test_structurally_zero_r0_is_exactly_zero(self):
+        # No cycle of P takes the fertility edge.  I - T needs a row swap, and
+        # the pivoted solve can leave a rounding-level Q[1, 1].
+        model = validate_model([[0.0, 0.0], [2.0, 0.6]], [[0.0, 0.0], [0.2, 0.0]])
+        assert model.r0 == 0.0
+        assert not r0_positive(model)
+        with pytest.raises(ScalingError):
+            stabilizing_scale(model)
+
+    def test_r0_positive_after_analyze_reads_cached_values(self, plant, kernel_calls):
+        analyze(plant)
+        kernel_calls.clear()
+        assert r0_positive(plant)
+        assert not kernel_calls["_power_root"]
+        assert not kernel_calls["_analyze_pattern"]
+
+
 class TestBoundTolerances:
     def test_classification_band_is_set_at_validation(self):
         # r almost exactly 1: Growing at the default band, Stationary at 1e-3.

@@ -6,6 +6,7 @@ import pytest
 
 from matpop import (
     ConsistencyError,
+    ModelError,
     analyze_structure,
     next_gen_pattern,
     resolvent_inverse,
@@ -174,6 +175,17 @@ class TestNextGenPattern:
         q = np.array([[1.0, 0.0], [1.0, 0.0]])
         with pytest.raises(ConsistencyError):
             next_gen_pattern(f, q)
+
+    def test_mismatched_orders_raise(self):
+        with pytest.raises(ModelError, match="differ in order: 2 vs 3"):
+            next_gen_pattern(np.eye(2), np.eye(3))
+
+    def test_pattern_is_read_at_exactly_zero(self):
+        # Entries of any size count: 1e-300 keeps column 2 of the nonzero row positive.
+        f = np.array([[1.0, 1e-300], [0.0, 0.0]])
+        report = next_gen_pattern(f, np.array([[2.0, 1e-300], [0.0, 0.0]]))
+        assert report.q11_indices == (0,)
+        assert report.zero_rows == (1,)
 
     def test_zero_q_raises(self):
         zero = np.zeros((2, 2))
