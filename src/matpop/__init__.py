@@ -19,10 +19,7 @@ from .errors import (
     ScalingError,
     StructureError,
 )
-from .matrices import as_matrix, as_population_vector
 from .spectral import (
-    CLAMP_TOL,
-    MAX_ITERATIONS,
     SPECTRAL_TOL,
     SpectralPair,
     perron_pair,
@@ -37,7 +34,6 @@ from .structure import (
 )
 from .model import (
     CLASSIFY_TOL,
-    STABILITY_TOL,
     AnalysisReport,
     PopulationModel,
     TargetScaleResult,
@@ -50,7 +46,6 @@ from .model import (
 )
 from .leslie import LeslieModel, assemble, leslie_growth_rate, leslie_r0, q_poly_eval
 from .dynamics import (
-    LIMIT_TOL,
     Fate,
     LimitResult,
     PeriodicLimits,
@@ -65,16 +60,13 @@ from .dynamics import (
 __all__ = [
     "__version__",
     "AnalysisReport",
-    "CLAMP_TOL",
     "CLASSIFY_TOL",
     "ConsistencyError",
     "ConvergenceError",
     "Error",
     "Fate",
-    "LIMIT_TOL",
     "LeslieModel",
     "LimitResult",
-    "MAX_ITERATIONS",
     "ModelError",
     "MortalityError",
     "NumericalError",
@@ -84,7 +76,6 @@ __all__ = [
     "PopulationModel",
     "QPatternReport",
     "SPECTRAL_TOL",
-    "STABILITY_TOL",
     "ScalingError",
     "SpectralPair",
     "StructureError",
@@ -93,8 +84,6 @@ __all__ = [
     "Trichotomy",
     "analyze",
     "analyze_structure",
-    "as_matrix",
-    "as_population_vector",
     "assemble",
     "classify_population",
     "eventual_limit",

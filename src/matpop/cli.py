@@ -36,7 +36,7 @@ from .model import (
     target_growth_scale,
     validate_model,
 )
-from .spectral import SPECTRAL_TOL, _pair
+from .spectral import SPECTRAL_TOL
 
 # Values per chunk of CSV rows formatted by one string operation.
 CSV_CHUNK_VALUES = 4096
@@ -162,7 +162,7 @@ def cmd_scale(args) -> int:
         r0_scaled = result.r0_scaled
 
     if scaled.structure.irreducible:
-        stable = _pair(scaled.projection, scaled.structure, scaled.tol_spec).right.tolist()
+        stable = scaled.perron.right.tolist()
     else:
         stable = None
     payload = {

@@ -8,8 +8,8 @@ imprimitive matrix with index d instead drives x_k / r^k into a permanent
 oscillation through d limit vectors, one per step residue modulo d.
 Long-run limits of reducible models are out of scope and refused.
 
-Every function reads the growth rate and the structure cached on the
-model, and uses the model's spectral and classification tolerances.
+Every function reads the values cached on the model (growth rate,
+structure, Perron pair) and uses its spectral and classification tolerances.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import numpy as np
 from .errors import ConsistencyError, ModelError, NumericalError, StructureError
 from .matrices import as_population_vector
 from .model import PopulationModel
-from .spectral import _pair, _primitive_pair
+from .spectral import _primitive_pair
 
 # Eigenvector residual, relative to the factor times the population's
 # largest entry, below which classify_population accepts a population as
@@ -68,8 +68,9 @@ class PeriodicLimits:
 class PopulationClass:
     """Eigenvector test of a single population vector.
 
-    ``eigenvalue`` is the best single-factor estimate lambda for
-    P x = lambda x and ``residual`` is ||P x - lambda x||_inf / ||x||_inf.
+    ``eigenvalue`` estimates lambda in P x = lambda x by the median ratio
+    (P x)_i / x_i over the support of x (the growth rate only when x is
+    stable), and ``residual`` is ||P x - lambda x||_inf / ||x||_inf.
     """
 
     kind: PopulationKind
@@ -140,7 +141,7 @@ def eventual_limit(model: PopulationModel, x0) -> LimitResult:
             "projection matrix is not primitive; use periodic_limits for the oscillating case"
         )
     x = as_population_vector(x0, model.n)
-    pair = _pair(model.projection, model.structure, model.tol_spec)
+    pair = model.perron
     limit = float(pair.left @ x) * pair.right
     if not np.isfinite(limit).all():
         raise NumericalError("the long-run limit (v @ x0) u overflows the float range")
@@ -203,19 +204,15 @@ def periodic_limits(model: PopulationModel, x0) -> PeriodicLimits:
 def classify_population(model: PopulationModel, x) -> PopulationClass:
     """Test whether x is stable (P x = lambda x, lambda > 0) or stationary (lambda = 1).
 
-    The factor estimate uses the left Perron vector when the projection
-    matrix is irreducible and falls back to the median componentwise
-    ratio on the support of x otherwise.  Any positive factor qualifies,
-    so the residual is judged relative to it.
+    The factor estimate is the median of the ratios (P x)_i / x_i over
+    the support of x, whatever the structure of P, so no Perron pair is
+    computed.  Any positive factor qualifies, so the residual is judged
+    relative to it.
     """
     x = as_population_vector(x, model.n)
     image = model.projection @ x
-    if model.structure.irreducible:
-        left = _pair(model.projection, model.structure, model.tol_spec).left
-        factor = float(left @ image) / float(left @ x)
-    else:
-        support = x > 0
-        factor = float(np.median(image[support] / x[support]))
+    support = x > 0
+    factor = float(np.median(image[support] / x[support]))
     residual = float(np.max(np.abs(image - factor * x)) / np.max(np.abs(x)))
 
     if factor > 0.0 and residual <= LIMIT_TOL * factor:

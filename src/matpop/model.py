@@ -18,8 +18,8 @@ target s above rho(T).
 
 The model carries its spectral and classification tolerances, set once
 by validate_model, and computes each derived quantity (the structure of
-P, rho(T), r, Q, R0 and the model with F / R0) at most once, on first
-use.  Every function here and in the dynamics module reads those values.
+P, rho(T), r, P's Perron pair, Q, R0 and the model with F / R0) at most
+once, on first use; the functions here and in the other modules read them.
 """
 
 from __future__ import annotations
@@ -32,8 +32,8 @@ import numpy as np
 
 from .errors import ConsistencyError, ModelError, MortalityError, ScalingError, StructureError
 from .matrices import as_matrix
-from .spectral import SPECTRAL_TOL, _radius, _resolvent, spectral_radius
-from .structure import QPatternReport, StructureReport, _analyze_pattern, next_gen_pattern
+from .spectral import SPECTRAL_TOL, SpectralPair, _pair, _radius, _resolvent, spectral_radius
+from .structure import QPatternReport, StructureReport, _analyze_pattern, _next_gen_pattern
 
 # Classification band around 1 for the growth trichotomy, and the residual
 # allowed, relative to max(1, s), when verifying that a scaled model hits
@@ -59,6 +59,7 @@ class PopulationModel:
     ``tol_spec`` is the tolerance of every Perron computation on the
     model and ``tol_class`` the band around 1 of the growth
     classification, of stationary populations and of the Finite fate.
+    Every derived value, ``perron`` included, is computed once, on first use.
     """
 
     transition: np.ndarray
@@ -94,6 +95,11 @@ class PopulationModel:
         return _radius(self.projection, self.structure, self.tol_spec)
 
     @cached_property
+    def perron(self) -> SpectralPair:
+        """Certified Perron pair of an irreducible P; StructureError when P is reducible."""
+        return _pair(self.projection, self.structure, self.tol_spec)
+
+    @cached_property
     def next_generation(self) -> np.ndarray:
         """Next generation matrix Q = F (I - T)^-1.
 
@@ -119,8 +125,8 @@ class PopulationModel:
 
     @cached_property
     def stationary(self) -> PopulationModel:
-        """The model with fertility F / R0, whose growth rate is 1 when R0 > 0."""
-        return _rescaled(self, self.r0)
+        """The model with fertility F / R0, checked to have growth rate 1; needs R0 > 0."""
+        return _rescaled(self, self.r0, 1.0)
 
 
 @dataclass(frozen=True)
@@ -206,10 +212,13 @@ def _fertile_cycle(structure: StructureReport, fertility: np.ndarray) -> bool:
     return bool((component[rows] == component[cols]).any())
 
 
-def _rescaled(model: PopulationModel, divisor: float) -> PopulationModel:
-    """The model with fertility F / divisor, sharing T, warnings, tolerances and rho(T).
+def _rescaled(model: PopulationModel, divisor: float, target: float) -> PopulationModel:
+    """The model with fertility F / divisor, checked to have growth rate target.
 
-    While F / divisor keeps F's pattern, it shares P's structure too.
+    The one check of the paper's scaling contract: F / q(s) has growth
+    rate s, and q(1) = R0.  A miss beyond STABILITY_TOL * max(1, target)
+    raises ConsistencyError.  The model shares T, warnings, tolerances and
+    rho(T), and while F / divisor keeps F's pattern, P's structure too.
     """
     f = model.fertility / divisor
     if not np.isfinite(f).all():
@@ -220,6 +229,10 @@ def _rescaled(model: PopulationModel, divisor: float) -> PopulationModel:
     if np.array_equal(f > 0, model.fertility > 0):
         vars(scaled)["structure"] = model.structure
         _finite(scaled.projection)
+    if abs(scaled.growth_rate - target) > STABILITY_TOL * max(1.0, target):
+        raise ConsistencyError(
+            f"growth rate of the fertility-rescaled model is {scaled.growth_rate!r}, expected {target!r}"
+        )
     return scaled
 
 
@@ -239,9 +252,8 @@ def analyze(model: PopulationModel) -> AnalysisReport:
     """Full analysis: r, R0, trichotomy class, and pattern structure.
 
     For an irreducible projection matrix the report additionally carries
-    the next-generation block pattern and the residual of the scaling
-    cross-check rho(T + F/R0) = 1; a residual beyond STABILITY_TOL raises
-    ConsistencyError.
+    the next-generation block pattern and the residual |rho(T + F/R0) - 1|
+    of the stationary model, which _rescaled has checked.
     """
     r = model.growth_rate
     r0 = model.r0
@@ -257,13 +269,8 @@ def analyze(model: PopulationModel) -> AnalysisReport:
     stability_residual = None
     q_pattern = None
     if strict:
-        scaled_rho = model.stationary.growth_rate
-        stability_residual = abs(scaled_rho - 1.0)
-        if stability_residual > STABILITY_TOL:
-            raise ConsistencyError(
-                f"rho(T + F/R0) = {scaled_rho!r} differs from 1 beyond tolerance {STABILITY_TOL}"
-            )
-        q_pattern = next_gen_pattern(model.fertility, model.next_generation)
+        stability_residual = abs(model.stationary.growth_rate - 1.0)
+        q_pattern = _next_gen_pattern(model.fertility, model.next_generation)
 
     return AnalysisReport(
         growth_rate=r,
@@ -277,21 +284,16 @@ def analyze(model: PopulationModel) -> AnalysisReport:
 
 
 def stabilizing_scale(model: PopulationModel) -> PopulationModel:
-    """Model with fertility divided by R0, which has growth rate exactly 1.
+    """The cached stationary model, with fertility F / R0 and growth rate 1.
 
     Refused only for a net reproductive rate of exactly zero, however
-    small a positive R0 is.
+    small a positive R0 is; a growth rate off 1 raises ConsistencyError.
     """
     if model.r0 <= 0.0:
         raise ScalingError(
             "net reproductive rate is zero; no fertility scaling yields a stationary model"
         )
-    scaled = model.stationary
-    if abs(scaled.growth_rate - 1.0) > STABILITY_TOL:
-        raise ConsistencyError(
-            f"growth rate of the fertility-rescaled model is {scaled.growth_rate!r}, expected 1"
-        )
-    return scaled
+    return model.stationary
 
 
 def target_growth_scale(model: PopulationModel, s: float) -> TargetScaleResult:
@@ -318,11 +320,7 @@ def target_growth_scale(model: PopulationModel, s: float) -> TargetScaleResult:
     if q_of_s <= 0.0:
         raise ConsistencyError("fertility divisor came out nonpositive for an irreducible model")
 
-    scaled = _rescaled(model, q_of_s)
-    if abs(scaled.growth_rate - s) > STABILITY_TOL * max(1.0, s):
-        raise ConsistencyError(
-            f"growth rate of the fertility-rescaled model is {scaled.growth_rate!r}, expected {s!r}"
-        )
+    scaled = _rescaled(model, q_of_s, s)
     r0_scaled = model.r0 / q_of_s
     # The scaled model's (s, R0(s)) pair must itself satisfy the trichotomy.
     _classify(s, r0_scaled, model.tol_class)

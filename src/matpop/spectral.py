@@ -117,6 +117,15 @@ def _power_pass(block: np.ndarray, tol: float, max_iterations: int, start: np.nd
     return None, x, lo - 1.0, hi - 1.0, iteration
 
 
+def _unit(x: np.ndarray):
+    """x scaled to sum 1, or None unless every entry of the result is positive and finite."""
+    total = float(x.sum())
+    if not 0.0 < total < math.inf:
+        return None
+    x = x / total
+    return x if (x > 0.0).all() else None
+
+
 def _dominant_pair(block: np.ndarray):
     """LAPACK's dominant eigenpair as (lam, x) with a positive sum-1 x, or None.
 
@@ -129,12 +138,8 @@ def _dominant_pair(block: np.ndarray):
         return None
     k = int(np.argmax(values.real))
     lam = float(values[k].real)
-    x0 = np.abs(vectors[:, k].real)
-    total = float(x0.sum())
-    if not (lam > 0.0 and 0.0 < total < math.inf):
-        return None
-    x0 = x0 / total
-    return (lam, x0) if (x0 > 0.0).all() else None
+    x0 = _unit(np.abs(vectors[:, k].real))
+    return (lam, x0) if lam > 0.0 and x0 is not None else None
 
 
 def _balanced_pair(block: np.ndarray):
@@ -154,12 +159,8 @@ def _balanced_pair(block: np.ndarray):
     if balanced is None:
         return pair
     lam, y = balanced
-    x = x * y
-    total = float(x.sum())
-    if not 0.0 < total < math.inf:
-        return pair
-    x = x / total
-    return (lam, x) if (x > 0.0).all() else pair
+    x = _unit(x * y)
+    return pair if x is None else (lam, x)
 
 
 def _eig_seed(block: np.ndarray, classes: tuple[int, ...]):
@@ -199,11 +200,8 @@ def _eig_seed(block: np.ndarray, classes: tuple[int, ...]):
     for k in range(period - 1):
         x = maps[k] @ x / lam
         x0[members[k + 1]] = x
-    total = float(x0.sum())
-    if not 0.0 < total < math.inf:
-        return None
-    x0 = x0 / total
-    return (lam, x0) if (x0 > 0.0).all() else None
+    x0 = _unit(x0)
+    return None if x0 is None else (lam, x0)
 
 
 def _primitive_pair(m: np.ndarray, tol: float):
@@ -229,7 +227,7 @@ def _primitive_pair(m: np.ndarray, tol: float):
 
 
 def _power_root(block: np.ndarray, tol: float, classes: tuple[int, ...] | None = None):
-    """Perron root and sum-1 Perron vector of an irreducible block of the given cyclic classes.
+    """Perron root and sum-1 Perron vector (root, vector) of a block of the given cyclic classes.
 
     classes is None for a block of a reducible matrix, routed as index 1.
 
@@ -271,7 +269,7 @@ def _power_root(block: np.ndarray, tol: float, classes: tuple[int, ...] | None =
                 break  # not a small root, just slow: finish from the seed below
             root = 0.5 * (lo + hi)
         elif not 0.0 < root < 0.5:
-            return scale * root, vector, scale * lo, scale * hi
+            return scale * root, vector
         scale *= root
         block = block / root
     if remaining > 0:
@@ -284,7 +282,7 @@ def _power_root(block: np.ndarray, tol: float, classes: tuple[int, ...] | None =
             block = block / lam
         root, vector, lo, hi, used = _power_pass(block, tol, remaining, start)
         if root is not None:
-            return scale * root, vector, scale * lo, scale * hi
+            return scale * root, vector
         remaining -= used
         bracket = (scale * lo, scale * hi)
     used = MAX_ITERATIONS - remaining
@@ -321,7 +319,7 @@ def _radius(m: np.ndarray, report: StructureReport, tol: float) -> float:
             rho = max(rho, float(m[i, i]))
         else:
             block = m[np.ix_(component, component)]
-            root, _, _, _ = _power_root(block, tol, report.cyclic_classes)
+            root, _ = _power_root(block, tol, report.cyclic_classes)
             rho = max(rho, root)
     return rho
 
@@ -351,9 +349,9 @@ def _pair(m: np.ndarray, report: StructureReport, tol: float) -> SpectralPair:
     # residuals of the pair stay within tol.
     inner_tol = tol / 4.0
     classes, period = report.cyclic_classes, report.imprimitivity_index
-    rho, right, _, _ = _power_root(m, inner_tol, classes)
+    rho, right = _power_root(m, inner_tol, classes)
     # The transpose reverses every edge, so its classes run the other way.
-    _, left, _, _ = _power_root(m.T, inner_tol, tuple(-k % period for k in classes))
+    _, left = _power_root(m.T, inner_tol, tuple(-k % period for k in classes))
     left = left / float(left @ right)
     right.setflags(write=False)
     left.setflags(write=False)

@@ -177,7 +177,11 @@ def next_gen_pattern(fertility, next_gen) -> QPatternReport:
         raise ModelError(
             f"fertility and next generation matrices differ in order: {f.shape[0]} vs {q.shape[0]}"
         )
+    return _next_gen_pattern(f, q)
 
+
+def _next_gen_pattern(f: np.ndarray, q: np.ndarray) -> QPatternReport:
+    """next_gen_pattern of validated F and Q of one order, with finite entries."""
     q_pattern = q > 0
     q_zero_rows = np.flatnonzero(~q_pattern.any(axis=1))
     f_zero_rows = np.flatnonzero(~(f > 0).any(axis=1))

@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from matpop import cli, dynamics, spectral, validate_model
+from matpop import model as model_layer
 from matpop.cli import main
 from helpers import PLANT_R, plant_stable_of_s
 
@@ -540,8 +541,7 @@ class TestToleranceFlags:
             seen.append(tol)
             return spectral._pair(m, report, tol)
 
-        monkeypatch.setattr(cli, "_pair", spy)
-        monkeypatch.setattr(dynamics, "_pair", spy)
+        monkeypatch.setattr(model_layer, "_pair", spy)
         path = write_model(
             tmp_path, "leslie.json", {"leslie": {"survival": [0.5], "fertility": [1, 1]}}
         )
@@ -559,9 +559,11 @@ class TestCallBudget:
     @pytest.mark.parametrize(
         "argv, tarjan, perron",
         [
-            (["analyze", PLANT], 5, 3),
+            (["analyze", PLANT], 4, 3),
             (["scale", PLANT, "--stationary"], 3, 4),
-            (["scale", PLANT, "--target-growth", "2"], 5, 5),
+            (["scale", PLANT, "--target-growth", "2"], 4, 5),
+            (["simulate", PLANT, "--x0", "1,0,2,0,0", "--steps", "40"], 2, 1),
+            (["simulate", str(FIXTURES / "leslie3.json"), "--x0", "1,0,2", "--steps", "40"], 2, 3),
         ],
     )
     def test_plant_commands(self, argv, tarjan, perron, kernel_calls, capsys):

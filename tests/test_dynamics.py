@@ -10,6 +10,7 @@ from matpop import (
     NumericalError,
     PopulationKind,
     StructureError,
+    analyze,
     classify_population,
     eventual_limit,
     iterate,
@@ -228,6 +229,14 @@ class TestEventualLimit:
         assert result.limit.tobytes() == (float(pair.left @ x0) * pair.right).tobytes()
         assert result.fate is Fate.EXTINCT
 
+    def test_second_call_reuses_the_perron_pair(self, kernel_calls):
+        model = all_ones_model()
+        first = eventual_limit(model, [1.0, 0.0])
+        kernel_calls.clear()
+        second = eventual_limit(model, [1.0, 0.0])
+        assert not kernel_calls["_power_root"]
+        assert second.limit.tobytes() == first.limit.tobytes()
+
     def test_matches_perron_projection_on_random_models(self):
         rng = np.random.default_rng(113)
         for _ in range(30):
@@ -380,6 +389,15 @@ class TestClassifyPopulation:
         result = classify_population(plant, np.ones(5))
         assert result.kind is PopulationKind.NEITHER
         assert result.residual > 1e-3
+
+    @pytest.mark.parametrize("analyzed", [False, True])
+    def test_makes_no_kernel_call(self, plant, analyzed, kernel_calls):
+        if analyzed:
+            analyze(plant)
+        kernel_calls.clear()
+        assert classify_population(plant, PLANT_STABLE).kind is PopulationKind.STABLE
+        assert not kernel_calls["_power_root"]
+        assert not kernel_calls["_analyze_pattern"]
 
     def test_stationary_after_stabilizing_scale(self):
         rng = np.random.default_rng(139)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from matpop import (
+    ConsistencyError,
     ModelError,
     MortalityError,
     ScalingError,
@@ -11,7 +12,6 @@ from matpop import (
     Trichotomy,
     analyze,
     analyze_structure,
-    as_matrix,
     r0_positive,
     spectral,
     spectral_radius,
@@ -21,6 +21,7 @@ from matpop import (
     validate_model,
 )
 from matpop import model as model_layer
+from matpop.matrices import as_matrix
 from helpers import (
     PLANT_F,
     PLANT_Q,
@@ -233,6 +234,25 @@ class TestTargetGrowthScale:
             assert r0_direct == pytest.approx(r0 / result.q, abs=1e-10)
 
 
+class TestScalingContract:
+    """Every rescaled model is checked against its target growth rate, whichever caller built it."""
+
+    @pytest.mark.parametrize("caller", [analyze, stabilizing_scale])
+    def test_stationary_model_off_one_raises(self, plant, caller):
+        # On the plant, F / (R0 + 1e-6) has a growth rate about 1e-6 below 1.
+        vars(plant)["r0"] = PLANT_R0 + 1e-6
+        with pytest.raises(ConsistencyError):
+            caller(plant)
+
+    def test_target_growth_model_off_target_raises(self, plant, monkeypatch):
+        radius = model_layer.spectral_radius
+        monkeypatch.setattr(
+            model_layer, "spectral_radius", lambda m, *, tol: radius(m, tol=tol) + 1e-6
+        )
+        with pytest.raises(ConsistencyError):
+            target_growth_scale(plant, 2.0)
+
+
 class TestR0Positive:
     def test_plant(self, plant):
         assert r0_positive(plant)
@@ -338,6 +358,18 @@ class TestComputeOnce:
         assert model.growth_rate == pytest.approx(PLANT_R)
         assert model.r0 == pytest.approx(PLANT_R0)
         assert calls == ["transition matrix", "fertility matrix"]
+
+    def test_analyze_coerces_no_matrix_after_validation(self, plant, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs.get("name", "matrix"))
+            return as_matrix(*args, **kwargs)
+
+        for module in (model_layer, spectral, structure):
+            monkeypatch.setattr(module, "as_matrix", counted)
+        assert analyze(plant).q_pattern is not None
+        assert calls == []
 
     @pytest.mark.parametrize(
         "quantity, t, f",

@@ -9,13 +9,13 @@ from matpop import (
     MortalityError,
     SpectralPair,
     StructureError,
-    as_matrix,
     perron_pair,
     resolvent_inverse,
     spectral,
     spectral_radius,
     structure,
 )
+from matpop.matrices import as_matrix
 from helpers import (
     PLANT_F,
     PLANT_Q,
