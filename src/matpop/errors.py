@@ -35,7 +35,7 @@ class ConvergenceError(NumericalError):
 
     ``bracket``, when present, is the last (lo, hi) pair of componentwise
     ratios known to enclose the spectral radius being computed, and
-    ``iterations`` the number of iterations spent.
+    ``iterations`` the number of iterations whose brackets were examined.
     """
 
     def __init__(

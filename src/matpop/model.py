@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import ConsistencyError, ModelError, MortalityError, ScalingError, StructureError
 from .matrices import as_matrix
-from .spectral import SPECTRAL_TOL, SpectralPair, _pair, _radius, _resolvent, spectral_radius
+from .spectral import SPECTRAL_TOL, SpectralPair, _pair, _radius, _resolvent
 from .structure import QPatternReport, StructureReport, _analyze_pattern, _next_gen_pattern
 
 # Classification band around 1 for the growth trichotomy, and the residual
@@ -314,9 +314,8 @@ def target_growth_scale(model: PopulationModel, s: float) -> TargetScaleResult:
         raise ScalingError(f"target growth rate {s:.6g} must exceed rho(T) = {rho_t:.6g}")
 
     # rho(T / s) = rho(T) / s < 1, so the resolvent needs no second check.
-    q_of_s = spectral_radius(
-        model.fertility @ _resolvent(model.transition / s), tol=model.tol_spec
-    ) / s
+    q = _finite(model.fertility @ _resolvent(model.transition / s))
+    q_of_s = _radius(q, _analyze_pattern(q > 0), model.tol_spec) / s
     if q_of_s <= 0.0:
         raise ConsistencyError("fertility divisor came out nonpositive for an irreducible model")
 

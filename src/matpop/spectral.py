@@ -9,10 +9,12 @@ start vector.
 
 Convergence is certified, not guessed: for a positive iterate x the
 componentwise ratios of (A + I) x against x bracket the Perron root of
-A + I at every step (Collatz-Wielandt), and the iteration stops only once
-the bracket width falls below tolerance.  The Rayleigh quotient reported
-as the root is a convex combination of those ratios, so it always lies
-inside the final bracket.
+A + I at every step (Collatz-Wielandt), and the iteration stops at the
+first step whose bracket width falls below tolerance.  The steps run in
+chunks and their brackets are read per chunk, which gives the same bits
+as reading each in turn.  The Rayleigh quotient reported as the root is a
+convex combination of those ratios, so it always lies inside the final
+bracket.
 
 Each block first gets short cold probes from the uniform vector, of
 L = max(500, 20 n) iterations for order n, which certify well-conditioned
@@ -52,6 +54,8 @@ MAX_ITERATIONS = 200_000
 # one dense eigendecomposition of that block.
 PROBE_MIN_ITERATIONS = 500
 PROBE_ITERATIONS_PER_ORDER = 20
+# Most iterations a power pass computes before it reads their brackets.
+_CHUNK_ITERATIONS = 32
 # From this order on, inverting a lower-triangular I - T by forward
 # substitution (one vector-matrix product per row) costs less than an LU
 # factorization.
@@ -84,37 +88,53 @@ def _power_pass(block: np.ndarray, tol: float, max_iterations: int, start: np.nd
     """One certified power iteration on block + I from a positive start.
 
     The start defaults to the uniform vector.  Returns (root, vector, lo,
-    hi, iterations) where [lo, hi] is the final bracket around the root,
-    the vector sums to 1 and iterations is the number used.  root is None
-    when the bracket did not certify within the budget.  The bracket only
-    shrinks in exact arithmetic, so once its width has set no new minimum
-    for a whole probe length it has reached rounding level, and the pass
-    gives up before its budget is spent.
+    hi, iteration): the bracket [lo, hi] around the root and the sum-1
+    iterate at the certifying iteration, or at the last one examined, with
+    root None when the bracket did not certify within the budget.  The
+    bracket only shrinks in exact arithmetic, so once its width has set no
+    new minimum for a whole probe length it has reached rounding level,
+    and the pass gives up before its budget is spent.
+
+    Chunks of 1, 2, 4, ... up to _CHUNK_ITERATIONS iterations compute only
+    y = (block + I) x and x = y / sum(y), in place, and their brackets are
+    read afterwards, all at once.  Every number is the one a step-by-step
+    loop gives, bit for bit, and the count ends at the certifying
+    iteration, not at the last one computed.
     """
     n = block.shape[0]
     shifted = block + np.eye(n)
-    x = np.full(n, 1.0 / n) if start is None else start
-    lo = hi = 0.0
+    shape = (min(_CHUNK_ITERATIONS, max_iterations) + 1, n)
+    xs, ys = np.empty(shape), np.empty(shape)
+    xs[0] = 1.0 / n if start is None else start
     window = _probe_length(n)
     narrowest = math.inf
-    narrowest_at = 0
-    for iteration in range(1, max_iterations + 1):
-        y = shifted @ x
-        ratios = y / x
-        lo = float(ratios.min())
-        hi = float(ratios.max())
-        width = hi - lo
-        if width <= tol * max(1.0, hi):
-            root = float(x @ y) / float(x @ x) - 1.0
-            x = y / y.sum()
-            return max(root, 0.0), x, lo - 1.0, hi - 1.0, iteration
-        x = y / y.sum()
-        if width < narrowest:
-            narrowest = width
-            narrowest_at = iteration
-        elif iteration - narrowest_at >= window:
-            break
-    return None, x, lo - 1.0, hi - 1.0, iteration
+    narrowest_at = done = 0
+    length = 1
+    while True:
+        length = min(length, _CHUNK_ITERATIONS, max_iterations - done)
+        x = xs[0]
+        for k in range(length):
+            y = ys[k]
+            np.dot(shifted, x, out=y)
+            x = xs[k + 1]
+            np.divide(y, np.add.reduce(y), out=x)
+        ratios = ys[:length] / xs[:length]
+        for row, (lo, hi) in enumerate(zip(ratios.min(1).tolist(), ratios.max(1).tolist())):
+            iteration = done + row + 1
+            width = hi - lo
+            if width <= tol * max(1.0, hi):
+                root = float(xs[row] @ ys[row]) / float(xs[row] @ xs[row]) - 1.0
+                return max(root, 0.0), xs[row + 1].copy(), lo - 1.0, hi - 1.0, iteration
+            if width < narrowest:
+                narrowest = width
+                narrowest_at = iteration
+            elif iteration - narrowest_at >= window:
+                break
+        if iteration - narrowest_at >= window or iteration == max_iterations:
+            return None, xs[row + 1].copy(), lo - 1.0, hi - 1.0, iteration
+        done = iteration
+        xs[0] = x
+        length *= 2
 
 
 def _unit(x: np.ndarray):

@@ -62,12 +62,14 @@ class QPatternReport:
     q_irreducible: bool
 
 
-def _successors(pattern: np.ndarray) -> list[np.ndarray]:
-    """Adjacency lists of the positivity digraph: succ[j] = rows i with entry (i, j) set."""
-    return [np.flatnonzero(pattern[:, j]) for j in range(pattern.shape[1])]
+def _successors(pattern: np.ndarray) -> list[list[int]]:
+    """Adjacency lists of the positivity digraph: succ[j] = rows i with entry (i, j) set, ascending."""
+    tails = np.nonzero(pattern.T)[1].tolist()
+    ends = np.cumsum(np.count_nonzero(pattern, axis=0)).tolist()
+    return [tails[start:end] for start, end in zip([0] + ends, ends)]
 
 
-def _strong_components(succ: list[np.ndarray], n: int) -> list[list[int]]:
+def _strong_components(succ: list[list[int]], n: int) -> list[list[int]]:
     """Tarjan's algorithm, iteratively, components in reverse topological order."""
     index = [-1] * n
     low = [0] * n
@@ -90,7 +92,7 @@ def _strong_components(succ: list[np.ndarray], n: int) -> list[list[int]]:
             descended = False
             targets = succ[v]
             while child < len(targets):
-                w = int(targets[child])
+                w = targets[child]
                 child += 1
                 if index[w] == -1:
                     work[-1][1] = child
@@ -117,7 +119,7 @@ def _strong_components(succ: list[np.ndarray], n: int) -> list[list[int]]:
     return components
 
 
-def _cyclic_walk(succ: list[np.ndarray], n: int) -> tuple[int, tuple[int, ...]]:
+def _cyclic_walk(succ: list[list[int]], n: int) -> tuple[int, tuple[int, ...]]:
     """Imprimitivity index and cyclic classes of a strongly connected pattern, by BFS from vertex 0."""
     level = [-1] * n
     level[0] = 0
@@ -127,7 +129,6 @@ def _cyclic_walk(succ: list[np.ndarray], n: int) -> tuple[int, tuple[int, ...]]:
         next_queue = []
         for u in queue:
             for w in succ[u]:
-                w = int(w)
                 if level[w] == -1:
                     level[w] = level[u] + 1
                     next_queue.append(w)

@@ -7,7 +7,7 @@ import math
 import networkx as nx
 import numpy as np
 
-from matpop import LeslieModel, PopulationModel, validate_model
+from matpop import LeslieModel, PopulationModel, spectral, validate_model
 from matpop.spectral import spectral_radius
 
 
@@ -233,3 +233,36 @@ def random_leslie_model(rng, n_max: int = 12) -> LeslieModel:
         fertility[int(rng.integers(n))] = rng.uniform(0.5, 2.0)
     fertility *= math.exp(rng.uniform(math.log(0.1), math.log(3.0)))
     return LeslieModel(tuple(survival), tuple(fertility))
+
+
+# ---------------------------------------------------------------------------
+# Reference power pass: the step-by-step loop that spectral._power_pass
+# computes in chunks, kept to check that every pass keeps its bits
+# ---------------------------------------------------------------------------
+
+def reference_power_pass(block, tol, max_iterations, start=None):
+    """spectral._power_pass one iteration at a time, with the bracket read at every step."""
+    n = block.shape[0]
+    shifted = block + np.eye(n)
+    x = np.full(n, 1.0 / n) if start is None else start
+    lo = hi = 0.0
+    window = spectral._probe_length(n)
+    narrowest = math.inf
+    narrowest_at = 0
+    for iteration in range(1, max_iterations + 1):
+        y = shifted @ x
+        ratios = y / x
+        lo = float(ratios.min())
+        hi = float(ratios.max())
+        width = hi - lo
+        if width <= tol * max(1.0, hi):
+            root = float(x @ y) / float(x @ x) - 1.0
+            x = y / y.sum()
+            return max(root, 0.0), x, lo - 1.0, hi - 1.0, iteration
+        x = y / y.sum()
+        if width < narrowest:
+            narrowest = width
+            narrowest_at = iteration
+        elif iteration - narrowest_at >= window:
+            break
+    return None, x, lo - 1.0, hi - 1.0, iteration

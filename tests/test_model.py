@@ -5,6 +5,7 @@ import pytest
 
 from matpop import (
     ConsistencyError,
+    Error,
     ModelError,
     MortalityError,
     ScalingError,
@@ -12,6 +13,9 @@ from matpop import (
     Trichotomy,
     analyze,
     analyze_structure,
+    assemble,
+    eventual_limit,
+    periodic_limits,
     r0_positive,
     spectral,
     spectral_radius,
@@ -31,6 +35,9 @@ from helpers import (
     plant_q_of_s,
     random_general_model,
     random_irreducible_model,
+    random_leslie_model,
+    random_primitive_model,
+    reference_power_pass,
 )
 
 # R0 = 0 fixture: fertility only feeds a class that never reproduces.
@@ -245,9 +252,11 @@ class TestScalingContract:
             caller(plant)
 
     def test_target_growth_model_off_target_raises(self, plant, monkeypatch):
-        radius = model_layer.spectral_radius
+        radius = model_layer._radius
+        # Only the first root, q(s) * s, is off; the scaled model's growth rate is not.
+        offsets = iter([1e-6])
         monkeypatch.setattr(
-            model_layer, "spectral_radius", lambda m, *, tol: radius(m, tol=tol) + 1e-6
+            model_layer, "_radius", lambda m, report, tol: radius(m, report, tol) + next(offsets, 0.0)
         )
         with pytest.raises(ConsistencyError):
             target_growth_scale(plant, 2.0)
@@ -371,6 +380,19 @@ class TestComputeOnce:
         assert analyze(plant).q_pattern is not None
         assert calls == []
 
+    @pytest.mark.parametrize("s", [0.5, 2.0, 1e6])
+    def test_target_growth_scale_coerces_no_matrix_after_validation(self, s, plant, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs.get("name", "matrix"))
+            return as_matrix(*args, **kwargs)
+
+        for module in (model_layer, spectral, structure):
+            monkeypatch.setattr(module, "as_matrix", counted)
+        assert target_growth_scale(plant, s).q == pytest.approx(plant_q_of_s(s), rel=1e-9)
+        assert calls == []
+
     @pytest.mark.parametrize(
         "quantity, t, f",
         [
@@ -392,3 +414,51 @@ class TestComputeOnce:
         assert not kernel_calls["_power_root"]
         assert not kernel_calls["_analyze_pattern"]
         assert scaled is plant.stationary
+
+
+def _answers(t, f):
+    """The bits of every answer a model gives, or the error it raises, by call."""
+    model = validate_model(t, f)
+    x0 = np.arange(1.0, model.n + 1.0)
+    s = 1.5 * model.rho_transition + 0.2
+
+    def target():
+        result = target_growth_scale(model, s)
+        return result.q, result.r0_scaled, result.scaled.fertility
+
+    def eventual():
+        result = eventual_limit(model, x0)
+        return result.fate, result.limit
+
+    calls = {
+        "analyze": lambda: (analyze(model),),
+        "stabilizing": lambda: (stabilizing_scale(model).growth_rate, stabilizing_scale(model).fertility),
+        "target": target,
+        "eventual": eventual,
+        "periodic": lambda: periodic_limits(model, x0).limits,
+        "perron": lambda: (model.perron.rho, model.perron.right, model.perron.left),
+    }
+    answers = {}
+    for name, call in calls.items():
+        try:
+            parts = call()
+        except Error as exc:
+            answers[name] = type(exc).__name__, str(exc)
+        else:
+            answers[name] = repr(parts), [a.tobytes() for a in parts if isinstance(a, np.ndarray)]
+    return answers
+
+
+def test_model_answers_keep_their_bits_with_the_reference_pass(monkeypatch):
+    rng = np.random.default_rng(2024)
+    generators = (
+        random_irreducible_model,
+        random_primitive_model,
+        random_general_model,
+        lambda rng: assemble(random_leslie_model(rng, n_max=30)),
+    )
+    models = [generators[k % 4](rng) for k in range(200)]
+    pairs = [(m.transition, m.fertility) for m in models]
+    chunked = [_answers(t, f) for t, f in pairs]
+    monkeypatch.setattr(spectral, "_power_pass", reference_power_pass)
+    assert [_answers(t, f) for t, f in pairs] == chunked

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from helpers import (
     neumann_partial_sum,
     plant_model,
     random_irreducible_model,
+    reference_power_pass,
 )
 
 
@@ -366,3 +368,90 @@ class TestResolventInverse:
         assert isinstance(pair, SpectralPair)
         with pytest.raises(AttributeError):
             pair.rho = 3.0
+
+
+def _cyclic_block(rng, sizes):
+    """A random irreducible block whose cyclic classes have the given sizes, so its index is len(sizes)."""
+    n = sum(sizes)
+    starts = np.cumsum([0, *sizes])
+    m = np.zeros((n, n))
+    for k, size in enumerate(sizes):
+        rows = slice(starts[(k + 1) % len(sizes)], starts[(k + 1) % len(sizes) + 1])
+        cols = slice(starts[k], starts[k + 1])
+        m[rows, cols] = rng.uniform(0.1, 2.0, (sizes[(k + 1) % len(sizes)], size))
+    return m
+
+
+def _primitive_block(rng, n):
+    m = rng.uniform(0.0, 3.0, (n, n)) * (rng.random((n, n)) < 0.3)
+    m[np.arange(1, n), np.arange(n - 1)] += 0.5
+    m[0, n - 1] += 0.5
+    m[0, 0] += 0.1
+    return m
+
+
+class TestChunkedPassKeepsItsBits:
+    """_power_pass returns exactly what the step-by-step reference loop returns."""
+
+    @staticmethod
+    def assert_same(block, tol, budget, start=None):
+        expected = reference_power_pass(block, tol, budget, start)
+        got = spectral._power_pass(block, tol, budget, start)
+        assert got[0] == expected[0]
+        assert got[1].tobytes() == expected[1].tobytes()
+        assert got[2:] == expected[2:]
+        return got
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 10, 33, 120])
+    def test_primitive_blocks(self, n):
+        rng = np.random.default_rng(n)
+        for _ in range(5):
+            block = _primitive_block(rng, n) * math.exp(rng.uniform(-4.0, 4.0))
+            assert self.assert_same(block, 1e-12, 200_000)[0] is not None
+
+    @pytest.mark.parametrize("period", [2, 3, 4, 5, 6])
+    def test_imprimitive_blocks(self, period):
+        rng = np.random.default_rng(100 + period)
+        for _ in range(5):
+            sizes = rng.integers(1, 5, period).tolist()
+            self.assert_same(_cyclic_block(rng, sizes), 1e-12, 200_000)
+
+    def test_seeded_starts_certify_at_the_first_iteration(self):
+        rng = np.random.default_rng(7)
+        for n in (3, 8, 40):
+            block = _primitive_block(rng, n)
+            _, vector, *_ = spectral._power_pass(block, 1e-13, 200_000)
+            assert self.assert_same(block, 1e-12, 200_000, vector)[4] == 1
+
+    def test_cold_start_on_the_perron_vector(self):
+        # Equal row sums make the uniform start the Perron vector.
+        block = np.array([[0.2, 0.7, 0.1], [0.5, 0.0, 0.5], [0.3, 0.3, 0.4]])
+        assert self.assert_same(block, 1e-12, 200_000)[4] == 1
+
+    @pytest.mark.parametrize("budget", [1, 2, 3, 31, 33, 63])
+    def test_budgets_that_end_mid_chunk(self, budget):
+        rng = np.random.default_rng(budget)
+        for block in (_primitive_block(rng, 6), _cyclic_block(rng, [2, 3, 2, 3, 2, 3])):
+            root, _, _, _, used = self.assert_same(block, 1e-12, budget)
+            assert root is not None or used == budget
+
+    def test_unreachable_tolerance_stops_at_the_stall_window(self):
+        rng = np.random.default_rng(11)
+        block = _primitive_block(rng, 8)
+        root, _, _, _, used = self.assert_same(block, 1e-18, 200_000)
+        assert root is None and used < 200_000
+
+    def test_iterates_past_the_certifying_one_warn_nothing(self):
+        # The cold pass certifies at iteration 674, mid-chunk, with Perron
+        # entries down to 5e-311: a division by an iterate that underflowed
+        # after certification would warn.
+        n = 95
+        block = np.zeros((n, n))
+        block[np.arange(1, n), np.arange(n - 1)] = 1e-3
+        block[0, :] = 1.0
+        block[0, 0] += 1.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, vector, _, _, used = self.assert_same(block, 1e-12, 200_000)
+            assert used == 674
+            assert self.assert_same(block, 1e-12, 200_000, vector)[4] == 1

@@ -70,6 +70,22 @@ class TestAnalyzeStructure:
         assert order[(0,)] < order[(1,)]
         assert order[(2,)] < order[(1,)]
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_components_and_order_match_networkx(self, seed):
+        rng = np.random.default_rng(seed)
+        for _ in range(50):
+            n = int(rng.integers(1, 41))
+            m = (rng.random((n, n)) < rng.uniform(0.0, 0.3)).astype(float)
+            report = analyze_structure(m)
+            graph = digraph_of(m)
+            assert {frozenset(c) for c in report.components} == {
+                frozenset(c) for c in nx.strongly_connected_components(graph)
+            }
+            assert all(list(c) == sorted(c) for c in report.components)
+            rank = {v: k for k, component in enumerate(report.components) for v in component}
+            # Every edge between components runs from an earlier one to a later one.
+            assert all(rank[u] <= rank[v] for u, v in graph.edges)
+
     def test_depends_only_on_pattern(self):
         rng = np.random.default_rng(31)
         for _ in range(100):
