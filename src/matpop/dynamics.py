@@ -22,7 +22,7 @@ import numpy as np
 from .errors import ConsistencyError, ModelError, NumericalError, StructureError
 from .matrices import as_population_vector
 from .model import PopulationModel
-from .spectral import _primitive_pair
+from .spectral import _cycle_maps, _primitive_pair
 
 # Eigenvector residual, relative to the factor times the population's
 # largest entry, below which classify_population accepts a population as
@@ -175,9 +175,7 @@ def periodic_limits(model: PopulationModel, x0) -> PeriodicLimits:
     x = as_population_vector(x0, model.n)
     step = model.projection / model.growth_rate
     period = structure.imprimitivity_index
-    classes = np.array(structure.cyclic_classes)
-    members = [np.flatnonzero(classes == k) for k in range(period)]
-    maps = [step[np.ix_(members[(k + 1) % period], members[k])] for k in range(period)]
+    members, maps = _cycle_maps(step, structure.cyclic_classes)
     cycle = maps[0]
     for a in maps[1:]:
         cycle = a @ cycle
@@ -188,7 +186,7 @@ def periodic_limits(model: PopulationModel, x0) -> PeriodicLimits:
         v[members[-k]] = v[members[1 - k]] @ maps[-k]
 
     limits = np.empty((period, model.n))
-    limits[0] = u * np.bincount(classes, weights=v * x)[classes]
+    limits[0] = u * np.bincount(structure.cyclic_classes, weights=v * x).take(structure.cyclic_classes)
     for i in range(1, period):
         limits[i] = step @ limits[i - 1]
     # r's bracket puts M's root within 2 d tol_spec of 1, doubled for M's pair; nan fails.

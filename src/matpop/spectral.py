@@ -20,19 +20,20 @@ Each block first gets short cold probes from the uniform vector, of
 L = max(500, 20 n) iterations for order n, which certify well-conditioned
 blocks.  A block still uncertified after its probes gets one pass started
 from a proposed Perron pair instead, and the same ratio bracket
-certifies.  A block of imprimitivity index d has d eigenvalues on its
-spectral circle, so under the + I shift the second-largest modulus is at
-least cos(pi / d) of the first.  When cos(pi / d) ** L > tol the probes
-cannot certify (unless they start on the Perron vector), and such a
-block goes straight to the seeded pass.  The proposal comes from the
-block's cyclic classes: only the restriction of A^d to one class, of
-order n / d when the d classes are equal, goes to numpy's eig, and the
-rest of the vector is carried along the cycle by products of nonnegative
-numbers.  The index and the classes come from the caller's structure
-report; only the seeded pass of a reducible matrix's block analyzes that
-block's pattern.  The iteration budget covers all passes of a block
-together, and a pass whose bracket has stopped narrowing for a whole
-probe length gives up early, so an unreachable tolerance fails fast.
+certifies.  A block of imprimitivity index d >= 3 skips the probes: the
++ I shift leaves its d eigenvalues on the spectral circle at least
+cos(pi / d) >= 1/2 of the root's modulus, so a cold pass needs at least
+log(tol) / log(cos(pi / d)) iterations.  At d = 2 the shift maps -rho
+to 1 - rho, which bounds nothing, and the probes stay.  The proposal
+comes from the block's cyclic classes: only the restriction of A^d to
+one class, of order n / d when the d classes are equal, goes to numpy's
+eig, and the rest of the vector is carried along the cycle by products
+of nonnegative numbers.  The index and the classes come from the
+caller's structure report; only the seeded pass of a reducible matrix's
+block analyzes that block's pattern.  The iteration budget covers all
+passes of a block together, and a pass whose bracket has stopped
+narrowing for a whole probe length gives up early, so an unreachable
+tolerance fails fast.
 """
 
 from __future__ import annotations
@@ -96,45 +97,50 @@ def _power_pass(block: np.ndarray, tol: float, max_iterations: int, start: np.nd
     and the pass gives up before its budget is spent.
 
     Chunks of 1, 2, 4, ... up to _CHUNK_ITERATIONS iterations compute only
-    y = (block + I) x and x = y / sum(y), in place, and their brackets are
-    read afterwards, all at once.  Every number is the one a step-by-step
-    loop gives, bit for bit, and the count ends at the certifying
-    iteration, not at the last one computed.
+    y = (block + I) x and x = y / sum(y), and their brackets are read
+    afterwards, all at once.  The first chunk, all that a well-seeded pass
+    needs, is one step on the start itself; later ones write into buffers.
+    Every number is the one a step-by-step loop gives, bit for bit, and the
+    count ends at the certifying iteration, not at the last one computed.
     """
     n = block.shape[0]
-    shifted = block + np.eye(n)
-    shape = (min(_CHUNK_ITERATIONS, max_iterations) + 1, n)
-    xs, ys = np.empty(shape), np.empty(shape)
-    xs[0] = 1.0 / n if start is None else start
+    shifted = block.copy()
+    shifted.reshape(-1)[:: n + 1] += 1.0
+    # Row k of xs and ys: x_k and y_k = (block + I) x_k of a chunk; x: the iterate after it.
+    x = np.full(n, 1.0 / n) if start is None else start
+    y = np.dot(shifted, x)
+    xs, ys, x = x[None], y[None], y / np.add.reduce(y)
     window = _probe_length(n)
     narrowest = math.inf
     narrowest_at = done = 0
-    length = 1
     while True:
-        length = min(length, _CHUNK_ITERATIONS, max_iterations - done)
+        ratios = ys / xs
+        lows, highs = np.minimum.reduce(ratios, 1).tolist(), np.maximum.reduce(ratios, 1).tolist()
+        root = None
+        for row, (lo, hi) in enumerate(zip(lows, highs)):
+            iteration = done + row + 1
+            width = hi - lo
+            if width <= tol * max(1.0, hi):
+                root = max(float(xs[row].dot(ys[row])) / float(xs[row].dot(xs[row])) - 1.0, 0.0)
+                break
+            if width < narrowest:
+                narrowest = width
+                narrowest_at = iteration
+            elif iteration - narrowest_at >= window:
+                break
+        if root is not None or iteration - narrowest_at >= window or iteration == max_iterations:
+            return root, (x if row + 1 == len(xs) else xs[row + 1]).copy(), lo - 1.0, hi - 1.0, iteration
+        done = iteration
+        length = min(2 * len(xs), _CHUNK_ITERATIONS, max_iterations - done)
+        xs, ys = np.empty((length + 1, n)), np.empty((length, n))
+        xs[0] = x
         x = xs[0]
         for k in range(length):
             y = ys[k]
             np.dot(shifted, x, out=y)
             x = xs[k + 1]
             np.divide(y, np.add.reduce(y), out=x)
-        ratios = ys[:length] / xs[:length]
-        for row, (lo, hi) in enumerate(zip(ratios.min(1).tolist(), ratios.max(1).tolist())):
-            iteration = done + row + 1
-            width = hi - lo
-            if width <= tol * max(1.0, hi):
-                root = float(xs[row] @ ys[row]) / float(xs[row] @ xs[row]) - 1.0
-                return max(root, 0.0), xs[row + 1].copy(), lo - 1.0, hi - 1.0, iteration
-            if width < narrowest:
-                narrowest = width
-                narrowest_at = iteration
-            elif iteration - narrowest_at >= window:
-                break
-        if iteration - narrowest_at >= window or iteration == max_iterations:
-            return None, xs[row + 1].copy(), lo - 1.0, hi - 1.0, iteration
-        done = iteration
-        xs[0] = x
-        length *= 2
+        xs = xs[:length]
 
 
 def _unit(x: np.ndarray):
@@ -183,6 +189,20 @@ def _balanced_pair(block: np.ndarray):
     return pair if x is None else (lam, x)
 
 
+def _cycle_maps(block: np.ndarray, classes: tuple[int, ...]):
+    """The cyclic classes C_k of a block, as index arrays, and its maps A_k = block[C_k+1, C_k].
+
+    One fancy index puts the block in class order.  Each A_k is a contiguous
+    copy of a slice of it: BLAS can round a product with a strided view differently.
+    """
+    order = np.argsort(classes, kind="stable")
+    ends = np.cumsum(np.bincount(classes)).tolist()
+    spans = [slice(start, end) for start, end in zip([0, *ends], ends)]
+    permuted = block[np.ix_(order, order)]
+    maps = [permuted[spans[(k + 1) % len(spans)], span].copy() for k, span in enumerate(spans)]
+    return [order[span] for span in spans], maps
+
+
 def _eig_seed(block: np.ndarray, classes: tuple[int, ...]):
     """A proposed Perron pair (lam, x0) of an irreducible block, or None.
 
@@ -197,10 +217,7 @@ def _eig_seed(block: np.ndarray, classes: tuple[int, ...]):
     M is the block itself.  The pair is only a proposal: the pass it seeds
     still has to certify the root with a ratio bracket.
     """
-    classes = np.array(classes)
-    period = int(classes.max()) + 1
-    members = [np.flatnonzero(classes == k) for k in range(period)]
-    maps = [block[np.ix_(members[(k + 1) % period], members[k])] for k in range(period)]
+    members, maps = _cycle_maps(block, classes)
     # M is formed with each partial product scaled to unit maximum, so a
     # long cycle neither overflows nor underflows.
     product = None
@@ -214,10 +231,10 @@ def _eig_seed(block: np.ndarray, classes: tuple[int, ...]):
     if pair is None:
         return None
     mu, x = pair
-    lam = math.exp((log_scale + math.log(mu)) / period)
+    lam = math.exp((log_scale + math.log(mu)) / len(maps))
     x0 = np.empty(block.shape[0])
     x0[members[0]] = x
-    for k in range(period - 1):
+    for k in range(len(maps) - 1):
         x = maps[k] @ x / lam
         x0[members[k + 1]] = x
     x0 = _unit(x0)
@@ -262,21 +279,16 @@ def _power_root(block: np.ndarray, tol: float, classes: tuple[int, ...] | None =
     Probes are cold and short, sized by the block order.  A block still
     uncertified after them gets one pass on block / lam started from the
     proposed Perron pair (lam, x0) of _eig_seed, which also resolves the
-    root relative to lam.  A block of index d has d eigenvalues on its
-    spectral circle, so the shifted iteration contracts by cos(pi / d) per
-    step at best: when cos(pi / d) ** probe length > tol its probes cannot
-    certify from a start off the Perron vector, and it starts from the
-    seed instead.  A block without a seed is probed as any other.
+    root relative to lam.  A block of index 3 or more, whose cold passes
+    contract by at best cos(pi / d) >= 1/2 per step, starts from the seed
+    instead; one without a seed is probed as any other.
     MAX_ITERATIONS bounds all passes of the block together.
     """
     probe_budget = _probe_length(block.shape[0])
     remaining = MAX_ITERATIONS
     scale = 1.0
     bracket = (0.0, math.inf)
-    seed = None
-    period = 1 if classes is None else max(classes) + 1
-    if period > 1 and math.cos(math.pi / period) ** probe_budget > tol:
-        seed = _eig_seed(block, classes)
+    seed = None if classes is None or max(classes) < 2 else _eig_seed(block, classes)
     for _ in range(3 if seed is None else 0):
         if remaining <= 0:
             break

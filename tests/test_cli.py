@@ -570,3 +570,11 @@ class TestCallBudget:
         assert main(argv) == 0
         assert len(kernel_calls["_analyze_pattern"]) <= tarjan
         assert len(kernel_calls["_power_root"]) <= perron
+
+    def test_long_period_analyze_makes_no_cold_pass(self, tmp_path, power_passes, capsys):
+        # Fertile at ages 6, 12, ..., 36, the model's P has index 6.
+        fertility = [5.0 if age % 6 == 0 else 0.0 for age in range(1, 37)]
+        path = write_model(tmp_path, "d6.json", {"leslie": {"survival": [0.9] * 35, "fertility": fertility}})
+        assert main(["analyze", path]) == 0
+        assert json.loads(capsys.readouterr().out)["imprimitivity_index"] == 6
+        assert power_passes and all(start is not None for start, _ in power_passes)

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -225,3 +226,62 @@ class TestSemelparousModelsAtFullLength:
         scaled = target_growth_scale(model, 0.95)
         assert scaled.q == pytest.approx(q_poly_eval(leslie, 0.95), rel=1e-12)
         assert r0_positive(model)
+
+
+def _euler_lotka_root(model, guess: float) -> mpmath.mpf:
+    """The root r of sum_a f_a l_a / r^a = 1 for a model's float entries, to 50 digits.
+
+    l_a is the product of the first a - 1 survival rates.  The sum is
+    strictly decreasing in r, so once it is checked to cross 1 within
+    1e-9 of the guess, bisection closes in on the only root.
+    """
+    n = model.n
+    with mpmath.workdps(50):
+        weights, running = [], mpmath.mpf(1)
+        for a in range(n):
+            weights.append(mpmath.mpf(float(model.fertility[0, a])) * running)
+            if a < n - 1:
+                running *= mpmath.mpf(float(model.transition[a + 1, a]))
+
+        def above(r):
+            total, u = mpmath.mpf(0), 1 / r
+            for w in reversed(weights):
+                total = u * (w + total)
+            return total > 1
+
+        lo, hi = mpmath.mpf(guess) * (1 - 1e-9), mpmath.mpf(guess) * (1 + 1e-9)
+        assert above(lo) and not above(hi)
+        # 60 halvings leave a bracket of 2e-9 / 2^60, about 2e-27 relative.
+        for _ in range(60):
+            mid = (lo + hi) / 2
+            lo, hi = (mid, hi) if above(mid) else (lo, mid)
+        return (lo + hi) / 2
+
+
+def _long_period_leslie(rng, period: int) -> LeslieModel:
+    """A random Leslie model of n <= 45 classes, fertile at multiples of period only, period included."""
+    n = period * int(rng.integers(1, 45 // period + 1))
+    fertility = np.zeros(n)
+    ages = np.arange(period, n + 1, period)
+    fertility[ages - 1] = rng.uniform(0.2, 5.0, ages.size) * (rng.random(ages.size) < 0.6)
+    fertility[[period - 1, n - 1]] = rng.uniform(0.2, 5.0, 2)
+    return LeslieModel(tuple(rng.uniform(0.3, 0.99, n - 1)), tuple(fertility))
+
+
+class TestLongPeriodRootsAgainstEulerLotka:
+    """Models of index 3-9 certify r to rounding level, against a 50-digit Euler-Lotka root."""
+
+    @pytest.mark.parametrize("period", range(3, 10))
+    def test_growth_rates_and_stability_residual(self, period):
+        rng = np.random.default_rng(300 + period)
+        eps = np.finfo(float).eps
+        for _ in range(6):
+            model = assemble(_long_period_leslie(rng, period))
+            assert model.structure.imprimitivity_index == period
+            report = analyze(model)
+            r = _euler_lotka_root(model, report.growth_rate)
+            assert abs(report.growth_rate - r) <= 2e-15 * r
+            scaled = target_growth_scale(model, float(r) * rng.uniform(0.5, 2.0)).scaled
+            s = _euler_lotka_root(scaled, scaled.growth_rate)
+            assert abs(scaled.growth_rate - s) <= 2e-15 * s
+            assert report.stability_residual <= 16 * eps

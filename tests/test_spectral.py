@@ -187,13 +187,27 @@ def _leslie_projection(n: int, fertile_ages) -> np.ndarray:
 
 
 class TestPeriodRouting:
-    """A block of index d skips its cold probes exactly when cos(pi / d) ** L > tol."""
+    """A block of index d >= 3 skips its cold probes; blocks of index 1 and 2 start cold."""
 
-    @pytest.mark.parametrize("n", [10, 12, 48])
-    def test_long_cycles_make_no_cold_pass(self, n, power_passes):
-        m = _leslie_projection(n, [n])
-        r = (5.0 * 0.9 ** (n - 1)) ** (1.0 / n)
-        assert spectral_radius(m) == pytest.approx(r, rel=1e-12)
+    @pytest.mark.parametrize(
+        "n, fertile_ages",
+        [
+            (10, [10]),
+            (12, [12]),
+            (48, [48]),
+            (6, [3, 6]),
+            (8, [4, 8]),
+            (36, range(6, 37, 6)),
+            (9, [9]),
+        ],
+        ids=["10", "12", "48", "d3", "d4", "iteroparous-d6-n36", "semelparous-d9"],
+    )
+    def test_long_cycles_make_no_cold_pass(self, n, fertile_ages, power_passes):
+        m = _leslie_projection(n, fertile_ages)
+        assert structure.analyze_structure(m).imprimitivity_index >= 3
+        r = spectral_radius(m)
+        # Euler-Lotka: the sum over fertile ages a of 5 * 0.9^(a-1) / r^a is 1.
+        assert sum(5.0 * 0.9 ** (a - 1) / r**a for a in fertile_ages) == pytest.approx(1.0, rel=1e-12)
         pair = perron_pair(m)
         assert pair.right == pytest.approx((0.9 / r) ** np.arange(n) * pair.right[0], rel=1e-9)
         # One pass for the root, one for each side of the pair.
@@ -204,11 +218,9 @@ class TestPeriodRouting:
         "m, period",
         [
             (PLANT_T + PLANT_F, 2),
-            (_leslie_projection(36, range(6, 37, 6)), 6),
-            (_leslie_projection(9, [9]), 9),
             ([[0.5, 1.0], [0.25, 0.5]], 1),
         ],
-        ids=["plant", "iteroparous-d6-n36", "semelparous-d9", "primitive"],
+        ids=["plant", "primitive"],
     )
     def test_other_blocks_start_cold_and_keep_their_bits(self, m, period, power_passes):
         m = np.asarray(m)
@@ -224,11 +236,18 @@ class TestPeriodRouting:
         assert pair.right.tobytes() == right.tobytes()
         assert pair.left.tobytes() == (left / float(left @ right)).tobytes()
 
-    def test_rule_boundary_at_the_minimum_probe_length(self):
-        # Orders 9 and 10 both get probes of PROBE_MIN_ITERATIONS = 500.
-        assert spectral._probe_length(9) == spectral._probe_length(10) == 500
-        assert math.cos(math.pi / 9) ** 500 < spectral.SPECTRAL_TOL < math.cos(math.pi / 10) ** 500
-
+    @pytest.mark.parametrize("tol", [1e-6, 1e-12, 1e-20], ids=["tol6", "tol12", "tol20"])
+    def test_index_three_is_the_boundary_at_every_tolerance(self, tol, power_passes):
+        for fertile_ages, period in (([2, 4, 6], 2), ([3, 6], 3)):
+            m = _leslie_projection(6, fertile_ages)
+            report = structure.analyze_structure(m)
+            assert report.imprimitivity_index == period
+            power_passes.clear()
+            try:
+                spectral._power_root(m, tol, report.cyclic_classes)
+            except ConvergenceError:
+                pass  # 1e-20 is below rounding level; only the first pass matters
+            assert (power_passes[0][0] is not None) == (period == 3)
 
 class TestPerronPair:
     def test_constant_matrix(self):
