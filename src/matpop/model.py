@@ -24,7 +24,7 @@ once, on first use; the functions here and in the other modules read them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 
@@ -67,6 +67,7 @@ class PopulationModel:
     warnings: tuple[str, ...] = ()
     tol_spec: float = SPECTRAL_TOL
     tol_class: float = CLASSIFY_TOL
+    _kept: list = field(default_factory=list, init=False, repr=False)
 
     @property
     def n(self) -> int:
@@ -91,13 +92,15 @@ class PopulationModel:
 
     @cached_property
     def growth_rate(self) -> float:
-        """r = rho(P)."""
-        return _radius(self.projection, self.structure, self.tol_spec)
+        """r = rho(P); an irreducible P's first Perron pass is kept for perron."""
+        return _radius(self.projection, self.structure, self.tol_spec, self._kept)
 
     @cached_property
     def perron(self) -> SpectralPair:
-        """Certified Perron pair of an irreducible P; StructureError when P is reducible."""
-        return _pair(self.projection, self.structure, self.tol_spec)
+        """Certified Perron pair of an irreducible P, resuming growth_rate's pass; else StructureError."""
+        if self.structure.irreducible:
+            self.growth_rate  # fills _kept, which _pair's right side resumes
+        return _pair(self.projection, self.structure, self.tol_spec, self._kept)
 
     @cached_property
     def next_generation(self) -> np.ndarray:

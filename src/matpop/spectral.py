@@ -10,11 +10,12 @@ start vector.
 Convergence is certified, not guessed: for a positive iterate x the
 componentwise ratios of (A + I) x against x bracket the Perron root of
 A + I at every step (Collatz-Wielandt), and the iteration stops at the
-first step whose bracket width falls below tolerance.  The steps run in
-chunks and their brackets are read per chunk, which gives the same bits
-as reading each in turn.  The Rayleigh quotient reported as the root is a
-convex combination of those ratios, so it always lies inside the final
-bracket.
+first step whose bracket width falls below tolerance.  Steps run in
+chunks sized by the brackets' rate to end just past that step; read per
+chunk, or resumed at a tighter tolerance as a Perron vector resumes its
+root's pass, they give the bits of a step-by-step loop.  The Rayleigh
+quotient reported as the root is a convex combination of those ratios,
+so it always lies inside the final bracket.
 
 Each block first gets short cold probes from the uniform vector, of
 L = max(500, 20 n) iterations for order n, which certify well-conditioned
@@ -85,39 +86,45 @@ def _probe_length(n: int) -> int:
     return max(PROBE_MIN_ITERATIONS, PROBE_ITERATIONS_PER_ORDER * n)
 
 
-def _power_pass(block: np.ndarray, tol: float, max_iterations: int, start: np.ndarray | None = None):
-    """One certified power iteration on block + I from a positive start.
+def _power_pass(block: np.ndarray, tol: float, budget: int, start: np.ndarray | None = None, state=None):
+    """One certified power iteration on block + I from a positive start, the uniform vector by default.
 
-    The start defaults to the uniform vector.  Returns (root, vector, lo,
-    hi, iteration): the bracket [lo, hi] around the root and the sum-1
-    iterate at the certifying iteration, or at the last one examined, with
-    root None when the bracket did not certify within the budget.  The
-    bracket only shrinks in exact arithmetic, so once its width has set no
-    new minimum for a whole probe length it has reached rounding level,
-    and the pass gives up before its budget is spent.
+    Returns (root, vector, lo, hi, iteration): the bracket [lo, hi] around
+    the root and the sum-1 iterate at the certifying iteration, or at the
+    last one examined, with root None when the bracket did not certify
+    within the budget.  The bracket only shrinks in exact arithmetic, so
+    once its width has set no new minimum for a whole probe length it has
+    reached rounding level, and the pass gives up before its budget is
+    spent.  A list given as state gets the last chunk, row and stall
+    window; handed back with the same block, a tighter tol and a budget no
+    smaller, it resumes the pass from that row with the bits of a fresh
+    one, as neither the iterates nor the stall window depend on tol.
 
-    Chunks of 1, 2, 4, ... up to _CHUNK_ITERATIONS iterations compute only
-    y = (block + I) x and x = y / sum(y), and their brackets are read
-    afterwards, all at once.  The first chunk, all that a well-seeded pass
-    needs, is one step on the start itself; later ones write into buffers.
-    Every number is the one a step-by-step loop gives, bit for bit, and the
-    count ends at the certifying iteration, not at the last one computed.
+    Chunks compute only y = (block + I) x and x = y / sum(y), and their
+    brackets are read afterwards, all at once.  The first chunk, all that a
+    well-seeded pass needs, is one step on the start itself; a later one
+    ends just past where the widths, at their geometric rate over the
+    second half of a chunk of 4 or more rows, reach tol, or else doubles,
+    up to _CHUNK_ITERATIONS and the budget.  Every number is the one a
+    step-by-step loop gives, bit for bit, and the count ends at the
+    certifying iteration, not at the last one computed.
     """
     n = block.shape[0]
     shifted = block.copy()
     shifted.reshape(-1)[:: n + 1] += 1.0
-    # Row k of xs and ys: x_k and y_k = (block + I) x_k of a chunk; x: the iterate after it.
-    x = np.full(n, 1.0 / n) if start is None else start
-    y = np.dot(shifted, x)
-    xs, ys, x = x[None], y[None], y / np.add.reduce(y)
     window = _probe_length(n)
-    narrowest = math.inf
-    narrowest_at = done = 0
+    state = [] if state is None else state
+    if not state:
+        x = np.full(n, 1.0 / n) if start is None else start
+        y = np.dot(shifted, x)
+        state[:] = x[None], y[None], y / np.add.reduce(y), 0, 0, math.inf, 0
+    # Row k of xs and ys: x_k and y_k = (block + I) x_k of the chunk after iteration done; x: the next one.
+    xs, ys, x, done, first, narrowest, narrowest_at = state
     while True:
         ratios = ys / xs
         lows, highs = np.minimum.reduce(ratios, 1).tolist(), np.maximum.reduce(ratios, 1).tolist()
         root = None
-        for row, (lo, hi) in enumerate(zip(lows, highs)):
+        for row, (lo, hi) in enumerate(zip(lows[first:], highs[first:]), first):
             iteration = done + row + 1
             width = hi - lo
             if width <= tol * max(1.0, hi):
@@ -128,10 +135,16 @@ def _power_pass(block: np.ndarray, tol: float, max_iterations: int, start: np.nd
                 narrowest_at = iteration
             elif iteration - narrowest_at >= window:
                 break
-        if root is not None or iteration - narrowest_at >= window or iteration == max_iterations:
+        if root is not None or iteration - narrowest_at >= window or iteration == budget:
+            state[:] = xs, ys, x, done, row, narrowest, narrowest_at
             return root, (x if row + 1 == len(xs) else xs[row + 1]).copy(), lo - 1.0, hi - 1.0, iteration
-        done = iteration
-        length = min(2 * len(xs), _CHUNK_ITERATIONS, max_iterations - done)
+        done, first, half, length = iteration, 0, len(xs) // 2, 2 * len(xs)
+        # Logarithms of positive, finite numbers only; wide / width >= 1 + 2^-52.
+        wide, target = highs[half] - lows[half], tol * max(1.0, hi)
+        if len(xs) >= 4 and 0.0 < target < width < wide < math.inf:
+            rate = math.log(wide / width) / (len(xs) - 1 - half)
+            length = 1 + int((math.log(width) - math.log(target)) / rate)
+        length = min(length, _CHUNK_ITERATIONS, budget - done)
         xs, ys = np.empty((length + 1, n)), np.empty((length, n))
         xs[0] = x
         x = xs[0]
@@ -192,15 +205,15 @@ def _balanced_pair(block: np.ndarray):
 def _cycle_maps(block: np.ndarray, classes: tuple[int, ...]):
     """The cyclic classes C_k of a block, as index arrays, and its maps A_k = block[C_k+1, C_k].
 
-    One fancy index puts the block in class order.  Each A_k is a contiguous
-    copy of a slice of it: BLAS can round a product with a strided view differently.
+    Each A_k is gathered alone, as a contiguous copy (BLAS can round a product
+    with a strided view differently); 1 x 1 maps as the n entries of the cycle.
     """
     order = np.argsort(classes, kind="stable")
     ends = np.cumsum(np.bincount(classes)).tolist()
-    spans = [slice(start, end) for start, end in zip([0, *ends], ends)]
-    permuted = block[np.ix_(order, order)]
-    maps = [permuted[spans[(k + 1) % len(spans)], span].copy() for k, span in enumerate(spans)]
-    return [order[span] for span in spans], maps
+    members = [order[start:end] for start, end in zip([0, *ends], ends)]
+    if len(members) == len(order):
+        return members, list(block[np.roll(order, -1), order].reshape(-1, 1, 1))
+    return members, [block[members[(k + 1) % len(members)][:, None], c] for k, c in enumerate(members)]
 
 
 def _eig_seed(block: np.ndarray, classes: tuple[int, ...]):
@@ -263,7 +276,7 @@ def _primitive_pair(m: np.ndarray, tol: float):
     return right, left / float(left @ right)
 
 
-def _power_root(block: np.ndarray, tol: float, classes: tuple[int, ...] | None = None):
+def _power_root(block: np.ndarray, tol: float, classes: tuple[int, ...] | None = None, kept=None):
     """Perron root and sum-1 Perron vector (root, vector) of a block of the given cyclic classes.
 
     classes is None for a block of a reducible matrix, routed as index 1.
@@ -282,18 +295,21 @@ def _power_root(block: np.ndarray, tol: float, classes: tuple[int, ...] | None =
     root relative to lam.  A block of index 3 or more, whose cold passes
     contract by at best cos(pi / d) >= 1/2 per step, starts from the seed
     instead; one without a seed is probed as any other.
-    MAX_ITERATIONS bounds all passes of the block together.
+    MAX_ITERATIONS bounds all passes of the block together.  An empty kept
+    gets the first pass, [seed or None, state]; handed back for a tighter
+    tol, it resumes that pass where it stopped, and later ones run fresh.
     """
     probe_budget = _probe_length(block.shape[0])
     remaining = MAX_ITERATIONS
     scale = 1.0
     bracket = (0.0, math.inf)
-    seed = None if classes is None or max(classes) < 2 else _eig_seed(block, classes)
+    kept = [] if kept is None else kept
+    kept[:] = kept or [None if classes is None or max(classes) < 2 else _eig_seed(block, classes), []]
+    seed, state = kept
     for _ in range(3 if seed is None else 0):
         if remaining <= 0:
             break
-        budget = min(remaining, probe_budget)
-        root, vector, lo, hi, used = _power_pass(block, tol, budget)
+        root, vector, lo, hi, used = _power_pass(block, tol, min(remaining, probe_budget), None, state)
         remaining -= used
         bracket = (scale * lo, scale * hi)
         if root is None:
@@ -304,15 +320,16 @@ def _power_root(block: np.ndarray, tol: float, classes: tuple[int, ...] | None =
             return scale * root, vector
         scale *= root
         block = block / root
+        state = None
     if remaining > 0:
         if seed is None:
-            seed = _eig_seed(block, classes or _analyze_pattern(block > 0).cyclic_classes)
+            seed, state = _eig_seed(block, classes or _analyze_pattern(block > 0).cyclic_classes), None
         start = None
         if seed is not None:
             lam, start = seed
             scale *= lam
             block = block / lam
-        root, vector, lo, hi, used = _power_pass(block, tol, remaining, start)
+        root, vector, lo, hi, used = _power_pass(block, tol, remaining, start, state)
         if root is not None:
             return scale * root, vector
         remaining -= used
@@ -337,12 +354,11 @@ def spectral_radius(m, *, tol: float = SPECTRAL_TOL) -> float:
     return _radius(m, _analyze_pattern(m > 0), tol)
 
 
-def _radius(m: np.ndarray, report: StructureReport, tol: float) -> float:
+def _radius(m: np.ndarray, report: StructureReport, tol: float, kept=None) -> float:
     """Largest Perron root over the strong components, listed in report, of a validated matrix.
 
-    An irreducible matrix's block is iterated with its cyclic classes;
-    the blocks of a reducible one, whose classes are not computed, as
-    index 1.
+    An irreducible matrix is iterated with its cyclic classes, keeping
+    its first pass in kept; the blocks of a reducible one, as index 1.
     """
     rho = 0.0
     for component in report.components:
@@ -350,8 +366,8 @@ def _radius(m: np.ndarray, report: StructureReport, tol: float) -> float:
             i = component[0]
             rho = max(rho, float(m[i, i]))
         else:
-            block = m[np.ix_(component, component)]
-            root, _ = _power_root(block, tol, report.cyclic_classes)
+            block = m if report.irreducible else m[np.ix_(component, component)]
+            root, _ = _power_root(block, tol, report.cyclic_classes, kept if report.irreducible else None)
             rho = max(rho, root)
     return rho
 
@@ -367,8 +383,8 @@ def perron_pair(m, *, tol: float = SPECTRAL_TOL) -> SpectralPair:
     return _pair(m, _analyze_pattern(m > 0), tol)
 
 
-def _pair(m: np.ndarray, report: StructureReport, tol: float) -> SpectralPair:
-    """perron_pair of a validated matrix whose structure report is given."""
+def _pair(m: np.ndarray, report: StructureReport, tol: float, kept=None) -> SpectralPair:
+    """perron_pair of a validated matrix whose structure report is given; the right side resumes kept."""
     if not report.irreducible:
         raise StructureError("matrix is reducible; analyze each strongly connected component separately")
     n = m.shape[0]
@@ -381,7 +397,7 @@ def _pair(m: np.ndarray, report: StructureReport, tol: float) -> SpectralPair:
     # residuals of the pair stay within tol.
     inner_tol = tol / 4.0
     classes, period = report.cyclic_classes, report.imprimitivity_index
-    rho, right = _power_root(m, inner_tol, classes)
+    rho, right = _power_root(m, inner_tol, classes, kept)
     # The transpose reverses every edge, so its classes run the other way.
     _, left = _power_root(m.T, inner_tol, tuple(-k % period for k in classes))
     left = left / float(left @ right)

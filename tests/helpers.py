@@ -240,8 +240,11 @@ def random_leslie_model(rng, n_max: int = 12) -> LeslieModel:
 # computes in chunks, kept to check that every pass keeps its bits
 # ---------------------------------------------------------------------------
 
-def reference_power_pass(block, tol, max_iterations, start=None):
-    """spectral._power_pass one iteration at a time, with the bracket read at every step."""
+def reference_power_pass(block, tol, max_iterations, start=None, state=None):
+    """spectral._power_pass one iteration at a time, with the bracket read at every step.
+
+    state is ignored: a pass resumed at a tighter tol answers as this fresh one.
+    """
     n = block.shape[0]
     shifted = block + np.eye(n)
     x = np.full(n, 1.0 / n) if start is None else start

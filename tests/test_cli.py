@@ -537,9 +537,9 @@ class TestToleranceFlags:
     def test_spectral_tolerance_reaches_every_perron_pair(self, tmp_path, monkeypatch, capsys):
         seen = []
 
-        def spy(m, report, tol):
+        def spy(m, report, tol, *kept):
             seen.append(tol)
-            return spectral._pair(m, report, tol)
+            return spectral._pair(m, report, tol, *kept)
 
         monkeypatch.setattr(model_layer, "_pair", spy)
         path = write_model(
@@ -570,6 +570,18 @@ class TestCallBudget:
         assert main(argv) == 0
         assert len(kernel_calls["_analyze_pattern"]) <= tarjan
         assert len(kernel_calls["_power_root"]) <= perron
+
+    @pytest.mark.parametrize(
+        "argv, computed",
+        [
+            (["scale", PLANT, "--stationary"], 232),
+            (["simulate", str(FIXTURES / "leslie3.json"), "--x0", "1,0,2", "--steps", "40"], 76),
+        ],
+    )
+    def test_computed_iterations(self, argv, computed, computed_iterations, capsys):
+        # A fresh tol / 4 right side and doubling chunks computed 347 and 93.
+        assert main(argv) == 0
+        assert computed_iterations[0] <= computed
 
     def test_long_period_analyze_makes_no_cold_pass(self, tmp_path, power_passes, capsys):
         # Fertile at ages 6, 12, ..., 36, the model's P has index 6.

@@ -16,6 +16,7 @@ from matpop import (
     iterate,
     periodic_limits,
     perron_pair,
+    spectral,
     spectral_radius,
     validate_model,
 )
@@ -27,6 +28,7 @@ from helpers import (
     plant_model,
     random_irreducible_model,
     random_primitive_model,
+    reference_power_pass,
 )
 
 
@@ -236,6 +238,31 @@ class TestEventualLimit:
         second = eventual_limit(model, [1.0, 0.0])
         assert not kernel_calls["_power_root"]
         assert second.limit.tobytes() == first.limit.tobytes()
+
+    def test_after_analyze_resumes_the_growth_rate_pass(self, computed_iterations):
+        # P's right side goes on from the pass that certified r at tol: past
+        # the iterations from tol to tol / 4 it computes at most one chunk.
+        rng = np.random.default_rng(131)
+        bounds = []
+        for _ in range(40):
+            model = random_primitive_model(rng, n_max=8)
+            p, tol = model.projection, model.tol_spec
+            probe = spectral._probe_length(model.n)
+            at_tol, at_quarter = (reference_power_pass(p, t, probe) for t in (tol, tol / 4))
+            roots = (at_tol[0], at_quarter[0])
+            if None in roots or min(roots) < 0.5:
+                continue  # P's right side is more than its first cold probe
+            analyze(model)
+            computed_iterations[0] = 0
+            spectral._power_root(p.T, tol / 4, model.structure.cyclic_classes)
+            left = computed_iterations[0]
+            computed_iterations[0] = 0
+            eventual_limit(model, np.ones(model.n))
+            bound = at_quarter[4] - at_tol[4] + spectral._CHUNK_ITERATIONS
+            assert computed_iterations[0] - left <= bound
+            bounds.append(bound < at_quarter[4])
+        # Most of them a fresh pass at tol / 4 would break.
+        assert sum(bounds) >= 15
 
     def test_matches_perron_projection_on_random_models(self):
         rng = np.random.default_rng(113)

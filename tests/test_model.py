@@ -256,7 +256,9 @@ class TestScalingContract:
         # Only the first root, q(s) * s, is off; the scaled model's growth rate is not.
         offsets = iter([1e-6])
         monkeypatch.setattr(
-            model_layer, "_radius", lambda m, report, tol: radius(m, report, tol) + next(offsets, 0.0)
+            model_layer,
+            "_radius",
+            lambda m, report, tol, *kept: radius(m, report, tol, *kept) + next(offsets, 0.0),
         )
         with pytest.raises(ConsistencyError):
             target_growth_scale(plant, 2.0)

@@ -474,3 +474,203 @@ class TestChunkedPassKeepsItsBits:
             _, vector, _, _, used = self.assert_same(block, 1e-12, 200_000)
             assert used == 674
             assert self.assert_same(block, 1e-12, 200_000, vector)[4] == 1
+
+
+def _seed(block):
+    """The _eig_seed (lam, x0) of an irreducible block."""
+    return spectral._eig_seed(block, structure.analyze_structure(block).cyclic_classes)
+
+
+class TestResumedPassKeepsItsBits:
+    """A pass certified at tol and then sent tol / 4 answers as a fresh pass at tol / 4 does."""
+
+    @staticmethod
+    def assert_resumes(block, tol, budgets, start=None):
+        state = []
+        answers = []
+        for t, budget in zip((tol, tol / 4.0), budgets):
+            expected = reference_power_pass(block, t, budget, start)
+            got = spectral._power_pass(block, t, budget, start, state)
+            assert got[0] == expected[0]
+            assert got[1].tobytes() == expected[1].tobytes()
+            assert got[2:] == expected[2:]
+            answers.append(got)
+        return answers
+
+    @pytest.mark.parametrize("n", [2, 5, 10, 33, 120])
+    def test_cold_primitive_blocks(self, n):
+        rng = np.random.default_rng(300 + n)
+        for _ in range(5):
+            block = _primitive_block(rng, n) * math.exp(rng.uniform(-4.0, 4.0))
+            at_tol, at_quarter = self.assert_resumes(block, 1e-12, (200_000, 200_000))
+            assert at_tol[0] is not None and at_quarter[4] >= at_tol[4]
+
+    @pytest.mark.parametrize("period", [2, 3, 4, 5, 6])
+    def test_cold_imprimitive_blocks(self, period):
+        rng = np.random.default_rng(400 + period)
+        for _ in range(5):
+            sizes = rng.integers(1, 5, period).tolist()
+            self.assert_resumes(_cyclic_block(rng, sizes), 1e-12, (200_000, 200_000))
+
+    @pytest.mark.parametrize("period", [3, 5, 9])
+    def test_seeded_starts(self, period):
+        rng = np.random.default_rng(500 + period)
+        for _ in range(5):
+            block = _cyclic_block(rng, rng.integers(1, 4, period).tolist())
+            lam, x0 = _seed(block)
+            self.assert_resumes(block / lam, 1e-12, (200_000, 200_000), x0)
+        # A start off the Perron vector takes more than a chunk.
+        block = _leslie_projection(24, [8, 16, 24])
+        lam, x0 = _seed(block)
+        x0 = x0 * np.linspace(0.5, 1.5, 24)
+        at_tol, at_quarter = self.assert_resumes(block / lam, 1e-12, (200_000, 200_000), x0 / x0.sum())
+        assert at_tol[4] > spectral._CHUNK_ITERATIONS
+
+    @pytest.mark.parametrize("budget", [1, 2, 3, 7, 31, 33, 63, 100])
+    def test_budgets_that_end_mid_chunk(self, budget):
+        rng = np.random.default_rng(600 + budget)
+        for block in (_primitive_block(rng, 6), _cyclic_block(rng, [2, 3, 2, 3, 2, 3])):
+            self.assert_resumes(block, 1e-12, (budget, budget))
+            # A budget that grows on resumption goes on past the chunk the first one cut short.
+            self.assert_resumes(block, 1e-12, (budget, 2 * budget + 5))
+
+    @pytest.mark.parametrize("tol", [1e-15, 4e-16, 2e-16, 1e-18, 0.0])
+    def test_stalled_brackets(self, tol):
+        rng = np.random.default_rng(11)
+        for n in (3, 8, 20):
+            block = _primitive_block(rng, n)
+            at_tol, at_quarter = self.assert_resumes(block, tol, (200_000, 200_000))
+            if at_tol[0] is None:
+                assert at_quarter[4] == at_tol[4] < 200_000
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e150, 1e300])
+    def test_extreme_scales(self, scale):
+        # Widths near 1e300 have logarithms one rounding step apart; none of them may raise or warn.
+        rng = np.random.default_rng(5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for n in (3, 8):
+                for tol in (1e-12, 0.0):
+                    self.assert_resumes(_primitive_block(rng, n) * scale, tol, (200_000, 200_000))
+
+    @pytest.mark.parametrize(
+        "block, start",
+        [
+            (np.ones((3, 3)), None),
+            (np.array([[0.5, 2.0, 1.0], [0.5, 2.0, 1.0], [0.5, 2.0, 1.0]]), None),
+            (np.array([[0.0, 1.0], [1.0, 0.0]]), None),
+            (np.array([[0.0, 1.0], [1.0, 0.0]]), np.array([0.25, 0.75])),
+        ],
+        ids=["ones", "constant-columns", "swap", "swap-off-start"],
+    )
+    def test_brackets_that_reach_width_zero(self, block, start):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for tol in (1e-12, 0.0):
+                for _, _, lo, hi, _ in self.assert_resumes(block, tol, (200_000, 200_000), start):
+                    assert hi - lo == 0.0
+
+    def test_rate_sized_chunks_compute_less_than_doubling(self, computed_iterations):
+        # Doubling chunks end at 1, 3, 7, 15, 31, then every 32 iterations.
+        ends = [1, 3, 7, 15, 31, *range(63, 200_000, 32)]
+        rng = np.random.default_rng(17)
+        computed = doubling = 0
+        for n in (5, 8, 12, 20, 40):
+            block = _primitive_block(rng, n)
+            computed_iterations[0] = 0
+            used = spectral._power_pass(block, 1e-12, 200_000)[4]
+            chunk_end = next(end for end in ends if end >= used)
+            assert used <= computed_iterations[0] <= chunk_end
+            computed, doubling = computed + computed_iterations[0], doubling + chunk_end
+        assert computed < doubling
+
+
+class TestResumedPowerRoot:
+    """_power_root handed back its kept first pass for tol / 4 gives the bits of a fresh call."""
+
+    @staticmethod
+    def assert_resumes(block, classes=None):
+        tol = spectral.SPECTRAL_TOL
+        kept = []
+        rho = spectral._power_root(block, tol, classes, kept)[0]
+        assert rho == spectral._power_root(block, tol, classes)[0] and kept
+        resumed = spectral._power_root(block, tol / 4.0, classes, kept)
+        fresh = spectral._power_root(block, tol / 4.0, classes)
+        assert resumed[0] == fresh[0]
+        assert resumed[1].tobytes() == fresh[1].tobytes()
+
+    @pytest.mark.parametrize(
+        "m",
+        [
+            PLANT_T + PLANT_F,
+            [[0.5, 1.0], [0.25, 0.5]],
+            # Roots below 0.5 rescale after the first probe; the later probes run fresh.
+            [[0.01, 0.02], [0.03, 0.001]],
+            _leslie_projection(60, [59, 60]),
+        ],
+        ids=["plant", "primitive", "small-root", "slow-primitive"],
+    )
+    def test_cold_route(self, m, power_passes):
+        m = np.asarray(m, dtype=float)
+        self.assert_resumes(m, structure.analyze_structure(m).cyclic_classes)
+        assert power_passes[0][0] is None
+
+    def test_slow_block_falls_back_to_a_fresh_seeded_pass(self, power_passes):
+        m = _leslie_projection(60, [59, 60])
+        classes = structure.analyze_structure(m).cyclic_classes
+        kept = []
+        spectral._power_root(m, spectral.SPECTRAL_TOL, classes, kept)
+        power_passes.clear()
+        spectral._power_root(m, spectral.SPECTRAL_TOL / 4.0, classes, kept)
+        # The resumed probe, still uncertified, then one fresh seeded pass.
+        assert [start is None for start, _ in power_passes] == [True, False]
+
+    @pytest.mark.parametrize("n, fertile_ages", [(9, [9]), (12, [4, 8, 12]), (200, [200])])
+    def test_seeded_route(self, n, fertile_ages, power_passes):
+        m = _leslie_projection(n, fertile_ages)
+        self.assert_resumes(m, structure.analyze_structure(m).cyclic_classes)
+        assert all(start is not None for start, _ in power_passes)
+
+    def test_reducible_blocks(self):
+        rng = np.random.default_rng(23)
+        for _ in range(10):
+            self.assert_resumes(_primitive_block(rng, 7) * math.exp(rng.uniform(-3.0, 3.0)))
+
+
+def _class_ordered_maps(block, classes):
+    """The cycle maps as a class-ordered copy of the whole block gives them."""
+    order = np.argsort(classes, kind="stable")
+    ends = np.cumsum(np.bincount(classes)).tolist()
+    spans = [slice(start, end) for start, end in zip([0, *ends], ends)]
+    permuted = block[np.ix_(order, order)]
+    maps = [permuted[spans[(k + 1) % len(spans)], span].copy() for k, span in enumerate(spans)]
+    return [order[span] for span in spans], maps
+
+
+class TestCycleMaps:
+    """_cycle_maps gathers each map alone, with the bits of the class-ordered block's slices."""
+
+    @staticmethod
+    def assert_maps(block):
+        classes = structure.analyze_structure(block).cyclic_classes
+        members, maps = spectral._cycle_maps(block, classes)
+        expected_members, expected_maps = _class_ordered_maps(block, classes)
+        assert [m.tolist() for m in members] == [m.tolist() for m in expected_members]
+        for got, expected in zip(maps, expected_maps, strict=True):
+            assert got.flags.c_contiguous and got.shape == expected.shape
+            assert got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("period", range(2, 10))
+    def test_random_cyclic_blocks(self, period):
+        rng = np.random.default_rng(700 + period)
+        for _ in range(5):
+            block = _cyclic_block(rng, rng.integers(1, 5, period).tolist())
+            order = rng.permutation(len(block))
+            self.assert_maps(block[np.ix_(order, order)])
+
+    @pytest.mark.parametrize(
+        "n, fertile_ages",
+        [(9, [9]), (200, [200]), (1000, [1000]), (36, range(6, 37, 6)), (999, [333, 666, 999])],
+    )
+    def test_leslie_models(self, n, fertile_ages):
+        self.assert_maps(_leslie_projection(n, fertile_ages))
