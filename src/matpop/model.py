@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import ConsistencyError, ModelError, MortalityError, ScalingError, StructureError
 from .matrices import as_matrix
-from .spectral import SPECTRAL_TOL, SpectralPair, _pair, _radius, _resolvent
+from .spectral import SPECTRAL_TOL, SpectralPair, _pair, _radius, _resolvent_rows
 from .structure import QPatternReport, StructureReport, _analyze_pattern, _next_gen_pattern
 
 # Classification band around 1 for the growth trichotomy, and the residual
@@ -86,9 +86,14 @@ class PopulationModel:
         return _analyze_pattern(_finite(self.projection) > 0)
 
     @cached_property
+    def _transition_structure(self) -> StructureReport:
+        """Strong components of T, shared by T / s and every rescaled model."""
+        return _analyze_pattern(self.transition > 0)
+
+    @cached_property
     def rho_transition(self) -> float:
         """rho(T), below 1 for every validated model."""
-        return _radius(self.transition, _analyze_pattern(self.transition > 0), self.tol_spec)
+        return _radius(self.transition, self._transition_structure, self.tol_spec)
 
     @cached_property
     def growth_rate(self) -> float:
@@ -104,27 +109,22 @@ class PopulationModel:
 
     @cached_property
     def next_generation(self) -> np.ndarray:
-        """Next generation matrix Q = F (I - T)^-1.
+        """Next generation matrix Q = F (I - T)^-1, solved on F's nonzero rows; 0 where no walk joins.
 
         Entry (i, j) counts the class-i newborns descending from one
         class-j individual over its whole remaining lifetime.
         """
-        q = self.fertility @ _resolvent(self.transition)
+        fertile = self.fertility.any(axis=1)
+        q = np.zeros_like(self.fertility)
+        q[fertile] = _resolvent_rows(self.transition, self._transition_structure, self.fertility[fertile])
         q.setflags(write=False)
         return q
 
     @cached_property
     def r0(self) -> float:
-        """Net reproductive rate R0 = rho(Q), exactly 0 when no cycle of P takes an edge of F.
-
-        Q has a cycle exactly when P has one through an edge of F.  A Q
-        without one is not iterated, since the pivoted solve for
-        (I - T)^-1 can leave rounding-level entries at its structural zeros.
-        """
-        if not _fertile_cycle(self.structure, self.fertility):
-            return 0.0
-        q = _finite(self.next_generation)
-        return _radius(q, _analyze_pattern(q > 0), self.tol_spec)
+        """R0 = rho(Q) = rho(Q11), Q on F's nonzero rows and columns: 0 when P has no cycle through F."""
+        fertile = self.fertility.any(axis=1)
+        return _q11_radius(self.next_generation[fertile], fertile, self.tol_spec)
 
     @cached_property
     def stationary(self) -> PopulationModel:
@@ -204,15 +204,10 @@ def _finite(m: np.ndarray) -> np.ndarray:
     return m
 
 
-def _fertile_cycle(structure: StructureReport, fertility: np.ndarray) -> bool:
-    """Whether an edge of F lies on a cycle of P, whose strong components are given."""
-    if structure.irreducible:
-        return True
-    component = np.empty(fertility.shape[0], dtype=int)
-    for k, members in enumerate(structure.components):
-        component[list(members)] = k
-    rows, cols = np.nonzero(fertility)
-    return bool((component[rows] == component[cols]).any())
+def _q11_radius(rows: np.ndarray, fertile: np.ndarray, tol: float) -> float:
+    """rho(Q) = rho(Q11) from Q's rows where the mask fertile is set, iterated on Q11's own pattern."""
+    q11 = _finite(rows)[:, fertile]
+    return _radius(q11, _analyze_pattern(q11 > 0), tol)
 
 
 def _rescaled(model: PopulationModel, divisor: float, target: float) -> PopulationModel:
@@ -228,6 +223,7 @@ def _rescaled(model: PopulationModel, divisor: float, target: float) -> Populati
         raise ModelError("fertility matrix has non-finite entries")
     f.setflags(write=False)
     scaled = PopulationModel(model.transition, f, model.warnings, model.tol_spec, model.tol_class)
+    vars(scaled)["_transition_structure"] = model._transition_structure
     vars(scaled)["rho_transition"] = model.rho_transition
     if np.array_equal(f > 0, model.fertility > 0):
         vars(scaled)["structure"] = model.structure
@@ -316,9 +312,10 @@ def target_growth_scale(model: PopulationModel, s: float) -> TargetScaleResult:
     if not np.isfinite(s) or s <= rho_t + model.tol_spec:
         raise ScalingError(f"target growth rate {s:.6g} must exceed rho(T) = {rho_t:.6g}")
 
-    # rho(T / s) = rho(T) / s < 1, so the resolvent needs no second check.
-    q = _finite(model.fertility @ _resolvent(model.transition / s))
-    q_of_s = _radius(q, _analyze_pattern(q > 0), model.tol_spec) / s
+    # rho(T / s) = rho(T) / s < 1, and T / s walks no edge that T does not.
+    fertile = model.fertility.any(axis=1)
+    rows = _resolvent_rows(model.transition / s, model._transition_structure, model.fertility[fertile])
+    q_of_s = _q11_radius(rows, fertile, model.tol_spec) / s
     if q_of_s <= 0.0:
         raise ConsistencyError("fertility divisor came out nonpositive for an irreducible model")
 

@@ -58,12 +58,8 @@ PROBE_MIN_ITERATIONS = 500
 PROBE_ITERATIONS_PER_ORDER = 20
 # Most iterations a power pass computes before it reads their brackets.
 _CHUNK_ITERATIONS = 32
-# From this order on, inverting a lower-triangular I - T by forward
-# substitution (one vector-matrix product per row) costs less than an LU
-# factorization.
-SUBSTITUTION_MIN_ORDER = 100
-# Entries of a computed resolvent inverse may round slightly negative; any
-# dip beyond this is an error, anything shallower is clamped to zero.
+# A block solve of the resolvent may round slightly negative; any dip
+# beyond this is an error, anything shallower is clamped to zero.
 CLAMP_TOL = 1e-10
 
 
@@ -297,15 +293,15 @@ def _power_root(block: np.ndarray, tol: float, classes: tuple[int, ...] | None =
     instead; one without a seed is probed as any other.
     MAX_ITERATIONS bounds all passes of the block together.  An empty kept
     gets the first pass, [seed or None, state]; handed back for a tighter
-    tol, it resumes that pass where it stopped, and later ones run fresh.
+    tol, it resumes that pass where it stopped and is emptied.
     """
     probe_budget = _probe_length(block.shape[0])
     remaining = MAX_ITERATIONS
     scale = 1.0
     bracket = (0.0, math.inf)
     kept = [] if kept is None else kept
-    kept[:] = kept or [None if classes is None or max(classes) < 2 else _eig_seed(block, classes), []]
-    seed, state = kept
+    seed, state = kept or [None if classes is None or max(classes) < 2 else _eig_seed(block, classes), []]
+    kept[:] = [] if kept else [seed, state]
     for _ in range(3 if seed is None else 0):
         if remaining <= 0:
             break
@@ -407,48 +403,47 @@ def _pair(m: np.ndarray, report: StructureReport, tol: float, kept=None) -> Spec
 
 
 def resolvent_inverse(transition) -> np.ndarray:
-    """(I - T)^-1 for a transition matrix with spectral radius below 1.
+    """(I - T)^-1 = I + T + T^2 + ... for rho(T) < 1, exactly 0 where no walk of T joins two classes.
 
-    A lower-triangular T of order SUBSTITUTION_MIN_ORDER or more
-    (individuals only stay or move on, as in a long Leslie or
-    stage-classified model) is inverted by forward substitution: every
-    entry is a sum of products of nonnegative numbers, accurate entry by
-    entry.  Any other T is solved directly by LU factorization with
-    partial pivoting of I - T.  The true inverse
-    equals the series I + T + T^2 + ... and is therefore nonnegative; tiny
-    negative round-off is clamped to zero and anything below -CLAMP_TOL
-    raises NumericalError.
+    An entry below -CLAMP_TOL in the inverse of a block of I - T raises NumericalError.
     """
     t = as_matrix(transition, name="transition matrix")
-    rho = _radius(t, _analyze_pattern(t > 0), SPECTRAL_TOL)
+    report = _analyze_pattern(t > 0)
+    rho = _radius(t, report, SPECTRAL_TOL)
     if rho >= 1.0 - SPECTRAL_TOL:
         raise MortalityError(
             f"rho(T) >= 1: transition matrix spectral radius is {rho:.12g}, the population never dies out"
         )
-    return _resolvent(t)
-
-
-def _resolvent(t: np.ndarray) -> np.ndarray:
-    """(I - T)^-1 for a validated T already known to have rho(T) < 1."""
-    n = t.shape[0]
-    if n >= SUBSTITUTION_MIN_ORDER and not np.triu(t, 1).any():
-        # Row i of (I - T) N = I reads (1 - t_ii) N_i = e_i + sum_{k<i} t_ik N_k.
-        inverse = np.zeros((n, n))
-        pivots = 1.0 - np.diagonal(t)
-        for i in range(n):
-            row = t[i, :i] @ inverse[:i]
-            row[i] += 1.0
-            inverse[i] = row / pivots[i]
-        inverse.setflags(write=False)
-        return inverse
-    try:
-        inverse = np.linalg.solve(np.eye(n) - t, np.eye(n))
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"elimination on I - T failed: {exc}") from None
-    low = float(inverse.min())
-    if low < -CLAMP_TOL:
-        raise NumericalError(f"resolvent inverse has entry {low:.6g} below the clamping tolerance")
-    if low < 0.0:
-        inverse = np.maximum(inverse, 0.0)
+    inverse = _resolvent_rows(t, report, np.eye(t.shape[0]))
     inverse.setflags(write=False)
     return inverse
+
+
+def _resolvent_rows(t: np.ndarray, report: StructureReport, rows: np.ndarray) -> np.ndarray:
+    """rows @ (I - T)^-1 for a validated T with rho(T) < 1, over the strong components in report.
+
+    Row i of y = (rows @ (I - T)^-1)^T is rows_i + sum_j T[j, i] y_j over j
+    in i's component or a later one, so components are solved last to
+    first: a 1 x 1 one by a division, a block (all of an irreducible T) by
+    its own inverse, clamped at 0.  Unsolved rows of y are exactly 0 and the
+    coupling sums nonnegative products, so an entry no walk feeds stays 0.
+    """
+    tt = np.ascontiguousarray(t.T)
+    r = rows.T
+    y = np.zeros(r.shape)
+    for component in reversed(report.components):
+        if len(component) == 1:
+            i = component[0]
+            y[i] = (r[i] + tt[i] @ y) / (1.0 - tt[i, i])
+            continue
+        c = list(component)
+        block, coupled = (t, r) if report.irreducible else (t[np.ix_(c, c)], r[c] + tt[c] @ y)
+        try:
+            inverse = np.linalg.solve(np.eye(len(c)) - block, np.eye(len(c)))
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError(f"elimination on I - T failed: {exc}") from None
+        low = float(inverse.min())
+        if low < -CLAMP_TOL:
+            raise NumericalError(f"resolvent inverse has entry {low:.6g} below the clamping tolerance")
+        y[c] = (coupled.T @ np.maximum(inverse, 0.0)).T
+    return y.T

@@ -9,10 +9,8 @@ and a vertex's class is its level mod d.  No other module walks a
 pattern's edges.
 
 Every pattern, of a given or a computed matrix, is read at exactly zero.
-The next generation matrix Q = F (I - T)^-1 needs no threshold either: a
-zero row of F gives an exactly zero row of Q, and for an irreducible
-projection matrix rounding can only add entries to Q's pattern, which
-cannot break the pattern laws that next_gen_pattern checks.
+The next generation matrix Q = F (I - T)^-1 needs no threshold either:
+the model solves it so that every entry that no walk joins is exactly 0.
 """
 
 from __future__ import annotations

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 
+import mpmath
 import networkx as nx
 import numpy as np
 
@@ -41,6 +42,41 @@ def digraph_of(matrix) -> nx.DiGraph:
     rows, cols = np.nonzero(a > 0)
     g.add_edges_from(zip(cols.tolist(), rows.tolist()))
     return g
+
+
+def walk_closure(matrix) -> np.ndarray:
+    """Pattern of (I - M)^-1 by networkx: (i, j) is set when a walk of M, maybe empty, leads from j to i."""
+    n = np.asarray(matrix).shape[0]
+    closure = np.zeros((n, n), dtype=bool)
+    for j, i in nx.transitive_closure(digraph_of(matrix), reflexive=True).edges():
+        closure[i, j] = True
+    return closure
+
+
+def mp_next_generation_radius(transition, fertility, dps: int = 50) -> float:
+    """rho(F (I - T)^-1) at dps digits, block by block.
+
+    Q is formed by mpmath, its pattern taken from F and networkx's walk
+    closure of T, and each strong component of that pattern gets mpmath
+    eigenvalues of its own block, so no rounding at a structural zero of
+    Q (which would perturb a nilpotent part by far more than its
+    precision) reaches the answer.
+    """
+    t = np.asarray(transition, dtype=float)
+    f = np.asarray(fertility, dtype=float)
+    n = t.shape[0]
+    pattern = ((f > 0).astype(np.int64) @ walk_closure(t).astype(np.int64)) > 0
+    with mpmath.workdps(dps):
+        q = mpmath.matrix(f.tolist()) * (mpmath.eye(n) - mpmath.matrix(t.tolist())) ** -1
+        radius = mpmath.mpf(0)
+        for members in nx.strongly_connected_components(digraph_of(pattern)):
+            c = sorted(members)
+            if len(c) == 1:
+                radius = max(radius, q[c[0], c[0]] if pattern[c[0], c[0]] else 0)
+                continue
+            block = mpmath.matrix([[q[i, j] if pattern[i, j] else 0 for j in c] for i in c])
+            radius = max(radius, max(abs(e) for e in mpmath.eig(block, left=False, right=False)))
+        return float(radius)
 
 
 def simple_cycle_lengths(matrix) -> list[int]:
@@ -222,6 +258,27 @@ def random_general_model(rng, n_max: int = 8, rho_cap: float = 0.9) -> Populatio
         f[int(rng.integers(n)), int(rng.integers(n))] = rng.uniform(0.5, 1.5)
     f *= math.exp(rng.uniform(math.log(0.05), math.log(3.0)))
     return validate_model(t, f)
+
+
+def random_reducible_model(rng, n_max: int = 8) -> PopulationModel:
+    """Random model whose T is block triangular in a random class order, with columns that may sum above 1.
+
+    Each diagonal block of T is scaled to a radius of at most 0.9, which
+    bounds rho(T); the edges between blocks take weights up to 3, so a
+    pivoted elimination of I - T swaps rows.
+    """
+    n = int(rng.integers(2, n_max + 1))
+    cuts = sorted(rng.choice(np.arange(1, n), size=int(rng.integers(1, n)), replace=False).tolist())
+    t = np.tril((rng.random((n, n)) < 0.4) * rng.uniform(0.0, 3.0, (n, n)), -1)
+    for lo, hi in zip([0, *cuts], [*cuts, n]):
+        block = (rng.random((hi - lo, hi - lo)) < 0.6) * rng.uniform(0.0, 1.0, (hi - lo, hi - lo))
+        rho = float(np.abs(np.linalg.eigvals(block)).max())
+        t[lo:hi, lo:hi] = block * (rng.uniform(0.1, 0.9) / rho) if rho > 0.0 else block
+    order = rng.permutation(n)
+    f = (rng.random((n, n)) < 0.3) * rng.uniform(0.0, 2.0, (n, n))
+    if f.max() == 0.0:
+        f[int(rng.integers(n)), int(rng.integers(n))] = rng.uniform(0.5, 1.5)
+    return validate_model(t[np.ix_(order, order)], f)
 
 
 def random_leslie_model(rng, n_max: int = 12) -> LeslieModel:

@@ -572,6 +572,21 @@ class TestCallBudget:
         assert len(kernel_calls["_power_root"]) <= perron
 
     @pytest.mark.parametrize(
+        "argv, walked",
+        [
+            (["analyze", PLANT], 14),
+            (["scale", PLANT, "--stationary"], 12),
+            (["scale", PLANT, "--target-growth", "2"], 14),
+        ],
+    )
+    def test_plant_pattern_orders(self, argv, walked, kernel_calls, capsys):
+        # The total order of the patterns that Tarjan passes walk.  Q and
+        # q(s) are walked on their fertile rows only; on the whole of them
+        # the three commands walked 17, 15 and 20.
+        assert main(argv) == 0
+        assert sum(pattern.shape[0] for pattern in kernel_calls["_analyze_pattern"]) <= walked
+
+    @pytest.mark.parametrize(
         "argv, computed",
         [
             (["scale", PLANT, "--stationary"], 232),

@@ -1,5 +1,6 @@
 import math
 
+import networkx as nx
 import numpy as np
 import pytest
 
@@ -17,6 +18,7 @@ from matpop import (
     eventual_limit,
     periodic_limits,
     r0_positive,
+    resolvent_inverse,
     spectral,
     spectral_radius,
     stabilizing_scale,
@@ -32,12 +34,16 @@ from helpers import (
     PLANT_R,
     PLANT_R0,
     PLANT_T,
+    digraph_of,
+    mp_next_generation_radius,
     plant_q_of_s,
     random_general_model,
     random_irreducible_model,
     random_leslie_model,
     random_primitive_model,
+    random_reducible_model,
     reference_power_pass,
+    walk_closure,
 )
 
 # R0 = 0 fixture: fertility only feeds a class that never reproduces.
@@ -306,13 +312,60 @@ class TestExactZero:
         assert pattern.zero_rows == (1,)
 
     def test_structurally_zero_r0_is_exactly_zero(self):
-        # No cycle of P takes the fertility edge.  I - T needs a row swap, and
-        # the pivoted solve can leave a rounding-level Q[1, 1].
+        # No cycle of P takes the fertility edge.  A pivoted solve of the
+        # whole of I - T swaps its rows and left Q[1, 1] = 5.55e-18.
         model = validate_model([[0.0, 0.0], [2.0, 0.6]], [[0.0, 0.0], [0.2, 0.0]])
+        assert model.next_generation[1, 1] == 0.0
+        np.testing.assert_array_equal(model.next_generation, [[0.0, 0.0], [0.2, 0.0]])
         assert model.r0 == 0.0
         assert not r0_positive(model)
         with pytest.raises(ScalingError):
             stabilizing_scale(model)
+
+    def test_zeros_are_those_of_the_walk_closure(self):
+        rng = np.random.default_rng(61)
+        models = [random_reducible_model(rng) for _ in range(60)]
+        # Edges between T's blocks weigh up to 3, so columns of T sum above 1.
+        assert sum(bool(model.warnings) for model in models) >= 30
+        for model in models:
+            closure = walk_closure(model.transition)
+            np.testing.assert_array_equal(resolvent_inverse(model.transition) != 0.0, closure)
+            reached = ((model.fertility > 0).astype(np.int64) @ closure.astype(np.int64)) > 0
+            np.testing.assert_array_equal(model.next_generation != 0.0, reached)
+
+    def test_r0_is_zero_exactly_without_a_fertile_cycle(self):
+        # R0 = 0 exactly when no cycle of P takes an edge of F, that is when
+        # no positive F[i, j] joins two classes of one strong component of P.
+        rng = np.random.default_rng(67)
+        models = [random_reducible_model(rng) for _ in range(40)]
+        models += [random_general_model(rng) for _ in range(40)]
+        for model in models[:40]:
+            # One fertility edge, which often lies on no cycle of P.
+            f = np.zeros((model.n, model.n))
+            f[int(rng.integers(model.n)), int(rng.integers(model.n))] = rng.uniform(0.5, 1.5)
+            models.append(validate_model(model.transition, f))
+        zero = 0
+        for model in models:
+            component = {}
+            for k, members in enumerate(nx.strongly_connected_components(digraph_of(model.projection))):
+                component.update(dict.fromkeys(members, k))
+            rows, cols = np.nonzero(model.fertility)
+            fertile_cycle = any(component[i] == component[j] for i, j in zip(rows.tolist(), cols.tolist()))
+            assert (model.r0 > 0.0) == fertile_cycle
+            assert model.r0 >= 0.0
+            zero += not fertile_cycle
+        assert zero >= 15
+
+    def test_r0_matches_a_fifty_digit_oracle(self):
+        rng = np.random.default_rng(71)
+        models = [random_reducible_model(rng) for _ in range(20)]
+        models += [random_general_model(rng) for _ in range(20)]
+        for model in models:
+            expected = mp_next_generation_radius(model.transition, model.fertility)
+            if expected == 0.0:
+                assert model.r0 == 0.0
+            else:
+                assert abs(model.r0 - expected) <= 1e-11 * expected
 
     def test_r0_positive_after_analyze_reads_cached_values(self, plant, kernel_calls):
         analyze(plant)
@@ -408,6 +461,12 @@ class TestComputeOnce:
         model = validate_model(t, f)
         with np.errstate(over="ignore"), pytest.raises(ModelError, match="non-finite"):
             getattr(model, quantity)
+
+    def test_perron_releases_the_kept_pass(self, plant):
+        plant.growth_rate
+        assert plant._kept
+        plant.perron
+        assert plant._kept == []
 
     def test_stabilizing_scale_after_analyze_reuses_stationary_model(self, plant, kernel_calls):
         analyze(plant)

@@ -356,6 +356,13 @@ class TestResolventInverse:
         expected[-1] /= 0.5
         np.testing.assert_allclose(resolvent_inverse(t), expected, rtol=1e-13, atol=0.0)
 
+    def test_unreachable_entry_is_exactly_zero(self):
+        # No walk of T leads from class 2 to class 1.  A pivoted solve of the
+        # whole of I - T swaps its rows and left 2.8e-17 there.
+        inverse = resolvent_inverse([[0.0, 0.0], [2.0, 0.6]])
+        assert inverse[0, 1] == 0.0
+        np.testing.assert_array_equal(inverse, [[1.0, 0.0], [5.0, 2.5]])
+
     def test_rejects_immortal_transition(self):
         with pytest.raises(MortalityError):
             resolvent_inverse(np.eye(2))
