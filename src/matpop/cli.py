@@ -55,9 +55,20 @@ def _round_floats(value):
     return value
 
 
-def _emit_json(payload: dict, stream) -> None:
-    stream.write(json.dumps(_round_floats(payload), indent=2, sort_keys=True))
-    stream.write("\n")
+def _emit_json(payload: dict) -> None:
+    _write(None, sys.stdout, (json.dumps(_round_floats(payload), indent=2, sort_keys=True), "\n"))
+
+
+def _require_numbers(path: str, fields: dict) -> None:
+    """Raise ModelError naming the first field whose nested lists hold anything but JSON numbers."""
+    pending = [(field, [value]) for field, value in reversed(fields.items())]
+    while pending:
+        field, entries = pending.pop()
+        kinds = set(map(type, entries))  # exact types: a JSON true is a bool, not an int
+        if not kinds <= {int, float, list}:
+            raise ModelError(f"{path}: {field} entries must be JSON numbers")
+        if list in kinds:
+            pending += [(field, entry) for entry in entries if type(entry) is list]
 
 
 def load_model_file(
@@ -91,9 +102,11 @@ def load_model_file(
         if not (isinstance(block, dict) and set(block) == {"survival", "fertility"}
                 and all(isinstance(value, list) for value in block.values())):
             raise ModelError(f"{path}: leslie must be an object with survival and fertility lists")
+        _require_numbers(path, {f"leslie.{key}": value for key, value in block.items()})
         t, f = _matrices(LeslieModel(tuple(block["survival"]), tuple(block["fertility"])))
     elif "transition" in data and "fertility" in data:
         t, f = data["transition"], data["fertility"]
+        _require_numbers(path, {"transition": t, "fertility": f})
     else:
         raise ModelError(
             f"{path}: model file needs transition and fertility matrices, or a leslie block"
@@ -143,7 +156,7 @@ def _load(args) -> PopulationModel:
 
 def cmd_analyze(args) -> int:
     model = _load(args)
-    _emit_json(_analysis_payload(model, analyze(model), args), sys.stdout)
+    _emit_json(_analysis_payload(model, analyze(model), args))
     return 0
 
 
@@ -176,7 +189,7 @@ def cmd_scale(args) -> int:
         "stable_population": stable,
         "warnings": list(scaled.warnings),
     }
-    _emit_json(payload, sys.stdout)
+    _emit_json(payload)
     return 0
 
 
@@ -244,6 +257,7 @@ def _write(path: str | None, default, lines) -> None:
     if not path:
         try:
             default.writelines(lines)
+            default.flush()  # so a closed reader fails here, not in the flush at exit
         except BrokenPipeError:
             # The reader stopped early, as `| head` does; the rest is unwanted.
             with open(os.devnull, "w") as devnull:

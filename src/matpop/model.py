@@ -18,8 +18,9 @@ target s above rho(T).
 
 The model carries its spectral and classification tolerances, set once
 by validate_model, and computes each derived quantity (the structure of
-P, rho(T), r, P's Perron pair, Q, R0 and the model with F / R0) at most
-once, on first use; the functions here and in the other modules read them.
+P, rho(T), r, P's Perron pair, Q, the structure of its block Q11, R0 and
+the model with F / R0) at most once, on first use; the functions here
+and in the other modules read them.
 """
 
 from __future__ import annotations
@@ -121,10 +122,16 @@ class PopulationModel:
         return q
 
     @cached_property
+    def _q11_structure(self) -> StructureReport:
+        """Strong components of Q11's pattern, shared by R0 and analyze's pattern laws."""
+        fertile = self.fertility.any(axis=1)
+        return _analyze_pattern(_finite(self.next_generation)[np.ix_(fertile, fertile)] > 0)
+
+    @cached_property
     def r0(self) -> float:
         """R0 = rho(Q) = rho(Q11), Q on F's nonzero rows and columns: 0 when P has no cycle through F."""
         fertile = self.fertility.any(axis=1)
-        return _q11_radius(self.next_generation[fertile], fertile, self.tol_spec)
+        return _radius(self.next_generation[np.ix_(fertile, fertile)], self._q11_structure, self.tol_spec)
 
     @cached_property
     def stationary(self) -> PopulationModel:
@@ -204,12 +211,6 @@ def _finite(m: np.ndarray) -> np.ndarray:
     return m
 
 
-def _q11_radius(rows: np.ndarray, fertile: np.ndarray, tol: float) -> float:
-    """rho(Q) = rho(Q11) from Q's rows where the mask fertile is set, iterated on Q11's own pattern."""
-    q11 = _finite(rows)[:, fertile]
-    return _radius(q11, _analyze_pattern(q11 > 0), tol)
-
-
 def _rescaled(model: PopulationModel, divisor: float, target: float) -> PopulationModel:
     """The model with fertility F / divisor, checked to have growth rate target.
 
@@ -269,7 +270,7 @@ def analyze(model: PopulationModel) -> AnalysisReport:
     q_pattern = None
     if strict:
         stability_residual = abs(model.stationary.growth_rate - 1.0)
-        q_pattern = _next_gen_pattern(model.fertility, model.next_generation)
+        q_pattern = _next_gen_pattern(model.fertility, model.next_generation, model._q11_structure)
 
     return AnalysisReport(
         growth_rate=r,
@@ -313,9 +314,11 @@ def target_growth_scale(model: PopulationModel, s: float) -> TargetScaleResult:
         raise ScalingError(f"target growth rate {s:.6g} must exceed rho(T) = {rho_t:.6g}")
 
     # rho(T / s) = rho(T) / s < 1, and T / s walks no edge that T does not.
+    # Q11(s) gets its own walk: for a large s, T / s can underflow long walks to exact zeros.
     fertile = model.fertility.any(axis=1)
     rows = _resolvent_rows(model.transition / s, model._transition_structure, model.fertility[fertile])
-    q_of_s = _q11_radius(rows, fertile, model.tol_spec) / s
+    q11 = _finite(rows)[:, fertile]
+    q_of_s = _radius(q11, _analyze_pattern(q11 > 0), model.tol_spec) / s
     if q_of_s <= 0.0:
         raise ConsistencyError("fertility divisor came out nonpositive for an irreducible model")
 

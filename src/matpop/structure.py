@@ -2,11 +2,13 @@
 
 The positivity digraph of a matrix M has an edge j -> i whenever M[i, j] > 0,
 so population moves along directed walks.  Strong components come from an
-iterative Tarjan pass.  One BFS of a strongly connected pattern gives its
+iterative Tarjan pass, which also records each vertex's depth in its DFS
+tree.  For a strongly connected pattern those depths give its
 imprimitivity index d, the gcd of its cycle lengths, and its cyclic
-classes: every edge u -> v contributes gcd-term level(u) + 1 - level(v),
-and a vertex's class is its level mod d.  No other module walks a
-pattern's edges.
+classes: every edge u -> v contributes gcd-term depth(u) + 1 - depth(v),
+and a vertex's class is its depth mod d.  Any spanning tree from vertex 0
+gives the same d and classes, since every walk from 0 to v has the same
+length mod d.  No other module walks a pattern's edges.
 
 Every pattern, of a given or a computed matrix, is read at exactly zero.
 The next generation matrix Q = F (I - T)^-1 needs no threshold either:
@@ -15,7 +17,6 @@ the model solves it so that every entry that no walk joins is exactly 0.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,16 +61,10 @@ class QPatternReport:
     q_irreducible: bool
 
 
-def _successors(pattern: np.ndarray) -> list[list[int]]:
-    """Adjacency lists of the positivity digraph: succ[j] = rows i with entry (i, j) set, ascending."""
-    tails = np.nonzero(pattern.T)[1].tolist()
-    ends = np.cumsum(np.count_nonzero(pattern, axis=0)).tolist()
-    return [tails[start:end] for start, end in zip([0] + ends, ends)]
-
-
-def _strong_components(succ: list[list[int]], n: int) -> list[list[int]]:
-    """Tarjan's algorithm, iteratively, components in reverse topological order."""
+def _strong_components(succ: list[list[int]], n: int) -> tuple[list[list[int]], list[int]]:
+    """Tarjan's algorithm, iteratively: components in reverse topological order, and DFS depths."""
     index = [-1] * n
+    depth = [0] * n
     low = [0] * n
     on_stack = [False] * n
     stack: list[int] = []
@@ -84,6 +79,7 @@ def _strong_components(succ: list[list[int]], n: int) -> list[list[int]]:
             v, child = work[-1]
             if child == 0:
                 index[v] = low[v] = counter
+                depth[v] = len(work) - 1
                 counter += 1
                 stack.append(v)
                 on_stack[v] = True
@@ -114,37 +110,27 @@ def _strong_components(succ: list[list[int]], n: int) -> list[list[int]]:
             if work:
                 parent = work[-1][0]
                 low[parent] = min(low[parent], low[v])
-    return components
-
-
-def _cyclic_walk(succ: list[list[int]], n: int) -> tuple[int, tuple[int, ...]]:
-    """Imprimitivity index and cyclic classes of a strongly connected pattern, by BFS from vertex 0."""
-    level = [-1] * n
-    level[0] = 0
-    queue = [0]
-    period = 0
-    while queue:
-        next_queue = []
-        for u in queue:
-            for w in succ[u]:
-                if level[w] == -1:
-                    level[w] = level[u] + 1
-                    next_queue.append(w)
-                period = math.gcd(period, level[u] + 1 - level[w])
-        queue = next_queue
-    return period, tuple(x % period for x in level)
+    return components, depth
 
 
 def _analyze_pattern(pattern: np.ndarray) -> StructureReport:
     n = pattern.shape[0]
-    succ = _successors(pattern)
-    components = _strong_components(succ, n)
+    # Edge sources[e] -> targets[e] for each entry (i, j) set, grouped by source j, i ascending.
+    sources, targets = np.nonzero(pattern.T)
+    ends = np.cumsum(np.count_nonzero(pattern, axis=0)).tolist()
+    flat = targets.tolist()
+    succ = [flat[start:end] for start, end in zip([0] + ends, ends)]
+    components, depth = _strong_components(succ, n)
     components.reverse()  # topological order: edges run earlier -> later
     ordered = tuple(tuple(sorted(c)) for c in components)
 
     # A 1x1 pattern is irreducible only if its single entry is set.
     irreducible = len(ordered) == 1 and (n > 1 or bool(pattern[0, 0]))
-    period, classes = _cyclic_walk(succ, n) if irreducible else (None, None)
+    period = classes = None
+    if irreducible:
+        depths = np.array(depth)
+        period = int(np.gcd.reduce(depths[sources] + 1 - depths[targets]))
+        classes = tuple((depths % period).tolist())
     return StructureReport(
         components=ordered,
         irreducible=irreducible,
@@ -179,8 +165,8 @@ def next_gen_pattern(fertility, next_gen) -> QPatternReport:
     return _next_gen_pattern(f, q)
 
 
-def _next_gen_pattern(f: np.ndarray, q: np.ndarray) -> QPatternReport:
-    """next_gen_pattern of validated F and Q of one order, with finite entries."""
+def _next_gen_pattern(f: np.ndarray, q: np.ndarray, block: StructureReport | None = None) -> QPatternReport:
+    """next_gen_pattern of validated F and Q of one order, with finite entries, and Q11's report if known."""
     q_pattern = q > 0
     q_zero_rows = np.flatnonzero(~q_pattern.any(axis=1))
     f_zero_rows = np.flatnonzero(~(f > 0).any(axis=1))
@@ -195,7 +181,8 @@ def _next_gen_pattern(f: np.ndarray, q: np.ndarray) -> QPatternReport:
         raise ConsistencyError("next generation matrix is entirely zero")
     zero_rows = tuple(int(i) for i in q_zero_rows)
 
-    block = _analyze_pattern(q_pattern[np.ix_(nonzero, nonzero)])
+    # A report of Q11 on F's nonzero rows holds here, where Q's nonzero rows are F's.
+    block = block or _analyze_pattern(q_pattern[np.ix_(nonzero, nonzero)])
     if not block.irreducible:
         raise ConsistencyError(
             "leading block of the next generation matrix is not irreducible; "

@@ -22,6 +22,50 @@ from helpers import (
 )
 
 
+def long_period_patterns(rng):
+    """Irreducible patterns of order 100-1,000 and known index, as (pattern, index) pairs."""
+    patterns = []
+    for period in (2, 7, 60, 150, 300):
+        # Maps between consecutive shuffled classes: sparse at random, plus a
+        # spine a_0 -> a_1 -> ... joined to all of each class, which makes the
+        # pattern irreducible with a cycle of length period.
+        n = int(rng.integers(max(100, period), 301))
+        sizes = 1 + rng.multinomial(n - period, np.full(period, 1 / period))
+        labels = rng.permutation(np.repeat(np.arange(period), sizes))
+        consecutive = labels[:, None] == (labels[None, :] + 1) % period
+        spine = np.array([np.flatnonzero(labels == k)[0] for k in range(period)])
+        m = consecutive & (rng.random((n, n)) < 0.05)
+        m[:, spine] |= consecutive[:, spine]
+        m[spine, :] |= consecutive[spine, :]
+        patterns.append((m, period))
+    # Leslie patterns are irreducible when their last age is fertile.
+    for ages, period in (((1000,), 1000), ((599, 600), 1), ((600, 1000), 200)):
+        n = max(ages)
+        leslie = np.zeros((n, n), dtype=bool)
+        leslie[np.arange(1, n), np.arange(n - 1)] = True
+        leslie[0, np.array(ages) - 1] = True
+        patterns.append((leslie, period))
+    # A 300-cycle with chords that skip 3 or 6 vertices: DFS from 0 walks
+    # the cycle, so a vertex's depth is its position, while BFS takes the
+    # chords.  Every cycle length is 300 less a multiple of 3.
+    chords = np.zeros((300, 300), dtype=bool)
+    chords[(np.arange(300) + 1) % 300, np.arange(300)] = True
+    tails = rng.choice(300, 40, replace=False)
+    chords[(tails + rng.choice([4, 7], 40)) % 300, tails] = True
+    patterns.append((chords, 3))
+    return patterns
+
+
+def assert_cyclic_classes(m, report, period):
+    """report has index period, puts vertex 0 in class 0, uses every class and advances one class per edge."""
+    assert report.imprimitivity_index == period
+    classes = np.array(report.cyclic_classes)
+    assert classes[0] == 0
+    rows, cols = np.nonzero(m)
+    assert ((classes[cols] + 1) % period == classes[rows]).all()
+    assert sorted(set(classes.tolist())) == list(range(period))
+
+
 class TestAnalyzeStructure:
     def test_positive_matrix_is_primitive(self):
         report = analyze_structure(np.full((3, 3), 0.5))
@@ -131,12 +175,9 @@ class TestAnalyzeStructure:
                 assert report.cyclic_classes is None
                 continue
             checked += 1
-            period = report.imprimitivity_index
-            classes = np.array(report.cyclic_classes)
-            assert classes[0] == 0
-            rows, cols = np.nonzero(m)
-            assert ((classes[cols] + 1) % period == classes[rows]).all()
-            assert sorted(set(classes.tolist())) == list(range(period))
+            assert_cyclic_classes(m, report, report.imprimitivity_index)
+        for m, period in long_period_patterns(rng):
+            assert_cyclic_classes(m, analyze_structure(m), period)
 
     @pytest.mark.parametrize("period", range(2, 49))
     def test_transpose_classes_run_backwards(self, period):
