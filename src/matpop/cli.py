@@ -85,6 +85,8 @@ def load_model_file(
         raise ModelError(
             f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from None
+    except RecursionError:
+        raise ModelError(f"{path}: JSON is nested too deeply") from None
     if not isinstance(data, dict):
         raise ModelError(f"{path}: top level must be an object")
 

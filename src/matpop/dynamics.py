@@ -22,7 +22,7 @@ import numpy as np
 from .errors import ConsistencyError, ModelError, NumericalError, StructureError
 from .matrices import as_population_vector
 from .model import PopulationModel
-from .spectral import _cycle_maps, _primitive_pair
+from .spectral import _cycle_maps, _dominant_pair, _power_root
 
 # Eigenvector residual, relative to the factor times the population's
 # largest entry, below which classify_population accepts a population as
@@ -161,9 +161,9 @@ def periodic_limits(model: PopulationModel, x0) -> PeriodicLimits:
 
     Requires an irreducible projection matrix; with d = 1 this is the
     single limit of eventual_limit.  P / r maps cyclic class C_k into the
-    next by A_k; the Perron vectors (u_0, v_0) of M = A_d-1 ... A_0 are
-    carried on by u_k+1 = A_k u_k and v_k = v_k+1 A_k, w_0 = u_c (v_c @ x0_c)
-    on each class c, and w_i = (P / r)^i w_0.  Limits that break
+    next by A_k; the Perron vectors (u_0, v_0) of M = A_d-1 ... A_0, each certified by the
+    kernel from LAPACK's proposed pair, are carried on by u_k+1 = A_k u_k and v_k = v_k+1 A_k,
+    w_0 = u_c (v_c @ x0_c) on each class c, and w_i = (P / r)^i w_0.  Limits that break
     (P / r) w_d-1 = w_0 or v @ w_i = v @ x0 raise ConsistencyError.
     """
     structure = model.structure
@@ -180,7 +180,8 @@ def periodic_limits(model: PopulationModel, x0) -> PeriodicLimits:
     for a in maps[1:]:
         cycle = a @ cycle
     u, v = np.empty((2, model.n))
-    u[members[0]], v[members[0]] = _primitive_pair(cycle, model.tol_spec)
+    u0, v0 = (_power_root(m, model.tol_spec, None, [_dominant_pair(m), []])[1] for m in (cycle, cycle.T))
+    u[members[0]], v[members[0]] = u0, v0 / float(v0 @ u0)
     for k in range(1, period):
         u[members[k]] = maps[k - 1] @ u[members[k - 1]]
         v[members[-k]] = v[members[1 - k]] @ maps[-k]

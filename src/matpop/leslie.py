@@ -46,7 +46,7 @@ class LeslieModel:
         try:
             survival = tuple(float(t) for t in self.survival)
             fertility = tuple(float(f) for f in self.fertility)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ModelError(f"survival and fertility must be sequences of numbers: {exc}") from None
         object.__setattr__(self, "survival", survival)
         object.__setattr__(self, "fertility", fertility)

@@ -15,7 +15,7 @@ def as_matrix(values, *, name: str = "matrix") -> np.ndarray:
     """
     try:
         m = np.array(values, dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ModelError(f"{name} is not a rectangular array of numbers: {exc}") from None
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
         raise ModelError(f"{name} must be square and nonempty, got shape {m.shape}")
@@ -31,7 +31,7 @@ def as_population_vector(values, n: int, *, name: str = "population vector") -> 
     """Coerce to a read-only length-n float64 vector that is >= 0 and not all zero."""
     try:
         v = np.array(values, dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ModelError(f"{name} is not a vector of numbers: {exc}") from None
     if v.ndim != 1 or v.shape[0] != n:
         raise ModelError(f"{name} must have length {n}, got shape {v.shape}")

@@ -250,28 +250,6 @@ def _eig_seed(block: np.ndarray, classes: tuple[int, ...]):
     return None if x0 is None else (lam, x0)
 
 
-def _primitive_pair(m: np.ndarray, tol: float):
-    """Certified right and left Perron vectors (u, v) of a primitive matrix, with v @ u = 1.
-
-    Each side is one pass on m / lam started from LAPACK's proposal
-    (lam, x0), or on m from the uniform vector when there is none.
-    """
-    sides = []
-    for side in (m, m.T):
-        lam, start = _dominant_pair(side) or (1.0, None)
-        root, vector, lo, hi, used = _power_pass(side / lam, tol, MAX_ITERATIONS, start)
-        if root is None:
-            raise ConvergenceError(
-                f"power iteration did not converge in {used} iterations; "
-                f"spectral radius is in [{lo:.17g}, {hi:.17g}]",
-                bracket=(lo, hi),
-                iterations=used,
-            )
-        sides.append(vector)
-    right, left = sides
-    return right, left / float(left @ right)
-
-
 def _power_root(block: np.ndarray, tol: float, classes: tuple[int, ...] | None = None, kept=None):
     """Perron root and sum-1 Perron vector (root, vector) of a block of the given cyclic classes.
 
@@ -291,9 +269,10 @@ def _power_root(block: np.ndarray, tol: float, classes: tuple[int, ...] | None =
     root relative to lam.  A block of index 3 or more, whose cold passes
     contract by at best cos(pi / d) >= 1/2 per step, starts from the seed
     instead; one without a seed is probed as any other.
-    MAX_ITERATIONS bounds all passes of the block together.  An empty kept
-    gets the first pass, [seed or None, state]; handed back for a tighter
-    tol, it resumes that pass where it stopped and is emptied.
+    MAX_ITERATIONS bounds all passes of the block together.  kept is the
+    pass to start from, [seed or None, state], and is emptied: a kept first
+    pass, resumed for a tighter tol where it stopped, or [seed, []], a
+    seeded pass not yet begun.  An empty kept gets the first pass.
     """
     probe_budget = _probe_length(block.shape[0])
     remaining = MAX_ITERATIONS

@@ -15,7 +15,7 @@ import numpy as np  # noqa: E402
 import pytest  # noqa: E402
 
 from helpers import plant_model  # noqa: E402
-from matpop import model, spectral, structure  # noqa: E402
+from matpop import dynamics, model, spectral, structure  # noqa: E402
 
 
 @pytest.fixture
@@ -31,12 +31,14 @@ def kernel_calls(monkeypatch):
     pattern) and "_power_root" (one certified Perron root of a block).
     """
     calls = defaultdict(list)
-    # spectral and model call _analyze_pattern through their own imported names.
+    # spectral and model call _analyze_pattern, and dynamics _power_root,
+    # through their own imported names.
     patched = (
         (structure, "_analyze_pattern"),
         (spectral, "_analyze_pattern"),
         (model, "_analyze_pattern"),
         (spectral, "_power_root"),
+        (dynamics, "_power_root"),
     )
     for module, name in patched:
         original = getattr(module, name)

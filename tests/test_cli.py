@@ -171,6 +171,27 @@ class TestAnalyzeCommand:
         assert main(["analyze", path]) == 2
         assert capsys.readouterr().err.startswith(f"error: {path}: {field} entries must be JSON numbers")
 
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"transition": [[0]], "fertility": [[10**400]]},
+            {"leslie": {"survival": [0.5], "fertility": [1, 10**400]}},
+        ],
+        ids=["general", "leslie"],
+    )
+    def test_integer_beyond_float_range_exits_2(self, payload, tmp_path, capsys):
+        path = write_model(tmp_path, "huge.json", payload)
+        assert main(["analyze", path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
+    def test_deeply_nested_json_exits_2(self, tmp_path, capsys):
+        # json.loads gives up with RecursionError near the interpreter's limit.
+        path = tmp_path / "deep.json"
+        path.write_text('{"transition": ' + "[" * 1200 + "0" + "]" * 1200 + ', "fertility": [[1]]}')
+        assert main(["analyze", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {path}: JSON is nested too deeply\n"
+
     def test_ragged_matrix_rejected(self, tmp_path, capsys):
         path = write_model(
             tmp_path, "ragged.json", {"transition": [[0.0, 0.0], [0.0]], "fertility": [[1.0]]}
@@ -588,7 +609,8 @@ class TestCallBudget:
             (["analyze", PLANT], 3, 3),
             (["scale", PLANT, "--stationary"], 3, 4),
             (["scale", PLANT, "--target-growth", "2"], 4, 5),
-            (["simulate", PLANT, "--x0", "1,0,2,0,0", "--steps", "40"], 2, 1),
+            # The plant has index 2: periodic_limits certifies each side of M's pair.
+            (["simulate", PLANT, "--x0", "1,0,2,0,0", "--steps", "40"], 2, 3),
             (["simulate", str(FIXTURES / "leslie3.json"), "--x0", "1,0,2", "--steps", "40"], 2, 3),
         ],
     )

@@ -130,6 +130,10 @@ class TestIterate:
         with pytest.raises(ModelError):
             iterate(plant, [1.0, 2.0], 3)
 
+    def test_rejects_integer_beyond_float_range(self, plant):
+        with pytest.raises(ModelError, match="not a vector of numbers"):
+            iterate(plant, [10**400, 0, 0, 0, 0], 3)
+
     def test_rejects_negative_steps(self, plant):
         with pytest.raises(ModelError):
             iterate(plant, PLANT_STABLE, -1)
@@ -352,6 +356,22 @@ class TestPeriodicLimits:
         vars(model)["growth_rate"] = PLANT_R * (1.0 + 1e-6)
         with pytest.raises(ConsistencyError, match="close the cycle"):
             periodic_limits(model, PLANT_NEWBORN)
+
+    @pytest.mark.parametrize(
+        "model",
+        [plant_model(), leslie(6, {3: 1.0, 6: 2.0}), leslie(12, {12: 5.0})],
+        ids=["plant-d2", "leslie6-d3", "semelparous12-d12"],
+    )
+    def test_cycle_pair_is_two_seeded_passes(self, model, kernel_calls, power_passes):
+        # Each side of M's pair is one _power_root pass from LAPACK's
+        # proposal: no cold probe, and no Tarjan pass on M.
+        assert model.growth_rate > 0.0
+        kernel_calls.clear()
+        power_passes.clear()
+        periodic_limits(model, np.ones(model.n))
+        assert len(kernel_calls["_power_root"]) == 2
+        assert not kernel_calls["_analyze_pattern"]
+        assert len(power_passes) == 2 and all(start is not None for start, _ in power_passes)
 
     def test_left_perron_functional_is_conserved(self, plant):
         pair = perron_pair(plant.projection)

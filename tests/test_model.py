@@ -75,6 +75,10 @@ class TestValidateModel:
         with pytest.raises(ModelError):
             validate_model(np.zeros((2, 2)), np.ones((3, 3)))
 
+    def test_integer_beyond_float_range_rejected(self):
+        with pytest.raises(ModelError, match="fertility matrix is not a rectangular array"):
+            validate_model([[0]], [[10**400]])
+
     def test_negative_entries_rejected(self):
         with pytest.raises(ModelError):
             validate_model([[-0.1]], [[1.0]])
