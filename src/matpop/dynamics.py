@@ -116,7 +116,7 @@ def iterate(model: PopulationModel, x0, steps: int, *, normalize: bool = False) 
         for start in range(1, steps + 1, block_rows):
             block = trajectory[start:start + block_rows]
             for row in block:
-                np.dot(matrix, previous, out=row)
+                matrix.dot(previous, row)
                 previous = row
             if normalize:
                 continue

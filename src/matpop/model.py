@@ -239,7 +239,8 @@ def _rescaled(model: PopulationModel, divisor: float, target: float) -> Populati
 def _classify(r: float, r0: float, tol_class: float) -> Trichotomy:
     if abs(r - 1.0) <= tol_class and abs(r0 - 1.0) <= tol_class:
         return Trichotomy.STATIONARY
-    if r > 1.0 and r <= r0 + tol_class:
+    # Above 1 the slack is relative: R0(s) = R0 / q(s) is certified only relative to s.
+    if r > 1.0 and r <= r0 + tol_class * r:
         return Trichotomy.GROWING
     if r < 1.0 and r0 <= r + tol_class:
         return Trichotomy.DECLINING

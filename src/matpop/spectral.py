@@ -96,7 +96,8 @@ def _power_pass(block: np.ndarray, tol: float, budget: int, start: np.ndarray | 
     smaller, it resumes the pass from that row with the bits of a fresh
     one, as neither the iterates nor the stall window depend on tol.
 
-    Chunks compute only y = (block + I) x and x = y / sum(y), and their
+    Chunks compute only y = (block + I) x and x = y / sum(y), three bare
+    calls a step that write into the chunk's rows and a 0-d sum, and their
     brackets are read afterwards, all at once.  The first chunk, all that a
     well-seeded pass needs, is one step on the start itself; a later one
     ends just past where the widths, at their geometric rate over the
@@ -109,21 +110,24 @@ def _power_pass(block: np.ndarray, tol: float, budget: int, start: np.ndarray | 
     shifted = block.copy()
     shifted.reshape(-1)[:: n + 1] += 1.0
     window = _probe_length(n)
+    total = np.empty(())
     state = [] if state is None else state
     if not state:
         x = np.full(n, 1.0 / n) if start is None else start
-        y = np.dot(shifted, x)
-        state[:] = x[None], y[None], y / np.add.reduce(y), 0, 0, math.inf, 0
+        y = shifted.dot(x)
+        state[:] = x[None], y[None], np.divide(y, np.add.reduce(y, 0, None, total)), 0, 0, math.inf, 0
     # Row k of xs and ys: x_k and y_k = (block + I) x_k of the chunk after iteration done; x: the next one.
     xs, ys, x, done, first, narrowest, narrowest_at = state
     while True:
         ratios = ys / xs
         lows, highs = np.minimum.reduce(ratios, 1).tolist(), np.maximum.reduce(ratios, 1).tolist()
         root = None
-        for row, (lo, hi) in enumerate(zip(lows[first:], highs[first:]), first):
-            iteration = done + row + 1
+        iteration = done + first
+        for lo, hi in zip(lows[first:], highs[first:]):
+            iteration += 1
             width = hi - lo
-            if width <= tol * max(1.0, hi):
+            if width <= tol * (hi if hi > 1.0 else 1.0):
+                row = iteration - done - 1
                 root = max(float(xs[row].dot(ys[row])) / float(xs[row].dot(xs[row])) - 1.0, 0.0)
                 break
             if width < narrowest:
@@ -131,6 +135,7 @@ def _power_pass(block: np.ndarray, tol: float, budget: int, start: np.ndarray | 
                 narrowest_at = iteration
             elif iteration - narrowest_at >= window:
                 break
+        row = iteration - done - 1
         if root is not None or iteration - narrowest_at >= window or iteration == budget:
             state[:] = xs, ys, x, done, row, narrowest, narrowest_at
             return root, (x if row + 1 == len(xs) else xs[row + 1]).copy(), lo - 1.0, hi - 1.0, iteration
@@ -144,11 +149,11 @@ def _power_pass(block: np.ndarray, tol: float, budget: int, start: np.ndarray | 
         xs, ys = np.empty((length + 1, n)), np.empty((length, n))
         xs[0] = x
         x = xs[0]
-        for k in range(length):
-            y = ys[k]
-            np.dot(shifted, x, out=y)
-            x = xs[k + 1]
-            np.divide(y, np.add.reduce(y), out=x)
+        for y, x_next in zip(ys, xs[1:]):
+            shifted.dot(x, y)
+            np.add.reduce(y, 0, None, total)
+            np.divide(y, total, x_next)
+            x = x_next
         xs = xs[:length]
 
 

@@ -56,14 +56,20 @@ def power_passes(monkeypatch):
     """Record (start, iterations) of every power-iteration pass, uncertified and resumed ones included.
 
     start is None for a cold pass from the uniform vector.  A pass resumed
-    at a tighter tolerance is recorded again, with its whole count.
+    at a tighter tolerance is recorded again, with the iterations past the
+    one it had stopped at, so the records sum to the certifying iterations.
     """
     passes = []
+    # id(state) -> (state, iteration its pass stopped at); holding state keeps its id unique.
+    stopped = {}
     original = spectral._power_pass
 
     def recorded(block, tol, max_iterations, start=None, state=None):
         result = original(block, tol, max_iterations, start, state)
-        passes.append((start, result[4]))
+        before = stopped.get(id(state), (None, 0))[1]
+        if state is not None:
+            stopped[id(state)] = state, result[4]
+        passes.append((start, result[4] - before))
         return result
 
     monkeypatch.setattr(spectral, "_power_pass", recorded)
@@ -74,18 +80,19 @@ def power_passes(monkeypatch):
 def computed_iterations(monkeypatch):
     """Count the power-iteration steps the kernel computes, those past a certifying one included.
 
-    Every step is one np.dot in spectral, so spectral's numpy is replaced
-    by a view of numpy whose dot counts its calls.  The count is entry 0
-    of the returned list.
+    A step's product is a bound block.dot, out of a patch's reach, but every
+    step writes its iterate y / sum(y) with one np.divide in spectral, so
+    spectral's numpy is replaced by a view of numpy whose divide counts its
+    calls.  The count is entry 0 of the returned list.
     """
     count = [0]
     counting = types.ModuleType("numpy")
     counting.__getattr__ = lambda name: getattr(np, name)
 
-    def dot(*args, **kwargs):
+    def divide(*args, **kwargs):
         count[0] += 1
-        return np.dot(*args, **kwargs)
+        return np.divide(*args, **kwargs)
 
-    counting.dot = dot
+    counting.divide = divide
     monkeypatch.setattr(spectral, "np", counting)
     return count

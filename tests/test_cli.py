@@ -272,6 +272,16 @@ class TestScaleCommand:
         payload = json.loads(capsys.readouterr().out)
         assert payload["achieved_growth"] == pytest.approx(1e8, rel=1e-12)
 
+    @pytest.mark.parametrize("target", ["1e9", "1e12", "1e15", "1e100"])
+    def test_target_far_above_r0_passes_the_trichotomy_check(self, tmp_path, target, capsys):
+        # R0 / q(s) is certified relative to s: at 1e9 it came out one ulp
+        # low, beyond an absolute slack, and the command exited 3.
+        path = write_model(tmp_path, "one.json", {"leslie": {"survival": [], "fertility": [2.0]}})
+        assert main(["scale", path, "--target-growth", target]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["achieved_growth"] == pytest.approx(float(target), rel=1e-12)
+        assert payload["R0_s"] == pytest.approx(float(target), rel=1e-12)
+
     def test_target_zero_exits_2(self, capsys):
         assert main(["scale", PLANT, "--target-growth", "0"]) == 2
         assert "must exceed rho(T)" in capsys.readouterr().err
@@ -640,12 +650,17 @@ class TestCallBudget:
         [
             (["scale", PLANT, "--stationary"], 232),
             (["simulate", str(FIXTURES / "leslie3.json"), "--x0", "1,0,2", "--steps", "40"], 76),
+            (["analyze", PLANT], 243),
+            (["scale", PLANT, "--target-growth", "2"], 440),
         ],
     )
-    def test_computed_iterations(self, argv, computed, computed_iterations, capsys):
-        # A fresh tol / 4 right side and doubling chunks computed 347 and 93.
+    def test_computed_iterations(self, argv, computed, computed_iterations, power_passes, capsys):
+        # A fresh tol / 4 right side and doubling chunks computed 347 and 93
+        # on the first two.  Every certifying iteration is computed, so a
+        # counter that misses steps reads below their sum.
         assert main(argv) == 0
-        assert computed_iterations[0] <= computed
+        certified = sum(iterations for _, iterations in power_passes)
+        assert certified <= computed_iterations[0] <= computed
 
     def test_long_period_analyze_makes_no_cold_pass(self, tmp_path, power_passes, capsys):
         # Fertile at ages 6, 12, ..., 36, the model's P has index 6.

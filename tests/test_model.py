@@ -225,6 +225,15 @@ class TestTargetGrowthScale:
         result = target_growth_scale(model, s)
         assert result.scaled.growth_rate == pytest.approx(s, rel=1e-12)
 
+    @pytest.mark.parametrize("s", [1e9, 1e12, 1e15, 1e100])
+    def test_large_targets_are_classified_relative_to_s(self, s):
+        # R0(s) = R0 / q(s) = s, certified relative to s; its trichotomy
+        # check raised ConsistencyError at 1e9 with an absolute slack.
+        model = validate_model([[0.0]], [[2.0]])
+        result = target_growth_scale(model, s)
+        assert result.r0_scaled == pytest.approx(s, rel=1e-12)
+        assert result.scaled.growth_rate == pytest.approx(s, rel=1e-12)
+
     def test_q_strictly_decreasing_and_vanishing(self):
         rng = np.random.default_rng(61)
         for _ in range(25):
