@@ -14,7 +14,10 @@ growth classification:
 Scaling only the fertility matrix moves the growth rate without touching
 survival: dividing F by R0 makes the model stationary, and dividing by
 q(s) = rho(F (I - T/s)^-1) / s makes the growth rate exactly s for any
-target s above rho(T).
+target s above rho(T).  The same algebra gives the scaled model's left
+Perron vector: with rows = F_f (I - T/s)^-1 on F's nonzero rows f and
+v Q11(s) = mu v, z = v rows has z T = s z - s v F_f and z F = mu v F_f,
+so z (T + F / q(s)) = s z.  Its growth-rate check starts there.
 
 The model carries its spectral and classification tolerances, set once
 by validate_model, and computes each derived quantity (the structure of
@@ -31,9 +34,11 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ConsistencyError, ModelError, MortalityError, ScalingError, StructureError
+from .errors import ConsistencyError, ConvergenceError, ModelError, MortalityError, ScalingError, StructureError
 from .matrices import as_matrix
-from .spectral import SPECTRAL_TOL, SpectralPair, _pair, _radius, _resolvent_rows
+from .spectral import (
+    SPECTRAL_TOL, SpectralPair, _dominant_pair, _left_root, _pair, _radius, _resolvent_rows, _unit,
+)
 from .structure import QPatternReport, StructureReport, _analyze_pattern, _next_gen_pattern
 
 # Classification band around 1 for the growth trichotomy, and the residual
@@ -69,6 +74,7 @@ class PopulationModel:
     tol_spec: float = SPECTRAL_TOL
     tol_class: float = CLASSIFY_TOL
     _kept: list = field(default_factory=list, init=False, repr=False)
+    _kept_left: list | None = field(default=None, init=False, repr=False)
 
     @property
     def n(self) -> int:
@@ -98,15 +104,26 @@ class PopulationModel:
 
     @cached_property
     def growth_rate(self) -> float:
-        """r = rho(P); an irreducible P's first Perron pass is kept for perron."""
+        """r = rho(P); an irreducible P's first Perron pass is kept for perron.
+
+        A model that _rescaled handed a left Perron vector takes r from a
+        pass on P^T seeded there instead, kept in _kept_left for perron's
+        left side; if that pass does not certify, from P's own first pass.
+        """
+        if self._kept_left:
+            try:
+                return _left_root(self.projection, self.structure, self.tol_spec, self._kept_left)[0]
+            except ConvergenceError:
+                vars(self)["_kept_left"] = None
         return _radius(self.projection, self.structure, self.tol_spec, self._kept)
 
     @cached_property
     def perron(self) -> SpectralPair:
         """Certified Perron pair of an irreducible P, resuming growth_rate's pass; else StructureError."""
         if self.structure.irreducible:
-            self.growth_rate  # fills _kept, which _pair's right side resumes
-        return _pair(self.projection, self.structure, self.tol_spec, self._kept)
+            self.growth_rate  # fills _kept, or _kept_left, which _pair resumes
+        # An empty _kept, as a target-scaled model's, would keep the right side's fresh pass.
+        return _pair(self.projection, self.structure, self.tol_spec, self._kept or None, self._kept_left)
 
     @cached_property
     def next_generation(self) -> np.ndarray:
@@ -211,13 +228,18 @@ def _finite(m: np.ndarray) -> np.ndarray:
     return m
 
 
-def _rescaled(model: PopulationModel, divisor: float, target: float) -> PopulationModel:
+def _rescaled(model: PopulationModel, divisor: float, target: float, left=None) -> PopulationModel:
     """The model with fertility F / divisor, checked to have growth rate target.
 
     The one check of the paper's scaling contract: F / q(s) has growth
     rate s, and q(1) = R0.  A miss beyond STABILITY_TOL * max(1, target)
     raises ConsistencyError.  The model shares T, warnings, tolerances and
     rho(T), and while F / divisor keeps F's pattern, P's structure too.
+    left, if given, is a positive sum-1 left Perron vector of the rescaled
+    P at root target, as the identity z (T + F / q(s)) = s z gives; the
+    check is then a seeded pass on P^T started at (target, left), whose
+    ratio bracket still certifies the root and which perron's left side
+    resumes.
     """
     f = model.fertility / divisor
     if not np.isfinite(f).all():
@@ -229,6 +251,8 @@ def _rescaled(model: PopulationModel, divisor: float, target: float) -> Populati
     if np.array_equal(f > 0, model.fertility > 0):
         vars(scaled)["structure"] = model.structure
         _finite(scaled.projection)
+        if left is not None:
+            vars(scaled)["_kept_left"] = [(target, left), []]
     if abs(scaled.growth_rate - target) > STABILITY_TOL * max(1.0, target):
         raise ConsistencyError(
             f"growth rate of the fertility-rescaled model is {scaled.growth_rate!r}, expected {target!r}"
@@ -303,7 +327,9 @@ def target_growth_scale(model: PopulationModel, s: float) -> TargetScaleResult:
     Requires an irreducible projection matrix and a target s above
     rho(T).  The divisor is q(s) = rho(F (I - T/s)^-1) / s, a strictly
     decreasing function of s, and the scaled model's net reproductive
-    rate is R0 / q(s).
+    rate is R0 / q(s).  The scaled model's check starts from its left
+    Perron vector z = v F_f (I - T/s)^-1, v being Q11(s)'s left Perron
+    vector: [1] when F has one nonzero row, else LAPACK's proposal.
     """
     s = float(s)
     if not model.structure.irreducible:
@@ -323,7 +349,8 @@ def target_growth_scale(model: PopulationModel, s: float) -> TargetScaleResult:
     if q_of_s <= 0.0:
         raise ConsistencyError("fertility divisor came out nonpositive for an irreducible model")
 
-    scaled = _rescaled(model, q_of_s, s)
+    proposal = (1.0, np.ones(1)) if len(q11) == 1 else _dominant_pair(q11.T)
+    scaled = _rescaled(model, q_of_s, s, proposal and _unit(proposal[1] @ rows))
     r0_scaled = model.r0 / q_of_s
     # The scaled model's (s, R0(s)) pair must itself satisfy the trichotomy.
     _classify(s, r0_scaled, model.tol_class)

@@ -82,6 +82,7 @@ def _probe_length(n: int) -> int:
     return max(PROBE_MIN_ITERATIONS, PROBE_ITERATIONS_PER_ORDER * n)
 
 
+@np.errstate(all="ignore")
 def _power_pass(block: np.ndarray, tol: float, budget: int, start: np.ndarray | None = None, state=None):
     """One certified power iteration on block + I from a positive start, the uniform vector by default.
 
@@ -91,10 +92,13 @@ def _power_pass(block: np.ndarray, tol: float, budget: int, start: np.ndarray | 
     within the budget.  The bracket only shrinks in exact arithmetic, so
     once its width has set no new minimum for a whole probe length it has
     reached rounding level, and the pass gives up before its budget is
-    spent.  A list given as state gets the last chunk, row and stall
-    window; handed back with the same block, a tighter tol and a budget no
-    smaller, it resumes the pass from that row with the bits of a fresh
-    one, as neither the iterates nor the stall window depend on tol.
+    spent.  An iterate entry that underflows to 0 leaves its bracket
+    undefined, a nan or inf ratio (numpy's warnings are off in the pass),
+    and the pass stops at the bracket before it, uncertified.  A list given
+    as state gets the last chunk, row, stall window and bracket; handed
+    back with the same block, a tighter tol and a budget no smaller, it
+    resumes the pass from that row with the bits of a fresh one, as
+    neither the iterates nor the stall window depend on tol.
 
     Chunks compute only y = (block + I) x and x = y / sum(y), three bare
     calls a step that write into the chunk's rows and a 0-d sum, and their
@@ -115,14 +119,17 @@ def _power_pass(block: np.ndarray, tol: float, budget: int, start: np.ndarray | 
     if not state:
         x = np.full(n, 1.0 / n) if start is None else start
         y = shifted.dot(x)
-        state[:] = x[None], y[None], np.divide(y, np.add.reduce(y, 0, None, total)), 0, 0, math.inf, 0
+        x_next = np.divide(y, np.add.reduce(y, 0, None, total))
+        state[:] = x[None], y[None], x_next, 0, 0, math.inf, 0, (1.0, math.inf)
     # Row k of xs and ys: x_k and y_k = (block + I) x_k of the chunk after iteration done; x: the next one.
-    xs, ys, x, done, first, narrowest, narrowest_at = state
+    # bracket: the last one read before the chunk, of block + I.
+    xs, ys, x, done, first, narrowest, narrowest_at, bracket = state
     while True:
         ratios = ys / xs
         lows, highs = np.minimum.reduce(ratios, 1).tolist(), np.maximum.reduce(ratios, 1).tolist()
         root = None
         iteration = done + first
+        # A nan or inf ratio leaves its bracket undefined: it certifies nothing and ends the pass.
         for lo, hi in zip(lows[first:], highs[first:]):
             iteration += 1
             width = hi - lo
@@ -133,12 +140,19 @@ def _power_pass(block: np.ndarray, tol: float, budget: int, start: np.ndarray | 
             if width < narrowest:
                 narrowest = width
                 narrowest_at = iteration
-            elif iteration - narrowest_at >= window:
+            elif iteration - narrowest_at >= window or not width < math.inf:
                 break
         row = iteration - done - 1
+        if not width < math.inf:
+            # The row's x has an entry that underflowed to 0: stop at the bracket before it.  A resumed
+            # pass re-reads the row, and the bracket before it comes from the state if the row is first.
+            bracket = (lows[row - 1], highs[row - 1]) if row > first else bracket
+            state[:] = xs, ys, x, done, row, narrowest, narrowest_at, bracket
+            return None, xs[row].copy(), bracket[0] - 1.0, bracket[1] - 1.0, iteration - 1
         if root is not None or iteration - narrowest_at >= window or iteration == budget:
-            state[:] = xs, ys, x, done, row, narrowest, narrowest_at
+            state[:] = xs, ys, x, done, row, narrowest, narrowest_at, bracket
             return root, (x if row + 1 == len(xs) else xs[row + 1]).copy(), lo - 1.0, hi - 1.0, iteration
+        bracket = lo, hi
         done, first, half, length = iteration, 0, len(xs) // 2, 2 * len(xs)
         # Logarithms of positive, finite numbers only; wide / width >= 1 + 2^-52.
         wide, target = highs[half] - lows[half], tol * max(1.0, hi)
@@ -275,9 +289,10 @@ def _power_root(block: np.ndarray, tol: float, classes: tuple[int, ...] | None =
     contract by at best cos(pi / d) >= 1/2 per step, starts from the seed
     instead; one without a seed is probed as any other.
     MAX_ITERATIONS bounds all passes of the block together.  kept is the
-    pass to start from, [seed or None, state], and is emptied: a kept first
-    pass, resumed for a tighter tol where it stopped, or [seed, []], a
-    seeded pass not yet begun.  An empty kept gets the first pass.
+    pass to start from, [seed or None, state]: a kept first pass, resumed
+    for a tighter tol where it stopped and then emptied, or [seed, []], a
+    seeded pass not yet begun, which stays kept as it goes so that a
+    tighter tol can resume it.  An empty kept gets the first pass.
     """
     probe_budget = _probe_length(block.shape[0])
     remaining = MAX_ITERATIONS
@@ -285,7 +300,7 @@ def _power_root(block: np.ndarray, tol: float, classes: tuple[int, ...] | None =
     bracket = (0.0, math.inf)
     kept = [] if kept is None else kept
     seed, state = kept or [None if classes is None or max(classes) < 2 else _eig_seed(block, classes), []]
-    kept[:] = [] if kept else [seed, state]
+    kept[:] = [] if state else [seed, state]
     for _ in range(3 if seed is None else 0):
         if remaining <= 0:
             break
@@ -363,8 +378,11 @@ def perron_pair(m, *, tol: float = SPECTRAL_TOL) -> SpectralPair:
     return _pair(m, _analyze_pattern(m > 0), tol)
 
 
-def _pair(m: np.ndarray, report: StructureReport, tol: float, kept=None) -> SpectralPair:
-    """perron_pair of a validated matrix whose structure report is given; the right side resumes kept."""
+def _pair(m: np.ndarray, report: StructureReport, tol: float, kept=None, kept_left=None) -> SpectralPair:
+    """perron_pair of a validated matrix whose structure report is given.
+
+    The right side resumes kept, and the left side kept_left, a pass of _left_root; None starts afresh.
+    """
     if not report.irreducible:
         raise StructureError("matrix is reducible; analyze each strongly connected component separately")
     n = m.shape[0]
@@ -376,14 +394,18 @@ def _pair(m: np.ndarray, report: StructureReport, tol: float, kept=None) -> Spec
     # Iterate both sides a notch tighter than requested so the combined
     # residuals of the pair stay within tol.
     inner_tol = tol / 4.0
-    classes, period = report.cyclic_classes, report.imprimitivity_index
-    rho, right = _power_root(m, inner_tol, classes, kept)
-    # The transpose reverses every edge, so its classes run the other way.
-    _, left = _power_root(m.T, inner_tol, tuple(-k % period for k in classes))
+    rho, right = _power_root(m, inner_tol, report.cyclic_classes, kept)
+    _, left = _left_root(m, report, inner_tol, kept_left)
     left = left / float(left @ right)
     right.setflags(write=False)
     left.setflags(write=False)
     return SpectralPair(rho=rho, right=right, left=left)
+
+
+def _left_root(m: np.ndarray, report: StructureReport, tol: float, kept=None):
+    """_power_root of the transpose of an irreducible m: its root and sum-1 left Perron vector."""
+    # The transpose reverses every edge, so its classes run the other way.
+    return _power_root(m.T, tol, tuple(-k % report.imprimitivity_index for k in report.cyclic_classes), kept)
 
 
 def resolvent_inverse(transition) -> np.ndarray:

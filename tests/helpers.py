@@ -281,6 +281,27 @@ def random_reducible_model(rng, n_max: int = 8) -> PopulationModel:
     return validate_model(t[np.ix_(order, order)], f)
 
 
+def random_cyclic_model(rng, period: int, size_max: int = 3) -> PopulationModel:
+    """Random irreducible model of imprimitivity index period, with F's nonzero rows all in one class.
+
+    The cyclic classes C_0, ..., C_period-1 have 2 to size_max members
+    each, every entry of the maps C_c -> C_c+1 is positive, T holds all
+    of them but the last, C_period-1 -> C_0, which is F's.  So T is
+    nilpotent and F has |C_0| >= 2 nonzero rows.
+    """
+    sizes = rng.integers(2, size_max + 1, period)
+    starts = np.cumsum([0, *sizes])
+    n = int(starts[-1])
+    t = np.zeros((n, n))
+    f = np.zeros((n, n))
+    for c in range(period):
+        rows = slice(starts[(c + 1) % period], starts[(c + 1) % period + 1])
+        target = f if c == period - 1 else t
+        target[rows, starts[c] : starts[c + 1]] = rng.uniform(0.1, 1.0, (sizes[(c + 1) % period], sizes[c]))
+    t /= max(1.0, float(t.sum(axis=0).max()))
+    return validate_model(t, f * math.exp(rng.uniform(math.log(0.1), math.log(5.0))))
+
+
 def random_leslie_model(rng, n_max: int = 12) -> LeslieModel:
     n = int(rng.integers(1, n_max + 1))
     survival = rng.uniform(0.05, 1.0, n - 1)
@@ -301,17 +322,21 @@ def reference_power_pass(block, tol, max_iterations, start=None, state=None):
     """spectral._power_pass one iteration at a time, with the bracket read at every step.
 
     state is ignored: a pass resumed at a tighter tol answers as this fresh one.
+    A nan or inf ratio, from an iterate entry 0, stops the pass with the bracket before it.
     """
     n = block.shape[0]
     shifted = block + np.eye(n)
     x = np.full(n, 1.0 / n) if start is None else start
-    lo = hi = 0.0
+    lo, hi = 1.0, math.inf
     window = spectral._probe_length(n)
     narrowest = math.inf
     narrowest_at = 0
     for iteration in range(1, max_iterations + 1):
-        y = shifted @ x
-        ratios = y / x
+        with np.errstate(all="ignore"):  # as in the pass: an undefined bracket stops it instead
+            y = shifted @ x
+            ratios = y / x
+        if not np.isfinite(ratios).all():
+            return None, x, lo - 1.0, hi - 1.0, iteration - 1
         lo = float(ratios.min())
         hi = float(ratios.max())
         width = hi - lo

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,13 +11,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from matpop import cli, dynamics, spectral, validate_model
+from matpop import cli, dynamics, spectral, target_growth_scale, validate_model
 from matpop import model as model_layer
-from matpop.cli import main
+from matpop.cli import load_model_file, main
 from helpers import PLANT_R, plant_stable_of_s
 
 FIXTURES = Path(__file__).parent / "fixtures"
 PLANT = str(FIXTURES / "plant.json")
+# Fertile at ages 6, 12, ..., 36, the model's P has index 6.
+INDEX_6_LESLIE = {
+    "leslie": {"survival": [0.9] * 35, "fertility": [5.0 if age % 6 == 0 else 0.0 for age in range(1, 37)]}
+}
+# At s = 1000 the scaled model's Perron vector falls by about 1e-11 a class, below the smallest float.
+UNDERFLOWING_LESLIE = {"leslie": {"survival": [1e-8] * 39, "fertility": [1.0] + [0.0] * 38 + [1.0]}}
 
 
 def write_model(tmp_path, name, payload) -> str:
@@ -311,6 +318,16 @@ class TestScaleCommand:
         payload = json.loads(capsys.readouterr().out)
         assert payload["q"] == 2.0
         assert payload["stable_population"] is None
+
+    def test_underflowing_iterate_exits_3_with_a_finite_bracket(self, tmp_path, capsys):
+        # An iterate entry that underflows to 0 gave nan ratios: a leaked
+        # RuntimeWarning and "spectral radius is in [nan, nan]".
+        path = write_model(tmp_path, "underflow.json", UNDERFLOWING_LESLIE)
+        assert main(["scale", path, "--target-growth", "1000"]) == 3
+        err = capsys.readouterr().err
+        assert "Warning" not in err
+        lo, hi = map(float, re.search(r"spectral radius is in \[(.*), (.*)\]", err).groups())
+        assert math.isfinite(lo) and math.isfinite(hi) and lo <= 1000.0 <= hi
 
     def test_reducible_target_exits_2(self, tmp_path, capsys):
         assert main(["scale", jordan_file(tmp_path), "--target-growth", "2"]) == 2
@@ -651,21 +668,35 @@ class TestCallBudget:
             (["scale", PLANT, "--stationary"], 232),
             (["simulate", str(FIXTURES / "leslie3.json"), "--x0", "1,0,2", "--steps", "40"], 76),
             (["analyze", PLANT], 243),
-            (["scale", PLANT, "--target-growth", "2"], 440),
+            (["scale", PLANT, "--target-growth", "2"], 407),
         ],
     )
     def test_computed_iterations(self, argv, computed, computed_iterations, power_passes, capsys):
         # A fresh tol / 4 right side and doubling chunks computed 347 and 93
-        # on the first two.  Every certifying iteration is computed, so a
-        # counter that misses steps reads below their sum.
+        # on the first two, and a cold target check 440 on the last.  Every
+        # certifying iteration is computed, so a counter that misses steps
+        # reads below their sum.
         assert main(argv) == 0
         certified = sum(iterations for _, iterations in power_passes)
         assert certified <= computed_iterations[0] <= computed
 
     def test_long_period_analyze_makes_no_cold_pass(self, tmp_path, power_passes, capsys):
-        # Fertile at ages 6, 12, ..., 36, the model's P has index 6.
-        fertility = [5.0 if age % 6 == 0 else 0.0 for age in range(1, 37)]
-        path = write_model(tmp_path, "d6.json", {"leslie": {"survival": [0.9] * 35, "fertility": fertility}})
+        path = write_model(tmp_path, "d6.json", INDEX_6_LESLIE)
         assert main(["analyze", path]) == 0
         assert json.loads(capsys.readouterr().out)["imprimitivity_index"] == 6
         assert power_passes and all(start is not None for start, _ in power_passes)
+
+    @pytest.mark.parametrize("name, s", [("plant", 2.0), ("leslie3", 1.5), ("index6", 1.2)])
+    def test_target_check_is_one_seeded_step(self, name, s, tmp_path, power_passes, monkeypatch):
+        # The check starts from the scaled model's left Perron vector: on
+        # the plant (2 fertile rows), a Leslie model (1) and one of index 6,
+        # whose check went to _eig_seed.
+        paths = {"plant": PLANT, "leslie3": str(FIXTURES / "leslie3.json")}
+        model = load_model_file(paths.get(name) or write_model(tmp_path, "d6.json", INDEX_6_LESLIE))
+        eig_seed, seeds = spectral._eig_seed, []
+        monkeypatch.setattr(spectral, "_eig_seed", lambda *args: seeds.append(args) or eig_seed(*args))
+        power_passes.clear()
+        result = target_growth_scale(model, s)
+        assert result.scaled.growth_rate == pytest.approx(s, rel=1e-12)
+        assert [iterations for start, iterations in power_passes if start is not None] == [1]
+        assert not seeds

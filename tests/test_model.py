@@ -7,6 +7,7 @@ import pytest
 from matpop import (
     ConsistencyError,
     Error,
+    LeslieModel,
     ModelError,
     MortalityError,
     ScalingError,
@@ -16,6 +17,7 @@ from matpop import (
     analyze_structure,
     assemble,
     eventual_limit,
+    perron_pair,
     periodic_limits,
     r0_positive,
     resolvent_inverse,
@@ -37,6 +39,7 @@ from helpers import (
     digraph_of,
     mp_next_generation_radius,
     plant_q_of_s,
+    random_cyclic_model,
     random_general_model,
     random_irreducible_model,
     random_leslie_model,
@@ -234,6 +237,34 @@ class TestTargetGrowthScale:
         assert result.r0_scaled == pytest.approx(s, rel=1e-12)
         assert result.scaled.growth_rate == pytest.approx(s, rel=1e-12)
 
+    @pytest.mark.parametrize(
+        "survival, fertility, s",
+        [
+            # The check's cold pass and eig-seeded pass ran out 200,000 iterations.
+            (
+                [0.325, 0.408, 0.389, 0.601, 0.335, 0.622, 0.432],
+                [0.0, 2.292, 2.39, 0.0, 0.0, 0.0, 0.0, 1.5],
+                1e6,
+            ),
+            # The check's cold pass stalled after 2,278 iterations.
+            ([1e-8] * 39, [1.0] + [0.0] * 38 + [1.0], 2.0),
+        ],
+    )
+    def test_check_certifies_from_the_left_vector(self, survival, fertility, s, power_passes):
+        model = assemble(LeslieModel(survival, fertility))
+        power_passes.clear()
+        result = target_growth_scale(model, s)
+        assert result.scaled.growth_rate == pytest.approx(s, rel=1e-12)
+        assert [iterations for _, iterations in power_passes] == [1]
+
+    def test_check_that_does_not_certify_takes_the_cold_route(self, power_passes):
+        # At tol 1e-30 only a bracket of width 0 certifies: the pass from z stalls, P's cold pass does not.
+        model = validate_model([[0.0, 0.0], [0.5, 0.0]], [[0.5, 1.0], [0.0, 0.0]], tol_spec=1e-30)
+        power_passes.clear()
+        scaled = target_growth_scale(model, 2.0).scaled
+        assert power_passes[0][0] is not None and power_passes[-1][0] is None
+        assert scaled.growth_rate == spectral_radius(scaled.projection, tol=1e-30)
+
     def test_q_strictly_decreasing_and_vanishing(self):
         rng = np.random.default_rng(61)
         for _ in range(25):
@@ -258,6 +289,39 @@ class TestTargetGrowthScale:
             r0_direct = spectral_radius(result.scaled.next_generation)
             assert result.r0_scaled == pytest.approx(r0 / result.q, abs=1e-12)
             assert r0_direct == pytest.approx(r0 / result.q, abs=1e-10)
+
+
+class TestLeftVectorIdentity:
+    """z = v F_f (I - T/s)^-1, v Q11(s)'s left Perron vector, is the left Perron vector of T + F / q(s)."""
+
+    def test_random_models(self, monkeypatch):
+        handed = []
+        rescaled = model_layer._rescaled
+
+        def spy(model, divisor, target, left=None):
+            handed.append(left)
+            return rescaled(model, divisor, target, left)
+
+        monkeypatch.setattr(model_layer, "_rescaled", spy)
+        rng = np.random.default_rng(73)
+        leslie = [(1.0, 0.9, 0.7), (0.0, 0.0, 2.0), (0.0, 0.8, 0.0, 1.1), (0.0, 0.0, 0.0, 0.0, 0.0, 3.0)]
+        models = [random_irreducible_model(rng, n_max=8) for _ in range(24)]
+        models += [random_cyclic_model(rng, period) for period in (2, 3, 4, 5) for _ in range(4)]
+        models += [assemble(LeslieModel(rng.uniform(0.2, 0.9, len(f) - 1), f)) for f in leslie for _ in range(3)]
+        kinds = set()
+        for model in models:
+            fertile_rows = int(model.fertility.any(axis=1).sum())
+            if not model.structure.irreducible:
+                continue
+            kinds.add((fertile_rows > 1, min(model.structure.imprimitivity_index, 3)))
+            rho_t, r = model.rho_transition, model.growth_rate
+            for s in rho_t + (4.0 * r - rho_t) * rng.uniform(0.05, 1.0, 2):
+                result = target_growth_scale(model, s)
+                z = handed[-1]
+                left = perron_pair(result.scaled.projection).left
+                assert (z > 0.0).all()
+                np.testing.assert_allclose(z, left / left.sum(), rtol=1e-9, atol=0.0)
+        assert kinds == {(k, d) for k in (False, True) for d in (1, 2, 3)}
 
 
 class TestScalingContract:

@@ -416,6 +416,39 @@ def _primitive_block(rng, n):
     return m
 
 
+class TestUndefinedBracket:
+    """An iterate entry that underflows to 0 stops the pass at the bracket before it, with no numpy warning."""
+
+    def test_pass_stops_at_the_last_finite_bracket(self):
+        # A 40-class Leslie matrix whose Perron vector falls by about 1e-11 a class: its ratios went nan.
+        block = np.diag(np.full(39, 1e-8), -1)
+        block[0, 0] = block[0, -1] = 1000.0
+        kept = []
+        root, vector, lo, hi, iteration = spectral._power_pass(block, 1e-12, 200_000, None, kept)
+        expected = reference_power_pass(block, 1e-12, 200_000)
+        assert root is None and expected[0] is None
+        assert (lo, hi, iteration) == expected[2:]
+        np.testing.assert_array_equal(vector, expected[1])
+        assert (vector == 0.0).any() and 0.0 <= lo <= 1000.0 <= hi < math.inf
+        assert spectral._power_pass(block, 1e-12 / 4.0, 200_000, None, kept)[2:] == (lo, hi, iteration)
+
+    def test_an_infinite_ratio_certifies_nothing(self):
+        # 1 / 5e-324 overflows: the bracket [1, inf] of A + I passed the width test against tol * inf.
+        block = np.array([[0.0, 1.0], [1.0, 0.0]])
+        start = np.array([1.0, 5e-324])
+        result = spectral._power_pass(block, 1e-12, 1000, start)
+        assert result[0] is None and result[2:] == (0.0, math.inf, 0)
+        assert result[2:] == reference_power_pass(block, 1e-12, 1000, start)[2:]
+
+    def test_root_fails_with_a_finite_bracket(self):
+        block = np.diag(np.full(39, 1e-8), -1)
+        block[0, 0] = block[0, -1] = 1000.0
+        with pytest.raises(ConvergenceError) as info:
+            spectral.spectral_radius(block)
+        lo, hi = info.value.bracket
+        assert 0.0 <= lo <= 1000.0 <= hi < math.inf
+
+
 class TestChunkedPassKeepsItsBits:
     """_power_pass returns exactly what the step-by-step reference loop returns."""
 
