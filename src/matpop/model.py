@@ -17,7 +17,9 @@ q(s) = rho(F (I - T/s)^-1) / s makes the growth rate exactly s for any
 target s above rho(T).  The same algebra gives the scaled model's left
 Perron vector: with rows = F_f (I - T/s)^-1 on F's nonzero rows f and
 v Q11(s) = mu v, z = v rows has z T = s z - s v F_f and z F = mu v F_f,
-so z (T + F / q(s)) = s z.  Its growth-rate check starts there.
+so z (T + F / q(s)) = s z.  One pass on Q11(s)^T, seeded at LAPACK's
+proposal, certifies mu = q(s) s and v together, and the scaled model's
+growth-rate check starts at z.
 
 The model carries its spectral and classification tolerances, set once
 by validate_model, and computes each derived quantity (the structure of
@@ -329,7 +331,13 @@ def target_growth_scale(model: PopulationModel, s: float) -> TargetScaleResult:
     decreasing function of s, and the scaled model's net reproductive
     rate is R0 / q(s).  The scaled model's check starts from its left
     Perron vector z = v F_f (I - T/s)^-1, v being Q11(s)'s left Perron
-    vector: [1] when F has one nonzero row, else LAPACK's proposal.
+    vector: [1] when F has one nonzero row.  For an irreducible Q11(s) of
+    order 2 or more, q(s) s and v come from one pass on Q11(s)^T started
+    at LAPACK's proposal, whose ratio bracket certifies the root.  Without
+    a proposal, or if that pass does not certify, Q11(s)'s own pass gives
+    q(s) and v is the proposal, if any; so it is for a reducible Q11(s).
+    Q11(s) shares Q11's structure report while T / s keeps every walk of
+    T positive.
     """
     s = float(s)
     if not model.structure.irreducible:
@@ -340,17 +348,27 @@ def target_growth_scale(model: PopulationModel, s: float) -> TargetScaleResult:
     if not np.isfinite(s) or s <= rho_t + model.tol_spec:
         raise ScalingError(f"target growth rate {s:.6g} must exceed rho(T) = {rho_t:.6g}")
 
-    # rho(T / s) = rho(T) / s < 1, and T / s walks no edge that T does not.
-    # Q11(s) gets its own walk: for a large s, T / s can underflow long walks to exact zeros.
+    # rho(T / s) = rho(T) / s < 1, and T / s walks no edge that T does not.  Q11(s) shares Q11's
+    # walk unless, for a large s, T / s underflowed a long walk to an exact zero.
     fertile = model.fertility.any(axis=1)
     rows = _resolvent_rows(model.transition / s, model._transition_structure, model.fertility[fertile])
     q11 = _finite(rows)[:, fertile]
-    q_of_s = _radius(q11, _analyze_pattern(q11 > 0), model.tol_spec) / s
+    pattern = q11 > 0
+    same = np.array_equal(pattern, model.next_generation[np.ix_(fertile, fertile)] > 0)
+    report = model._q11_structure if same else _analyze_pattern(pattern)
+    mu = None
+    proposal = (1.0, np.ones(1)) if len(q11) == 1 else _dominant_pair(q11.T)
+    v = proposal and proposal[1]
+    if proposal and len(q11) > 1 and report.irreducible:
+        try:
+            mu, v = _left_root(q11, report, model.tol_spec, [proposal, []])
+        except ConvergenceError:
+            pass
+    q_of_s = (_radius(q11, report, model.tol_spec) if mu is None else mu) / s
     if q_of_s <= 0.0:
         raise ConsistencyError("fertility divisor came out nonpositive for an irreducible model")
 
-    proposal = (1.0, np.ones(1)) if len(q11) == 1 else _dominant_pair(q11.T)
-    scaled = _rescaled(model, q_of_s, s, proposal and _unit(proposal[1] @ rows))
+    scaled = _rescaled(model, q_of_s, s, None if v is None else _unit(v @ rows))
     r0_scaled = model.r0 / q_of_s
     # The scaled model's (s, R0(s)) pair must itself satisfy the trichotomy.
     _classify(s, r0_scaled, model.tol_class)

@@ -287,12 +287,15 @@ def _power_root(block: np.ndarray, tol: float, classes: tuple[int, ...] | None =
     proposed Perron pair (lam, x0) of _eig_seed, which also resolves the
     root relative to lam.  A block of index 3 or more, whose cold passes
     contract by at best cos(pi / d) >= 1/2 per step, starts from the seed
-    instead; one without a seed is probed as any other.
-    MAX_ITERATIONS bounds all passes of the block together.  kept is the
-    pass to start from, [seed or None, state]: a kept first pass, resumed
-    for a tighter tol where it stopped and then emptied, or [seed, []], a
-    seeded pass not yet begun, which stays kept as it goes so that a
-    tighter tol can resume it.  An empty kept gets the first pass.
+    instead; one without a seed is probed as any other.  Where a block
+    that stopped its probes uncertified gets no seed, its last probe goes
+    on where it stopped.  MAX_ITERATIONS bounds all passes of the block
+    together.  kept is the pass to start from, [seed or None, state]: a
+    kept first pass, resumed for a tighter tol where it stopped and then
+    emptied, or [seed, []], a seeded pass not yet begun, which stays kept
+    as it goes so that a tighter tol can resume it.  An empty kept gets
+    the first pass; if that probe stops uncertified, the seeded pass on
+    the same block takes its place once it certifies.
     """
     probe_budget = _probe_length(block.shape[0])
     remaining = MAX_ITERATIONS
@@ -301,6 +304,7 @@ def _power_root(block: np.ndarray, tol: float, classes: tuple[int, ...] | None =
     kept = [] if kept is None else kept
     seed, state = kept or [None if classes is None or max(classes) < 2 else _eig_seed(block, classes), []]
     kept[:] = [] if state else [seed, state]
+    probed = 0  # iterations of the probe that stopped uncertified on the block, in state
     for _ in range(3 if seed is None else 0):
         if remaining <= 0:
             break
@@ -309,25 +313,34 @@ def _power_root(block: np.ndarray, tol: float, classes: tuple[int, ...] | None =
         bracket = (scale * lo, scale * hi)
         if root is None:
             if not (0.0 < lo and hi < 0.5):
+                probed = used
                 break  # not a small root, just slow: finish from the seed below
             root = 0.5 * (lo + hi)
         elif not 0.0 < root < 0.5:
             return scale * root, vector
         scale *= root
         block = block / root
-        state = None
+        state = []
     if remaining > 0:
+        # Did the kept first probe stop uncertified on this very block?
+        first = seed is None and bool(kept) and kept[1] is state
         if seed is None:
-            seed, state = _eig_seed(block, classes or _analyze_pattern(block > 0).cyclic_classes), None
+            seed = _eig_seed(block, classes or _analyze_pattern(block > 0).cyclic_classes)
+            if seed is not None:
+                state, probed = [], 0
+            elif first:
+                kept[:] = []  # the probe's own pass goes on below, past a probe's length
         start = None
         if seed is not None:
             lam, start = seed
             scale *= lam
             block = block / lam
-        root, vector, lo, hi, used = _power_pass(block, tol, remaining, start, state)
+        root, vector, lo, hi, used = _power_pass(block, tol, remaining + probed, start, state)
         if root is not None:
+            if first and start is not None:
+                kept[:] = [seed, state]  # the seeded pass replaces the probe, for a tighter tol to resume
             return scale * root, vector
-        remaining -= used
+        remaining -= used - probed
         bracket = (scale * lo, scale * hi)
     used = MAX_ITERATIONS - remaining
     raise ConvergenceError(

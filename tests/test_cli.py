@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import math
 import os
@@ -329,6 +330,14 @@ class TestScaleCommand:
         lo, hi = map(float, re.search(r"spectral radius is in \[(.*), (.*)\]", err).groups())
         assert math.isfinite(lo) and math.isfinite(hi) and lo <= 1000.0 <= hi
 
+    def test_underflowing_probe_runs_once(self, tmp_path, capsys):
+        # Without a seed the right side's probe goes on where it stopped; it ran twice, 216 iterations.
+        path = write_model(tmp_path, "underflow.json", UNDERFLOWING_LESLIE)
+        assert main(["scale", path, "--target-growth", "1000"]) == 3
+        err = capsys.readouterr().err
+        assert "did not converge in 108 of 200000 iterations" in err
+        assert "spectral radius is in [0, 1000.0000000000001]" in err
+
     def test_reducible_target_exits_2(self, tmp_path, capsys):
         assert main(["scale", jordan_file(tmp_path), "--target-growth", "2"]) == 2
 
@@ -635,7 +644,8 @@ class TestCallBudget:
         [
             (["analyze", PLANT], 3, 3),
             (["scale", PLANT, "--stationary"], 3, 4),
-            (["scale", PLANT, "--target-growth", "2"], 4, 5),
+            # Q11(s) shares Q11's walk: 4 Tarjan passes when it had its own.
+            (["scale", PLANT, "--target-growth", "2"], 3, 5),
             # The plant has index 2: periodic_limits certifies each side of M's pair.
             (["simulate", PLANT, "--x0", "1,0,2,0,0", "--steps", "40"], 2, 3),
             (["simulate", str(FIXTURES / "leslie3.json"), "--x0", "1,0,2", "--steps", "40"], 2, 3),
@@ -668,17 +678,33 @@ class TestCallBudget:
             (["scale", PLANT, "--stationary"], 232),
             (["simulate", str(FIXTURES / "leslie3.json"), "--x0", "1,0,2", "--steps", "40"], 76),
             (["analyze", PLANT], 243),
-            (["scale", PLANT, "--target-growth", "2"], 407),
+            (["scale", PLANT, "--target-growth", "2"], 164),
         ],
     )
     def test_computed_iterations(self, argv, computed, computed_iterations, power_passes, capsys):
         # A fresh tol / 4 right side and doubling chunks computed 347 and 93
-        # on the first two, and a cold target check 440 on the last.  Every
-        # certifying iteration is computed, so a counter that misses steps
-        # reads below their sum.
+        # on the first two, and on the last a cold target check 440, then a
+        # cold pass on Q11(s) 407.  Every certifying iteration is computed,
+        # so a counter that misses steps reads below their sum.
         assert main(argv) == 0
         certified = sum(iterations for _, iterations in power_passes)
         assert certified <= computed_iterations[0] <= computed
+
+    def test_slow_leslie_summary_repeats_no_eig_seed(self, tmp_path, monkeypatch):
+        # Fertile ages {199, 200}: P's first probe stops uncertified and the
+        # eig-seeded pass certifies.  The pair's right side resumes that pass;
+        # it repeated the probe and the seed's two eig calls, 6 in all.
+        survival, fertility = [0.9] * 199, [0.0] * 198 + [5.0, 5.0]
+        model = load_model_file(
+            write_model(tmp_path, "slow.json", {"leslie": {"survival": survival, "fertility": fertility}})
+        )
+        eig, calls = np.linalg.eig, []
+        monkeypatch.setattr(np.linalg, "eig", lambda a: calls.append(a.shape) or eig(a))
+        summary = cli._simulation_summary(model, np.ones(200))
+        assert summary["fate"] and len(calls) == 4
+        fresh = spectral._pair(model.projection, model.structure, model.tol_spec)
+        assert fresh.right.tobytes() == model.perron.right.tobytes()
+        assert fresh.left.tobytes() == model.perron.left.tobytes()
 
     def test_long_period_analyze_makes_no_cold_pass(self, tmp_path, power_passes, capsys):
         path = write_model(tmp_path, "d6.json", INDEX_6_LESLIE)
@@ -690,13 +716,28 @@ class TestCallBudget:
     def test_target_check_is_one_seeded_step(self, name, s, tmp_path, power_passes, monkeypatch):
         # The check starts from the scaled model's left Perron vector: on
         # the plant (2 fertile rows), a Leslie model (1) and one of index 6,
-        # whose check went to _eig_seed.
+        # whose check went to _eig_seed.  On the plant, q(s) and v come first
+        # from one seeded step on Q11(s)^T, where a cold pass on Q11(s) ran.
         paths = {"plant": PLANT, "leslie3": str(FIXTURES / "leslie3.json")}
         model = load_model_file(paths.get(name) or write_model(tmp_path, "d6.json", INDEX_6_LESLIE))
+        model.r0  # R0's own cold pass on Q11
         eig_seed, seeds = spectral._eig_seed, []
         monkeypatch.setattr(spectral, "_eig_seed", lambda *args: seeds.append(args) or eig_seed(*args))
         power_passes.clear()
         result = target_growth_scale(model, s)
         assert result.scaled.growth_rate == pytest.approx(s, rel=1e-12)
-        assert [iterations for start, iterations in power_passes if start is not None] == [1]
+        assert power_passes and all(start is not None for start, _ in power_passes)
+        assert [iterations for _, iterations in power_passes] == [1] * (2 if name == "plant" else 1)
         assert not seeds
+
+
+def test_cli_sweep_smoke(tmp_path):
+    # Every 12th model of the sweep's first seed: each run ends in exit 0, 2 or 3, none in a traceback.
+    tool = Path(__file__).parents[1] / "tools" / "cli_sweep.py"
+    spec = importlib.util.spec_from_file_location("cli_sweep", tool)
+    sweep = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(sweep)
+    results = [sweep.run(main, argv) for argv in sweep.runs([1], 12, tmp_path)]
+    assert len(results) > 100
+    assert {code for code, _, _ in results} <= {0, 2, 3}
+    assert not any("Traceback" in err for _, _, err in results)

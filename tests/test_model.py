@@ -6,6 +6,7 @@ import pytest
 
 from matpop import (
     ConsistencyError,
+    ConvergenceError,
     Error,
     LeslieModel,
     ModelError,
@@ -324,6 +325,144 @@ class TestLeftVectorIdentity:
         assert kinds == {(k, d) for k in (False, True) for d in (1, 2, 3)}
 
 
+def _q11_of_s(model, s):
+    """Q11(s) = F_f (I - T/s)^-1 on F's nonzero rows and columns, as target_growth_scale solves it."""
+    fertile = model.fertility.any(axis=1)
+    t = model.transition / s
+    return spectral._resolvent_rows(t, model._transition_structure, model.fertility[fertile])[:, fertile]
+
+
+def _old_q_of_s(model, s):
+    """q(s) by the route without a left pass: Q11(s)'s own certified root, over its own walk."""
+    q11 = _q11_of_s(model, s)
+    return spectral._radius(q11, structure._analyze_pattern(q11 > 0), model.tol_spec) / s
+
+
+def _fertility_cycle(rng, period):
+    """T = 0 and a block-cyclic F of the given index, 1-3 classes a step: Q11(s) = F / s is cyclic too."""
+    sizes = rng.integers(1, 4, period)
+    starts = np.cumsum([0, *sizes])
+    f = np.zeros((starts[-1], starts[-1]))
+    for c in range(period):
+        rows = slice(starts[(c + 1) % period], starts[(c + 1) % period + 1])
+        f[rows, starts[c] : starts[c + 1]] = rng.uniform(0.1, 2.0, (sizes[(c + 1) % period], sizes[c]))
+    return validate_model(np.zeros_like(f), f)
+
+
+class TestQOfSPass:
+    """q(s) and Q11(s)'s left Perron vector come from one pass on Q11(s)^T seeded at LAPACK's proposal."""
+
+    @staticmethod
+    def models(rng, family):
+        if family == "index1":
+            models = (random_primitive_model(rng, n_max=8) for _ in range(60))
+        elif family == "q11-cyclic":
+            models = (_fertility_cycle(rng, period) for period in (2, 3, 4, 5, 6) for _ in range(2))
+        else:
+            periods = {"index2": (2,) * 8, "index3+": (3, 4, 5, 6) * 2}[family]
+            models = (random_cyclic_model(rng, period) for period in periods)
+        return [m for m in models if m.structure.irreducible and m.fertility.any(axis=1).sum() >= 2][:8]
+
+    @pytest.mark.parametrize("family", ["index1", "index2", "index3+", "q11-cyclic"])
+    def test_k2_models_of_each_index(self, family, power_passes):
+        rng = np.random.default_rng(["index1", "index2", "index3+", "q11-cyclic"].index(family) + 91)
+        models = self.models(rng, family)
+        indices = {m.structure.imprimitivity_index for m in models}
+        assert len(models) == 8 and indices <= {"index1": {1}, "index2": {2}}.get(family, set(range(2, 7)))
+        for model in models:
+            model.r0  # R0's own pass on Q11
+            rho_t = model.rho_transition
+            for s in rho_t + (4.0 * model.growth_rate - rho_t) * rng.uniform(0.05, 1.0, 2):
+                power_passes.clear()
+                result = target_growth_scale(model, s)
+                # q(s)'s pass and the check's: both seeded, none cold.
+                assert power_passes and all(start is not None for start, _ in power_passes)
+                assert result.q == pytest.approx(_old_q_of_s(model, s), rel=1e-11)
+                assert result.scaled.growth_rate == pytest.approx(s, rel=1e-12)
+        if family == "q11-cyclic":
+            assert {m._q11_structure.imprimitivity_index for m in models} == indices
+
+    def test_q_of_s_matches_mpmath(self):
+        rng = np.random.default_rng(97)
+        checked = 0
+        while checked < 24:
+            model = random_irreducible_model(rng, n_max=7)
+            if model.fertility.any(axis=1).sum() < 2:
+                continue
+            rho_t = model.rho_transition
+            s = rho_t + (3.0 * model.growth_rate - rho_t) * rng.uniform(0.05, 1.0)
+            exact = mp_next_generation_radius(model.transition / s, model.fertility) / s
+            assert target_growth_scale(model, s).q == pytest.approx(exact, rel=1e-11)
+            checked += 1
+
+    @pytest.mark.parametrize("period", [1, 4])
+    def test_without_a_proposal_q_of_s_keeps_the_old_bits(self, period, monkeypatch):
+        # Q11(s) of index 4 goes to its cyclic seed, as the kernel routes it.
+        rng = np.random.default_rng(5)
+        model = _fertility_cycle(rng, 4) if period == 4 else validate_model(PLANT_T, PLANT_F)
+        model.r0
+        eig_seed, seeds = spectral._eig_seed, []
+        monkeypatch.setattr(spectral, "_eig_seed", lambda *args: seeds.append(args[0]) or eig_seed(*args))
+        monkeypatch.setattr(model_layer, "_dominant_pair", lambda block: None)
+        result = target_growth_scale(model, 2.0)
+        # The first seed, if any, is q(s)'s; the check's cold route seeds P of index 4.
+        assert [np.array_equal(block, _q11_of_s(model, 2.0)) for block in seeds[:1]] == [True] * (period > 1)
+        assert result.q == _old_q_of_s(model, 2.0)
+        assert result.scaled.growth_rate == pytest.approx(2.0, rel=1e-12)
+
+    def test_uncertified_seeded_pass_keeps_the_old_bits(self, monkeypatch):
+        # At tol 1e-30 only a bracket of width 0 certifies: the seeded pass on
+        # Q11(s)^T often stalls, and Q11(s)'s own cold pass then gives q(s).
+        left_root, refused = model_layer._left_root, []
+
+        def spy(*args):
+            try:
+                return left_root(*args)
+            except ConvergenceError:
+                refused.append(args[0])
+                raise
+
+        monkeypatch.setattr(model_layer, "_left_root", spy)
+        rng = np.random.default_rng(97)
+        fallbacks = 0
+        for _ in range(40):
+            drawn = random_irreducible_model(rng, n_max=6)
+            if drawn.fertility.any(axis=1).sum() < 2:
+                continue
+            try:
+                model = validate_model(drawn.transition, drawn.fertility, tol_spec=1e-30)
+                s = 2.0 * drawn.growth_rate + 0.1
+                refused.clear()
+                result = target_growth_scale(model, s)
+            except ConvergenceError:
+                continue
+            if any(np.array_equal(block, _q11_of_s(model, s)) for block in refused):
+                fallbacks += 1
+                assert result.q == _old_q_of_s(model, s)
+        assert fallbacks >= 3
+
+    def test_q11_of_s_shares_the_walk_of_q11(self, plant, kernel_calls):
+        plant.structure, plant.r0
+        kernel_calls.clear()
+        target_growth_scale(plant, 2.0)
+        assert not kernel_calls["_analyze_pattern"]
+        q11 = _q11_of_s(plant, 2.0)
+        assert structure._analyze_pattern(q11 > 0) == plant._q11_structure
+
+    def test_underflowed_q11_of_s_gets_its_own_walk(self, kernel_calls):
+        # T / s underflows the walk 2 -> 3 of weight 1e-300 to 0 at s = 1e30, which empties Q11(s)'s column 2.
+        t = [[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.5, 1e-300, 0.5]]
+        f = [[0.0, 0.0, 1.0], [0.0, 0.0, 1.0], [0.0, 0.0, 0.0]]
+        model = validate_model(t, f)
+        model.structure, model.r0
+        assert model._q11_structure.irreducible
+        kernel_calls.clear()
+        result = target_growth_scale(model, 1e30)
+        [pattern] = kernel_calls["_analyze_pattern"]
+        assert pattern.tolist() == [[True, False], [True, False]]
+        assert result.q == _old_q_of_s(model, 1e30)
+
+
 class TestScalingContract:
     """Every rescaled model is checked against its target growth rate, whichever caller built it."""
 
@@ -335,14 +474,16 @@ class TestScalingContract:
             caller(plant)
 
     def test_target_growth_model_off_target_raises(self, plant, monkeypatch):
-        radius = model_layer._radius
-        # Only the first root, q(s) * s, is off; the scaled model's growth rate is not.
+        left_root = model_layer._left_root
+        # Only the first root, q(s) * s from the seeded pass on Q11(s)^T, is off;
+        # the scaled model's growth rate is not.
         offsets = iter([1e-6])
-        monkeypatch.setattr(
-            model_layer,
-            "_radius",
-            lambda m, report, tol, *kept: radius(m, report, tol, *kept) + next(offsets, 0.0),
-        )
+
+        def offset(m, report, tol, kept=None):
+            root, vector = left_root(m, report, tol, kept)
+            return root + next(offsets, 0.0), vector
+
+        monkeypatch.setattr(model_layer, "_left_root", offset)
         with pytest.raises(ConsistencyError):
             target_growth_scale(plant, 2.0)
 

@@ -655,15 +655,29 @@ class TestResumedPowerRoot:
         self.assert_resumes(m, structure.analyze_structure(m).cyclic_classes)
         assert power_passes[0][0] is None
 
-    def test_slow_block_falls_back_to_a_fresh_seeded_pass(self, power_passes):
+    def test_slow_block_resumes_its_seeded_pass(self, power_passes):
         m = _leslie_projection(60, [59, 60])
         classes = structure.analyze_structure(m).cyclic_classes
         kept = []
         spectral._power_root(m, spectral.SPECTRAL_TOL, classes, kept)
+        assert [start is None for start, _ in power_passes] == [True, False]
         power_passes.clear()
         spectral._power_root(m, spectral.SPECTRAL_TOL / 4.0, classes, kept)
-        # The resumed probe, still uncertified, then one fresh seeded pass.
-        assert [start is None for start, _ in power_passes] == [True, False]
+        # The seeded pass that took over from the uncertified probe goes on; the
+        # probe and a fresh seeded pass ran here before.
+        assert [start is None for start, _ in power_passes] == [False] and not kept
+
+    def test_probe_without_a_seed_goes_on_where_it_stopped(self, power_passes, monkeypatch):
+        # With no seed the fallback pass from the uniform vector repeated the probe's steps.
+        m = _leslie_projection(60, [59, 60])
+        monkeypatch.setattr(spectral, "_eig_seed", lambda *args: None)
+        kept, tol, probe = [], spectral.SPECTRAL_TOL, spectral._probe_length(60)
+        rho, vector = spectral._power_root(m, tol, (0,) * 60, kept)
+        root, reference, _, _, iterations = spectral._power_pass(m, tol, spectral.MAX_ITERATIONS)
+        assert rho == root and vector.tobytes() == reference.tobytes()
+        assert power_passes[:2] == [(None, probe), (None, iterations - probe)]
+        # The kept probe went on past a probe's length, so a tighter tol starts afresh.
+        assert not kept
 
     @pytest.mark.parametrize("n, fertile_ages", [(9, [9]), (12, [4, 8, 12]), (200, [200])])
     def test_seeded_route(self, n, fertile_ages, power_passes):

@@ -1,0 +1,224 @@
+"""In-process byte sweep of the matpop CLI over seeded model families.
+
+    python tools/cli_sweep.py record OUT.jsonl [--src SRC] [--seeds 1 2] [--every K]
+    python tools/cli_sweep.py compare OLD_CHECKOUT NEW_CHECKOUT [--seeds 1 2] [--every K]
+
+`record` imports matpop from SRC (default: this checkout's src) and calls
+`matpop.cli.main(argv)` once per run, with stdout and stderr captured and
+every warning shown.  It writes one JSON line per run: the argv, the exit
+code and both streams, with the model directory written as <dir>.  A run
+that escapes main with an exception other than SystemExit records the code
+"traceback" and the formatted traceback as its stderr.
+
+`compare` records each checkout in a child process, from its own src, and
+prints every run whose exit code, stdout or stderr differ; it exits 1 if
+any do.
+
+The runs are analyze, scale --stationary, scale --target-growth (two
+targets between rho(T) and 4 rho(T + F), 2.0, and a power of ten up to
+1e6) and simulate (1 to 59 steps of the all-ones x0, with and without
+--normalize) of every model of these families, drawn by numpy alone from
+each seed: random stage-structured models with n <= 10 (irreducible and
+primitive, and general, often reducible, ones), random cyclic models of
+index 2-6 with 1-3 classes per cycle step, random Leslie models with
+n <= 39, iteroparous Leslie models of index 2-10, semelparous Leslie
+models with n = 10-32, 1-class Leslie models, and two slow Leslie models
+of 8 and 40 classes.  --every K keeps every K-th model of each seed.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import io
+import json
+import math
+import subprocess
+import sys
+import tempfile
+import traceback
+import warnings
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parents[1]
+SLOW_LESLIE = (
+    ([0.325, 0.408, 0.389, 0.601, 0.335, 0.622, 0.432], [0.0, 2.292, 2.39, 0.0, 0.0, 0.0, 0.0, 1.5]),
+    ([1e-8] * 39, [1.0] + [0.0] * 38 + [1.0]),
+)
+
+
+def _rho(m: np.ndarray) -> float:
+    return float(np.abs(np.linalg.eigvals(m)).max()) if m.size else 0.0
+
+
+def _stage(rng, primitive: bool) -> dict:
+    """An irreducible model (a full cycle through T and F), or a general one, often reducible."""
+    n = int(rng.integers(1 if primitive is None else 2, 11))
+    t = (rng.random((n, n)) < 0.3) * rng.uniform(0.0, 1.0, (n, n))
+    f = (rng.random((n, n)) < 0.25) * rng.uniform(0.0, 2.0, (n, n))
+    if primitive is not None:
+        for j in range(n):
+            (f if rng.random() < 0.25 else t)[(j + 1) % n, j] += rng.uniform(0.2, 1.0)
+        if primitive:
+            t[0, 0] += rng.uniform(0.05, 0.2)
+    if _rho(t) > 0.0:
+        t *= rng.uniform(0.1, 0.9) / _rho(t)
+    if f.max() == 0.0:
+        f[int(rng.integers(n)), int(rng.integers(n))] = 1.0
+    return {"transition": t.tolist(), "fertility": (f * math.exp(rng.uniform(-4.0, 1.1))).tolist()}
+
+
+def _cyclic(rng, period: int) -> dict:
+    """Index period: classes of 1-3 members, every map positive, F holding the map back to class 0."""
+    sizes = rng.integers(1, 4, period)
+    starts = np.cumsum([0, *sizes])
+    t = np.zeros((starts[-1], starts[-1]))
+    f = np.zeros_like(t)
+    for c in range(period):
+        rows = slice(starts[(c + 1) % period], starts[(c + 1) % period + 1])
+        target = f if c == period - 1 else t
+        target[rows, starts[c] : starts[c + 1]] = rng.uniform(0.1, 1.0, (sizes[(c + 1) % period], sizes[c]))
+    t /= max(1.0, float(t.sum(axis=0).max()))
+    return {"transition": t.tolist(), "fertility": (f * math.exp(rng.uniform(-2.3, 1.6))).tolist()}
+
+
+def _leslie(survival, fertility) -> dict:
+    return {"leslie": {"survival": [float(x) for x in survival], "fertility": [float(x) for x in fertility]}}
+
+
+def _random_leslie(rng) -> dict:
+    n = int(rng.integers(1, 40))
+    survival = rng.uniform(0.05, 1.0, n - 1)
+    fertility = rng.uniform(0.0, 2.0, n) * (rng.random(n) < 0.5)
+    if fertility.max() == 0.0:
+        fertility[-1] = 1.0
+    return _leslie(survival, fertility * math.exp(rng.uniform(-2.3, 1.1)))
+
+
+def _iteroparous(rng, d: int) -> dict:
+    n = d * int(rng.integers(1, 4))
+    fertility = np.zeros(n)
+    fertility[d - 1 :: d] = rng.uniform(0.2, 3.0, n // d)
+    return _leslie(rng.uniform(0.3, 0.95, n - 1), fertility)
+
+
+def models(seed: int) -> list[dict]:
+    """The sweep's models for a seed."""
+    rng = np.random.default_rng([seed, 7])
+    found = [_leslie(*pair) for pair in SLOW_LESLIE]
+    return (
+        [_stage(rng, k % 2 == 0) for k in range(60)]
+        + [_stage(rng, None) for _ in range(30)]
+        + [_cyclic(rng, 2 + k % 5) for k in range(25)]
+        + [_random_leslie(rng) for _ in range(30)]
+        + [_iteroparous(rng, 2 + k % 9) for k in range(18)]
+        + [_leslie(rng.uniform(0.3, 0.9, n - 1), [0.0] * (n - 1) + [rng.uniform(1.0, 50.0)])
+           for n in range(10, 33, 2)]
+        + [_leslie([], [rng.uniform(0.1, 3.0)]) for _ in range(3)]
+        + (found if seed == 1 else [])
+    )
+
+
+def _matrices(data: dict) -> tuple[np.ndarray, np.ndarray]:
+    if "leslie" not in data:
+        return np.array(data["transition"]), np.array(data["fertility"])
+    survival, fertility = data["leslie"]["survival"], data["leslie"]["fertility"]
+    n = len(fertility)
+    t = np.zeros((n, n))
+    t[np.arange(1, n), np.arange(n - 1)] = survival
+    f = np.zeros((n, n))
+    f[0] = fertility
+    return t, f
+
+
+def runs(seeds, every: int, directory: Path):
+    """Yield the argv of every run, writing each model file into directory."""
+    index = 0
+    for seed in seeds:
+        for k, data in enumerate(models(seed)[::every]):
+            path = directory / f"m{seed}_{k}.json"
+            path.write_text(json.dumps(data))
+            t, f = _matrices(data)
+            rho_t, r = _rho(t), _rho(t + f)
+            targets = [rho_t + (4.0 * r - rho_t) * u for u in (0.3, 0.7) if 4.0 * r > rho_t]
+            targets += [2.0, 10.0 ** (1 + index % 6)]
+            yield ["analyze", str(path)]
+            yield ["scale", str(path), "--stationary"]
+            for s in targets:
+                yield ["scale", str(path), "--target-growth", repr(s)]
+            steps = str(1 + index % 59)
+            x0 = ",".join(["1"] * len(t))
+            yield ["simulate", str(path), "--x0", x0, "--steps", steps]
+            yield ["simulate", str(path), "--x0", x0, "--steps", steps, "--normalize"]
+            index += 1
+
+
+def run(main, argv) -> tuple[object, str, str]:
+    """(exit code, stdout, stderr) of main(argv), or ("traceback", stdout, the traceback)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), warnings.catch_warnings():
+        warnings.simplefilter("always")
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        except Exception:
+            return "traceback", out.getvalue(), traceback.format_exc()
+    return code, out.getvalue(), err.getvalue()
+
+
+def record(out_path: Path, seeds, every: int) -> None:
+    from matpop.cli import main
+
+    with tempfile.TemporaryDirectory() as tmp, open(out_path, "w") as out:
+        for argv in runs(seeds, every, Path(tmp)):
+            code, stdout, stderr = run(main, argv)
+            line = {"argv": argv, "code": code, "stdout": stdout, "stderr": stderr}
+            out.write(json.dumps(line).replace(tmp, "<dir>") + "\n")
+
+
+def compare(old: Path, new: Path, seeds, every: int) -> int:
+    with tempfile.TemporaryDirectory() as tmp:
+        records = []
+        for label, checkout in (("old", old), ("new", new)):
+            path = Path(tmp) / f"{label}.jsonl"
+            subprocess.run(
+                [sys.executable, __file__, "record", str(path), "--src", str(checkout / "src"),
+                 "--every", str(every), "--seeds", *map(str, seeds)],
+                check=True,
+            )
+            records.append([json.loads(line) for line in path.read_text().splitlines()])
+    differing = 0
+    for a, b in zip(*records, strict=True):
+        if a != b:
+            differing += 1
+            print(json.dumps({"argv": a["argv"], "old": {k: a[k] for k in ("code", "stdout", "stderr")},
+                              "new": {k: b[k] for k in ("code", "stdout", "stderr")}}))
+    print(f"{len(records[0])} runs, {differing} differing", file=sys.stderr)
+    return 1 if differing else 0
+
+
+def _parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(description="In-process byte sweep of the matpop CLI.")
+    commands = parser.add_subparsers(dest="command", required=True)
+    one = commands.add_parser("record", help="record every run of one checkout as JSON lines")
+    one.add_argument("out", type=Path)
+    one.add_argument("--src", type=Path, default=ROOT / "src", help="directory holding the matpop package")
+    two = commands.add_parser("compare", help="record two checkouts and list the runs that differ")
+    two.add_argument("old", type=Path)
+    two.add_argument("new", type=Path)
+    for sub in (one, two):
+        sub.add_argument("--seeds", type=int, nargs="+", default=[1, 2])
+        sub.add_argument("--every", type=int, default=1, help="keep every K-th model of each seed")
+    return parser
+
+
+if __name__ == "__main__":
+    args = _parser().parse_args()
+    if args.command == "record":
+        sys.path.insert(0, str(args.src.resolve()))
+        record(args.out, args.seeds, args.every)
+    else:
+        sys.exit(compare(args.old.resolve(), args.new.resolve(), args.seeds, args.every))
