@@ -23,13 +23,20 @@ growth-rate check starts at z.
 
 The model carries its spectral and classification tolerances, set once
 by validate_model, and computes each derived quantity (the structure of
-P, rho(T), r, P's Perron pair, Q, the structure of its block Q11, R0 and
-the model with F / R0) at most once, on first use; the functions here
-and in the other modules read them.
+P, the structure of T, rho(T), r, P's Perron pair, Q, the structure of
+its block Q11, R0 and the model with F / R0) at most once, on first use;
+the functions here and in the other modules read them.  The mortality
+assumption rho(T) < 1 needs a proof, not the value: validate_model
+keeps an upper bound on rho(T) from Collatz-Wielandt brackets that stop
+as soon as they clear the edge, and target_growth_scale's gate reads that
+bound too.  rho(T) itself is computed only where it is read: by
+r0_positive, by the MortalityError and ScalingError messages, and by
+a bound too close to the edge to decide.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
@@ -39,7 +46,8 @@ import numpy as np
 from .errors import ConsistencyError, ConvergenceError, ModelError, MortalityError, ScalingError, StructureError
 from .matrices import as_matrix
 from .spectral import (
-    SPECTRAL_TOL, SpectralPair, _dominant_pair, _left_root, _pair, _radius, _resolvent_rows, _unit,
+    SPECTRAL_TOL, SpectralPair, _dominant_pair, _left_root, _pair, _radius, _radius_below, _resolvent_rows,
+    _unit,
 )
 from .structure import QPatternReport, StructureReport, _analyze_pattern, _next_gen_pattern
 
@@ -77,6 +85,8 @@ class PopulationModel:
     tol_class: float = CLASSIFY_TOL
     _kept: list = field(default_factory=list, init=False, repr=False)
     _kept_left: list | None = field(default=None, init=False, repr=False)
+    # An upper bound on rho(T), certified up to _mortality_margin; inf when none is known.
+    _rho_bound: float = field(default=math.inf, init=False, repr=False)
 
     @property
     def n(self) -> int:
@@ -101,7 +111,7 @@ class PopulationModel:
 
     @cached_property
     def rho_transition(self) -> float:
-        """rho(T), below 1 for every validated model."""
+        """rho(T), below 1 for every validated model; computed when read, as validation needs only a bound."""
         return _radius(self.transition, self._transition_structure, self.tol_spec)
 
     @cached_property
@@ -198,8 +208,10 @@ def validate_model(
 
     Rejects dimension mismatches, negative or non-finite entries, a zero
     fertility matrix, and a transition matrix with spectral radius at or
-    above 1.  Column sums of T above 1 are biologically suspect but only
-    produce warnings, since no conclusion depends on them.
+    above 1 - tol_spec: a Collatz-Wielandt bound proves the radius below
+    that and is kept, and only a T too close for the bound computes
+    rho(T), which decides.  Column sums of T above 1 are biologically
+    suspect but only produce warnings, since no conclusion depends on them.
     """
     t = as_matrix(transition, name="transition matrix")
     f = as_matrix(fertility, name="fertility matrix")
@@ -215,12 +227,32 @@ def validate_model(
         if s > 1.0
     )
     model = PopulationModel(t, f, warnings, tol_spec, tol_class)
-    if model.rho_transition >= 1.0 - tol_spec:
+    # rho(T) < 1 - tol_spec is the target gate's condition at s = 1, which keeps the bound it proves.
+    if not _exceeds_rho_transition(model, 1.0) and model.rho_transition >= 1.0 - tol_spec:
         raise MortalityError(
             f"rho(T) >= 1: transition matrix spectral radius is {model.rho_transition:.12g}, "
             "the population never dies out"
         )
     return model
+
+
+def _mortality_margin(model: PopulationModel) -> float:
+    """How far a bound B on rho(T) must clear the exact rule's edge for the rule to agree.
+
+    The exact rule reads rho_hat, the computed rho(T): MortalityError at
+    rho_hat >= 1 - tol_spec, and ScalingError at s <= rho_hat + tol_spec.
+    B is the upper end hi - 1 of a Collatz-Wielandt bracket of T + I with
+    hi <= 2; the ratios come from sums of n nonnegative products and one
+    quotient, so the true root exceeds B by at most 2 (n + 2) eps.
+    rho_hat is scale * (root - 1) for a bracket of T / scale + I of width
+    at most tol_spec * hi, the Rayleigh quotient inside it up to the same
+    rounding twice, where scale is 1, a probe's root below 1/2 or LAPACK's
+    proposal of the root, hi * scale <= scale + rho_hat + tol_spec < 3 for
+    a root below 1.  So rho_hat <= B + 3 tol_spec + 6 (n + 2) eps, and
+    a B below 1 - tol_spec - margin, or below s - tol_spec - margin,
+    proves what the rule decides.
+    """
+    return 3.0 * model.tol_spec + 8 * (model.n + 2) * math.ulp(1.0)
 
 
 def _finite(m: np.ndarray) -> np.ndarray:
@@ -249,7 +281,9 @@ def _rescaled(model: PopulationModel, divisor: float, target: float, left=None) 
     f.setflags(write=False)
     scaled = PopulationModel(model.transition, f, model.warnings, model.tol_spec, model.tol_class)
     vars(scaled)["_transition_structure"] = model._transition_structure
-    vars(scaled)["rho_transition"] = model.rho_transition
+    vars(scaled)["_rho_bound"] = model._rho_bound
+    if "rho_transition" in vars(model):
+        vars(scaled)["rho_transition"] = model.rho_transition
     if np.array_equal(f > 0, model.fertility > 0):
         vars(scaled)["structure"] = model.structure
         _finite(scaled.projection)
@@ -327,11 +361,12 @@ def target_growth_scale(model: PopulationModel, s: float) -> TargetScaleResult:
     """Scale fertility so the model's growth rate becomes exactly s.
 
     Requires an irreducible projection matrix and a target s above
-    rho(T).  The divisor is q(s) = rho(F (I - T/s)^-1) / s, a strictly
-    decreasing function of s, and the scaled model's net reproductive
-    rate is R0 / q(s).  The scaled model's check starts from its left
-    Perron vector z = v F_f (I - T/s)^-1, v being Q11(s)'s left Perron
-    vector: [1] when F has one nonzero row.  For an irreducible Q11(s) of
+    rho(T), decided from a bound on rho(T) wherever one can, with the
+    exact rule's outcome.  The divisor is q(s) = rho(F (I - T/s)^-1) / s,
+    a strictly decreasing function of s, and the scaled model's net
+    reproductive rate is R0 / q(s).  The scaled model's check starts from
+    its left Perron vector z = v F_f (I - T/s)^-1, v being Q11(s)'s left
+    Perron vector: [1] when F has one nonzero row.  For an irreducible Q11(s) of
     order 2 or more, q(s) s and v come from one pass on Q11(s)^T started
     at LAPACK's proposal, whose ratio bracket certifies the root.  Without
     a proposal, or if that pass does not certify, Q11(s)'s own pass gives
@@ -344,9 +379,10 @@ def target_growth_scale(model: PopulationModel, s: float) -> TargetScaleResult:
         raise StructureError(
             "projection matrix is reducible; target-growth scaling needs an irreducible model"
         )
-    rho_t = model.rho_transition
-    if not np.isfinite(s) or s <= rho_t + model.tol_spec:
-        raise ScalingError(f"target growth rate {s:.6g} must exceed rho(T) = {rho_t:.6g}")
+    if not _exceeds_rho_transition(model, s):
+        rho_t = model.rho_transition
+        if not np.isfinite(s) or s <= rho_t + model.tol_spec:
+            raise ScalingError(f"target growth rate {s:.6g} must exceed rho(T) = {rho_t:.6g}")
 
     # rho(T / s) = rho(T) / s < 1, and T / s walks no edge that T does not.  Q11(s) shares Q11's
     # walk unless, for a large s, T / s underflowed a long walk to an exact zero.
@@ -373,6 +409,26 @@ def target_growth_scale(model: PopulationModel, s: float) -> TargetScaleResult:
     # The scaled model's (s, R0(s)) pair must itself satisfy the trichotomy.
     _classify(s, r0_scaled, model.tol_class)
     return TargetScaleResult(q=q_of_s, scaled=scaled, r0_scaled=r0_scaled)
+
+
+def _exceeds_rho_transition(model: PopulationModel, s: float) -> bool:
+    """Whether a bound on rho(T) proves the finite s above rho(T) + tol_spec; False is no answer.
+
+    The model's kept bound, else one pass stopped below s - tol_spec -
+    margin, whose bound is then kept.  A bound below 1 - tol_spec - margin
+    proves every s >= 1, and keeps the pass's upper end below 2, where the
+    margin holds.  Once rho(T) is computed, it answers.
+    """
+    if not math.isfinite(s) or "rho_transition" in vars(model):
+        return False
+    ceiling = min(s, 1.0) - model.tol_spec - _mortality_margin(model)
+    if model._rho_bound < ceiling:
+        return True
+    bound = _radius_below(model.transition, model._transition_structure, model.tol_spec, ceiling)
+    if bound < ceiling:
+        vars(model)["_rho_bound"] = bound
+        return True
+    return False
 
 
 def r0_positive(model: PopulationModel) -> bool:

@@ -17,6 +17,12 @@ root's pass, they give the bits of a step-by-step loop.  The Rayleigh
 quotient reported as the root is a convex combination of those ratios,
 so it always lies inside the final bracket.
 
+Where only a bound is wanted, as for the mortality assumption rho(T) < 1,
+a pass stops at a ceiling instead: the upper end of any bracket bounds
+the root, so the first one below the ceiling proves it, and
+_radius_below takes the largest such end over a matrix's strong
+components, their 1 x 1 ones read off the diagonal.
+
 Each block first gets short cold probes from the uniform vector, of
 L = max(500, 20 n) iterations for order n, which certify well-conditioned
 blocks.  A block still uncertified after its probes gets one pass started
@@ -83,7 +89,9 @@ def _probe_length(n: int) -> int:
 
 
 @np.errstate(all="ignore")
-def _power_pass(block: np.ndarray, tol: float, budget: int, start: np.ndarray | None = None, state=None):
+def _power_pass(
+    block: np.ndarray, tol: float, budget: int, start: np.ndarray | None = None, state=None, ceiling: float = -math.inf
+):
     """One certified power iteration on block + I from a positive start, the uniform vector by default.
 
     Returns (root, vector, lo, hi, iteration): the bracket [lo, hi] around
@@ -98,14 +106,17 @@ def _power_pass(block: np.ndarray, tol: float, budget: int, start: np.ndarray | 
     as state gets the last chunk, row, stall window and bracket; handed
     back with the same block, a tighter tol and a budget no smaller, it
     resumes the pass from that row with the bits of a fresh one, as
-    neither the iterates nor the stall window depend on tol.
+    neither the iterates nor the stall window depend on tol.  A pass given
+    a ceiling also stops at the first uncertified bracket whose upper end
+    on the root is below it, as that end bounds the root (Collatz-Wielandt).
 
     Chunks compute only y = (block + I) x and x = y / sum(y), three bare
     calls a step that write into the chunk's rows and a 0-d sum, and their
     brackets are read afterwards, all at once.  The first chunk, all that a
     well-seeded pass needs, is one step on the start itself; a later one
     ends just past where the widths, at their geometric rate over the
-    second half of a chunk of 4 or more rows, reach tol, or else doubles,
+    second half of a chunk of 4 or more rows, reach tol, or the distance
+    from the lower end to the ceiling, whichever is wider, or else doubles,
     up to _CHUNK_ITERATIONS and the budget.  Every number is the one a
     step-by-step loop gives, bit for bit, and the count ends at the
     certifying iteration, not at the last one computed.
@@ -137,6 +148,8 @@ def _power_pass(block: np.ndarray, tol: float, budget: int, start: np.ndarray | 
                 row = iteration - done - 1
                 root = max(float(xs[row].dot(ys[row])) / float(xs[row].dot(xs[row])) - 1.0, 0.0)
                 break
+            if hi - 1.0 < ceiling:
+                break
             if width < narrowest:
                 narrowest = width
                 narrowest_at = iteration
@@ -149,13 +162,14 @@ def _power_pass(block: np.ndarray, tol: float, budget: int, start: np.ndarray | 
             bracket = (lows[row - 1], highs[row - 1]) if row > first else bracket
             state[:] = xs, ys, x, done, row, narrowest, narrowest_at, bracket
             return None, xs[row].copy(), bracket[0] - 1.0, bracket[1] - 1.0, iteration - 1
-        if root is not None or iteration - narrowest_at >= window or iteration == budget:
+        if root is not None or hi - 1.0 < ceiling or iteration - narrowest_at >= window or iteration == budget:
             state[:] = xs, ys, x, done, row, narrowest, narrowest_at, bracket
             return root, (x if row + 1 == len(xs) else xs[row + 1]).copy(), lo - 1.0, hi - 1.0, iteration
         bracket = lo, hi
         done, first, half, length = iteration, 0, len(xs) // 2, 2 * len(xs)
-        # Logarithms of positive, finite numbers only; wide / width >= 1 + 2^-52.
-        wide, target = highs[half] - lows[half], tol * max(1.0, hi)
+        # Logarithms of positive, finite numbers only; wide / width >= 1 + 2^-52.  Below the ceiling
+        # the upper end needs a width no smaller than its distance from the lower one.
+        wide, target = highs[half] - lows[half], max(tol * max(1.0, hi), ceiling + 1.0 - lo)
         if len(xs) >= 4 and 0.0 < target < width < wide < math.inf:
             rate = math.log(wide / width) / (len(xs) - 1 - half)
             length = 1 + int((math.log(width) - math.log(target)) / rate)
@@ -280,7 +294,8 @@ def _power_root(block: np.ndarray, tol: float, classes: tuple[int, ...] | None =
     small converged root, or even the midpoint of an unconverged bracket
     that proves the root small, is used to rescale the block so the next
     probe resolves a root near 1, where the bracket test is relative and
-    the shift provides an O(1) gap.
+    the shift provides an O(1) gap.  A root that certifies as exactly 0,
+    below the rounding of the shift, rescales by the block's largest entry.
 
     Probes are cold and short, sized by the block order.  A block still
     uncertified after them gets one pass on block / lam started from the
@@ -316,8 +331,10 @@ def _power_root(block: np.ndarray, tol: float, classes: tuple[int, ...] | None =
                 probed = used
                 break  # not a small root, just slow: finish from the seed below
             root = 0.5 * (lo + hi)
-        elif not 0.0 < root < 0.5:
+        elif not root < 0.5:
             return scale * root, vector
+        # A root below the rounding of the + I shift certifies as 0: the largest entry rescales instead.
+        root = root or float(block.max())
         scale *= root
         block = block / root
         state = []
@@ -378,6 +395,27 @@ def _radius(m: np.ndarray, report: StructureReport, tol: float, kept=None) -> fl
             root, _ = _power_root(block, tol, report.cyclic_classes, kept if report.irreducible else None)
             rho = max(rho, root)
     return rho
+
+
+def _radius_below(m: np.ndarray, report: StructureReport, tol: float, ceiling: float) -> float:
+    """An upper bound below ceiling on the Perron roots of the strong components in report, or inf.
+
+    A 1 x 1 component gives its diagonal entry; a block, the upper end of
+    the bracket at which one cold pass, of a probe's length at most,
+    stopped below ceiling.  The bound holds up to the rounding of that
+    bracket's ratios, which the caller's margin covers.
+    """
+    bound = 0.0
+    for component in report.components:
+        if len(component) == 1:
+            i = component[0]
+            bound = max(bound, float(m[i, i]))
+        else:
+            block = m if report.irreducible else m[np.ix_(component, component)]
+            bound = max(bound, _power_pass(block, tol, _probe_length(len(component)), None, None, ceiling)[3])
+        if not bound < ceiling:
+            return math.inf
+    return bound
 
 
 def perron_pair(m, *, tol: float = SPECTRAL_TOL) -> SpectralPair:

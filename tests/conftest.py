@@ -1,3 +1,4 @@
+import math
 import os
 import sys
 import types
@@ -55,7 +56,8 @@ def kernel_calls(monkeypatch):
 def power_passes(monkeypatch):
     """Record (start, iterations) of every power-iteration pass, uncertified and resumed ones included.
 
-    start is None for a cold pass from the uniform vector.  A pass resumed
+    start is None for a cold pass from the uniform vector, a bound's pass
+    stopped below a ceiling included.  A pass resumed
     at a tighter tolerance is recorded again, with the iterations past the
     one it had stopped at, so the records sum to the certifying iterations.
     """
@@ -64,8 +66,8 @@ def power_passes(monkeypatch):
     stopped = {}
     original = spectral._power_pass
 
-    def recorded(block, tol, max_iterations, start=None, state=None):
-        result = original(block, tol, max_iterations, start, state)
+    def recorded(block, tol, max_iterations, start=None, state=None, ceiling=-math.inf):
+        result = original(block, tol, max_iterations, start, state, ceiling)
         before = stopped.get(id(state), (None, 0))[1]
         if state is not None:
             stopped[id(state)] = state, result[4]

@@ -318,10 +318,11 @@ def random_leslie_model(rng, n_max: int = 12) -> LeslieModel:
 # computes in chunks, kept to check that every pass keeps its bits
 # ---------------------------------------------------------------------------
 
-def reference_power_pass(block, tol, max_iterations, start=None, state=None):
+def reference_power_pass(block, tol, max_iterations, start=None, state=None, ceiling=-math.inf):
     """spectral._power_pass one iteration at a time, with the bracket read at every step.
 
     state is ignored: a pass resumed at a tighter tol answers as this fresh one.
+    The pass stops, uncertified, at the first upper end hi - 1 below ceiling.
     A nan or inf ratio, from an iterate entry 0, stops the pass with the bracket before it.
     """
     n = block.shape[0]
@@ -345,6 +346,8 @@ def reference_power_pass(block, tol, max_iterations, start=None, state=None):
             x = y / y.sum()
             return max(root, 0.0), x, lo - 1.0, hi - 1.0, iteration
         x = y / y.sum()
+        if hi - 1.0 < ceiling:
+            return None, x, lo - 1.0, hi - 1.0, iteration
         if width < narrowest:
             narrowest = width
             narrowest_at = iteration

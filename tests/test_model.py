@@ -741,3 +741,128 @@ def test_model_answers_keep_their_bits_with_the_reference_pass(monkeypatch):
     chunked = [_answers(t, f) for t, f in pairs]
     monkeypatch.setattr(spectral, "_power_pass", reference_power_pass)
     assert [_answers(t, f) for t, f in pairs] == chunked
+
+
+def _edge_transitions(rng, target):
+    """Transition matrices of spectral radius target: irreducible, a reducible one with a block at the
+    edge, and a reducible one whose edge is a 1 x 1 diagonal component."""
+    def scaled(block, rho):
+        return block * (rho / float(np.abs(np.linalg.eigvals(block)).max()))
+
+    irreducible = [scaled(np.array(random_primitive_model(rng).projection), target) for _ in range(2)]
+    block = scaled(np.array(random_primitive_model(rng, n_max=5).projection), target)
+    k = len(block)
+    reducible = np.zeros((k + 2, k + 2))
+    reducible[:k, :k] = block
+    reducible[k:, k:] = [[0.3, 0.0], [0.2, 0.4]]
+    reducible[k, 0] = 0.5
+    diagonal = np.zeros((k + 1, k + 1))
+    diagonal[:k, :k] = scaled(block, 0.5)
+    diagonal[k, k] = target
+    diagonal[k, 1] = 0.7
+    return [*irreducible, reducible, diagonal]
+
+
+def _outcome(call):
+    """What a call raises, as (type, message), or "ok"."""
+    try:
+        call()
+    except Error as exc:
+        return type(exc).__name__, str(exc)
+    return "ok"
+
+
+class TestMortalityBound:
+    """Validation proves rho(T) < 1 from a Collatz-Wielandt bound, with the exact rule's decisions."""
+
+    @pytest.mark.parametrize("tol", [1e-12, 1e-9, 1e-14])
+    def test_mortality_edge_decides_as_the_exact_rule(self, tol):
+        rng = np.random.default_rng(int(-math.log10(tol)))
+        for c in (0.5, 1.0, 1.5, 2.0, 3.0, 5.0, 1e3):
+            for t in _edge_transitions(rng, 1.0 - tol * c):
+                f = np.zeros_like(t)
+                f[0, -1] = 1.0
+                rho = spectral._radius(t, structure.analyze_structure(t), tol)
+                expected = "ok" if rho < 1.0 - tol else (
+                    "MortalityError",
+                    f"rho(T) >= 1: transition matrix spectral radius is {rho:.12g}, the population never dies out",
+                )
+                assert _outcome(lambda: validate_model(t, f, tol_spec=tol)) == expected
+                if expected == "ok":
+                    model = validate_model(t, f, tol_spec=tol)
+                    # Only an edge too close for the bound to decide computes rho(T) at validation.
+                    assert "rho_transition" not in vars(model) or c <= 5.0
+                    assert model.rho_transition == rho
+
+    @pytest.mark.parametrize("tol", [1e-12, 1e-9, 1e-14])
+    def test_scaling_edge_decides_as_the_exact_rule(self, tol, monkeypatch):
+        rng = np.random.default_rng(40 + int(-math.log10(tol)))
+        cases = []
+        for _ in range(6):
+            m = random_irreducible_model(rng)
+            t, f = m.transition, m.fertility
+            model = validate_model(t, f, tol_spec=tol)
+            rho, bound = model.rho_transition, validate_model(t, f, tol_spec=tol)._rho_bound
+            edge = bound + tol + model_layer._mortality_margin(model)
+            targets = [rho + tol * c for c in (0.5, 1.0, 2.0, 3.0)]
+            targets += [bound, bound * (1.0 - 1e-9), bound * (1.0 + 1e-9)]
+            targets += [edge, math.nextafter(edge, 0.0), math.nextafter(edge, math.inf), edge * (1.0 + 1e-9)]
+            targets += [math.nan, math.inf, -1.0]
+            for s in targets:
+                new = _outcome(lambda: target_growth_scale(validate_model(t, f, tol_spec=tol), s))
+                if not s > rho + tol:
+                    assert new == ("ScalingError", f"target growth rate {s:.6g} must exceed rho(T) = {rho:.6g}")
+                cases.append(((t, f, s), new))
+        # The exact rule: no bound, rho(T) computed at validation.
+        monkeypatch.setattr(model_layer, "_radius_below", lambda *args: math.inf)
+        for (t, f, s), new in cases:
+            assert _outcome(lambda: target_growth_scale(validate_model(t, f, tol_spec=tol), s)) == new
+
+    def test_scaling_below_the_bound_keeps_the_tighter_bound(self):
+        model = random_irreducible_model(np.random.default_rng(12))
+        rho = float(np.abs(np.linalg.eigvals(model.transition)).max())
+        bound = model._rho_bound
+        s = 0.5 * (rho + bound)
+        assert rho < s < bound
+        target_growth_scale(model, s)
+        assert rho <= model._rho_bound < s - model.tol_spec
+        assert "rho_transition" not in vars(model)
+
+    def test_model_calls_leave_rho_transition_uncomputed(self):
+        rng = np.random.default_rng(77)
+        for _ in range(30):
+            m = random_irreducible_model(rng, rho_cap=0.9)
+            model = validate_model(m.transition, m.fertility)
+            rho = float(np.abs(np.linalg.eigvals(model.transition)).max())
+            r = model.growth_rate
+            analyze(model)
+            stabilizing_scale(model)
+            for s in (0.5 * (rho + r), 2.0):
+                target_growth_scale(model, s)
+            (eventual_limit if model.structure.primitive else periodic_limits)(model, np.ones(model.n))
+            assert "rho_transition" not in vars(model)
+            assert "rho_transition" not in vars(model.stationary)
+            # r0_positive reads rho(T), with the bits of the exact pass.
+            r0_positive(model)
+            assert model.rho_transition == spectral._radius(model.transition, model._transition_structure, 1e-12)
+
+    def test_validation_computes_few_iterations(self, computed_iterations, power_passes):
+        rng = np.random.default_rng(5)
+        generators = (random_irreducible_model, random_primitive_model, random_general_model, random_reducible_model)
+        pairs = [(m.transition, m.fertility) for m in (generators[k % 4](rng) for k in range(80))]
+        computed_iterations[0] = 0
+        power_passes.clear()
+        for t, f in pairs:
+            validate_model(t, f)
+        # Certifying rho(T) to 1e-12 computed 7,990 iterations for these models; its bound, 103.
+        certified = sum(iterations for _, iterations in power_passes)
+        assert certified <= computed_iterations[0] <= 200
+
+    def test_rescaled_models_make_no_pass_for_the_bound(self, plant, monkeypatch):
+        model = random_irreducible_model(np.random.default_rng(8))
+        calls = []
+        monkeypatch.setattr(model_layer, "_radius_below", lambda *args: calls.append(args) or math.inf)
+        for m in (model, plant):
+            scaled = [stabilizing_scale(m), target_growth_scale(m, 2.0).scaled]
+            assert all(x._rho_bound == m._rho_bound < 1.0 for x in scaled)
+        assert not calls

@@ -1,3 +1,4 @@
+import json
 import math
 import warnings
 
@@ -10,12 +11,15 @@ from matpop import (
     MortalityError,
     SpectralPair,
     StructureError,
+    analyze,
     perron_pair,
     resolvent_inverse,
     spectral,
     spectral_radius,
     structure,
+    validate_model,
 )
+from matpop.cli import main
 from matpop.matrices import as_matrix
 from helpers import (
     PLANT_F,
@@ -26,6 +30,7 @@ from helpers import (
     char_poly_spectral_radius,
     neumann_partial_sum,
     plant_model,
+    random_cyclic_model,
     random_irreducible_model,
     reference_power_pass,
 )
@@ -514,6 +519,75 @@ class TestChunkedPassKeepsItsBits:
             _, vector, _, _, used = self.assert_same(block, 1e-12, 200_000)
             assert used == 674
             assert self.assert_same(block, 1e-12, 200_000, vector)[4] == 1
+
+
+class TestCeilingStop:
+    """A pass given a ceiling stops at the first upper end below it, with the reference loop's bits."""
+
+    @staticmethod
+    def ceilings(block):
+        rho = float(np.abs(np.linalg.eigvals(block)).max())
+        first = float(((block + np.eye(len(block))).sum(axis=1)).max()) - 1.0
+        return rho, [rho * 0.5, rho * (1.0 + 1e-9), rho * 1.001, 0.5 * (rho + first), first, first * 2.0]
+
+    @pytest.mark.parametrize("n", [2, 5, 10, 33])
+    def test_primitive_and_imprimitive_blocks(self, n):
+        rng = np.random.default_rng(800 + n)
+        blocks = [_primitive_block(rng, n) * math.exp(rng.uniform(-4.0, 1.0)) for _ in range(4)]
+        blocks.append(_cyclic_block(rng, rng.integers(1, 4, 3).tolist()))
+        for block in blocks:
+            rho, ceilings = self.ceilings(block)
+            for ceiling in ceilings:
+                got = spectral._power_pass(block, 1e-12, 2000, None, None, ceiling)
+                expected = reference_power_pass(block, 1e-12, 2000, None, None, ceiling)
+                assert got[0] == expected[0] and got[2:] == expected[2:]
+                assert got[1].tobytes() == expected[1].tobytes()
+                if got[0] is None and got[3] < ceiling:
+                    # The upper end bounds the root, up to the rounding of its ratios.
+                    assert rho <= got[3] + 64 * n * np.finfo(float).eps
+                    assert got[4] == 1 or reference_power_pass(block, 1e-12, got[4] - 1)[3] >= ceiling
+
+    def test_a_pass_stopped_at_the_ceiling_resumes_with_a_fresh_pass_bits(self):
+        rng = np.random.default_rng(9)
+        for n in (3, 8, 20):
+            block = _primitive_block(rng, n)
+            rho, ceilings = self.ceilings(block)
+            state = []
+            stopped = spectral._power_pass(block, 1e-12, 200_000, None, state, ceilings[2])
+            assert stopped[0] is None and stopped[3] < ceilings[2]
+            resumed = spectral._power_pass(block, 1e-12, 200_000, None, state)
+            fresh = spectral._power_pass(block, 1e-12, 200_000)
+            assert resumed[0] == fresh[0] and resumed[2:] == fresh[2:]
+            assert resumed[1].tobytes() == fresh[1].tobytes()
+
+    def test_radius_below_reads_components(self):
+        # A 2 x 2 block of root 0.6 and a 1 x 1 component at 0.7, joined one way: no bound reaches 0.7.
+        t = np.array([[0.0, 0.9, 0.0], [0.4, 0.0, 0.0], [0.3, 0.0, 0.7]])
+        report = structure.analyze_structure(t)
+        bound = spectral._radius_below(t, report, 1e-12, 0.75)
+        assert 0.7 <= bound < 0.75
+        assert spectral._radius_below(t, report, 1e-12, 0.7) == math.inf
+        assert spectral._radius_below(t, report, 1e-12, 0.65) == math.inf
+        assert spectral._radius_below(t[:2, :2], structure.analyze_structure(t[:2, :2]), 1e-12, 0.61) < 0.61
+
+
+class TestZeroRoot:
+    """An irreducible block whose root is below the rounding of the + I shift has a positive root."""
+
+    def test_tiny_cycle(self):
+        # The cold probe's bracket of block + I reads [1, 1]: the root came out exactly 0.
+        block = np.array([[0.0, 1e-17], [4e-17, 0.0]])
+        assert spectral_radius(block) == pytest.approx(2e-17, rel=1e-12, abs=0.0)
+        assert spectral._power_root(block, 1e-12, (0, 1))[0] == pytest.approx(2e-17, rel=1e-12, abs=0.0)
+
+    def test_tiny_fertility_of_a_cyclic_model(self, tmp_path):
+        # The cold probe of Q's block reads [1, 1]: R0 came out 0 and analyze raised ConsistencyError.
+        m = random_cyclic_model(np.random.default_rng(3), 3)
+        r0 = {k: analyze(validate_model(m.transition, m.fertility * k)).net_reproductive_rate for k in (1e-14, 1e-17)}
+        assert r0[1e-17] == pytest.approx(r0[1e-14] * 1e-3, rel=1e-9, abs=0.0)
+        path = tmp_path / "tiny.json"
+        path.write_text(json.dumps({"transition": m.transition.tolist(), "fertility": (m.fertility * 1e-17).tolist()}))
+        assert main(["analyze", str(path)]) == 0
 
 
 def _seed(block):
