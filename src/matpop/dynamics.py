@@ -22,7 +22,7 @@ import numpy as np
 from .errors import ConsistencyError, ModelError, NumericalError, StructureError
 from .matrices import as_population_vector
 from .model import PopulationModel
-from .spectral import _cycle_maps, _dominant_pair, _power_root
+from .spectral import _cycle_maps, _dominant_pair, _Pass, _power_root
 
 # Eigenvector residual, relative to the factor times the population's
 # largest entry, below which classify_population accepts a population as
@@ -180,7 +180,7 @@ def periodic_limits(model: PopulationModel, x0) -> PeriodicLimits:
     for a in maps[1:]:
         cycle = a @ cycle
     u, v = np.empty((2, model.n))
-    u0, v0 = (_power_root(m, model.tol_spec, None, [_dominant_pair(m), []])[1] for m in (cycle, cycle.T))
+    u0, v0 = (_power_root(m, model.tol_spec, None, _Pass(_dominant_pair(m)))[1] for m in (cycle, cycle.T))
     u[members[0]], v[members[0]] = u0, v0 / float(v0 @ u0)
     for k in range(1, period):
         u[members[k]] = maps[k - 1] @ u[members[k - 1]]

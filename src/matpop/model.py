@@ -37,17 +37,18 @@ a bound too close to the edge to decide.
 from __future__ import annotations
 
 import math
+from contextlib import suppress
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 
 import numpy as np
 
-from .errors import ConsistencyError, ConvergenceError, ModelError, MortalityError, ScalingError, StructureError
+from .errors import ConsistencyError, ConvergenceError, ModelError, ScalingError, StructureError
 from .matrices import as_matrix
 from .spectral import (
-    SPECTRAL_TOL, SpectralPair, _dominant_pair, _left_root, _pair, _radius, _radius_below, _resolvent_rows,
-    _unit,
+    SPECTRAL_TOL, SpectralPair, _dominant_pair, _mortality_margin, _pair, _Pass, _power_root, _radius,
+    _radius_below, _require_mortal, _resolvent_rows, _unit,
 )
 from .structure import QPatternReport, StructureReport, _analyze_pattern, _next_gen_pattern
 
@@ -83,8 +84,8 @@ class PopulationModel:
     warnings: tuple[str, ...] = ()
     tol_spec: float = SPECTRAL_TOL
     tol_class: float = CLASSIFY_TOL
-    _kept: list = field(default_factory=list, init=False, repr=False)
-    _kept_left: list | None = field(default=None, init=False, repr=False)
+    # The Perron pass that certified r, on P or on P^T, kept for that side of perron to resume.
+    _pass: _Pass = field(default_factory=_Pass, init=False, repr=False)
     # An upper bound on rho(T), certified up to _mortality_margin; inf when none is known.
     _rho_bound: float = field(default=math.inf, init=False, repr=False)
 
@@ -116,26 +117,15 @@ class PopulationModel:
 
     @cached_property
     def growth_rate(self) -> float:
-        """r = rho(P); an irreducible P's first Perron pass is kept for perron.
-
-        A model that _rescaled handed a left Perron vector takes r from a
-        pass on P^T seeded there instead, kept in _kept_left for perron's
-        left side; if that pass does not certify, from P's own first pass.
-        """
-        if self._kept_left:
-            try:
-                return _left_root(self.projection, self.structure, self.tol_spec, self._kept_left)[0]
-            except ConvergenceError:
-                vars(self)["_kept_left"] = None
-        return _radius(self.projection, self.structure, self.tol_spec, self._kept)
+        """r = rho(P); an irreducible P's first Perron pass is kept for perron."""
+        return _radius(self.projection, self.structure, self.tol_spec, self._pass)
 
     @cached_property
     def perron(self) -> SpectralPair:
         """Certified Perron pair of an irreducible P, resuming growth_rate's pass; else StructureError."""
         if self.structure.irreducible:
-            self.growth_rate  # fills _kept, or _kept_left, which _pair resumes
-        # An empty _kept, as a target-scaled model's, would keep the right side's fresh pass.
-        return _pair(self.projection, self.structure, self.tol_spec, self._kept or None, self._kept_left)
+            self.growth_rate  # runs the pass that _pair resumes
+        return _pair(self.projection, self.structure, self.tol_spec, self._pass)
 
     @cached_property
     def next_generation(self) -> np.ndarray:
@@ -228,31 +218,9 @@ def validate_model(
     )
     model = PopulationModel(t, f, warnings, tol_spec, tol_class)
     # rho(T) < 1 - tol_spec is the target gate's condition at s = 1, which keeps the bound it proves.
-    if not _exceeds_rho_transition(model, 1.0) and model.rho_transition >= 1.0 - tol_spec:
-        raise MortalityError(
-            f"rho(T) >= 1: transition matrix spectral radius is {model.rho_transition:.12g}, "
-            "the population never dies out"
-        )
+    if not _exceeds_rho_transition(model, 1.0):
+        _require_mortal(model.rho_transition, tol_spec)
     return model
-
-
-def _mortality_margin(model: PopulationModel) -> float:
-    """How far a bound B on rho(T) must clear the exact rule's edge for the rule to agree.
-
-    The exact rule reads rho_hat, the computed rho(T): MortalityError at
-    rho_hat >= 1 - tol_spec, and ScalingError at s <= rho_hat + tol_spec.
-    B is the upper end hi - 1 of a Collatz-Wielandt bracket of T + I with
-    hi <= 2; the ratios come from sums of n nonnegative products and one
-    quotient, so the true root exceeds B by at most 2 (n + 2) eps.
-    rho_hat is scale * (root - 1) for a bracket of T / scale + I of width
-    at most tol_spec * hi, the Rayleigh quotient inside it up to the same
-    rounding twice, where scale is 1, a probe's root below 1/2 or LAPACK's
-    proposal of the root, hi * scale <= scale + rho_hat + tol_spec < 3 for
-    a root below 1.  So rho_hat <= B + 3 tol_spec + 6 (n + 2) eps, and
-    a B below 1 - tol_spec - margin, or below s - tol_spec - margin,
-    proves what the rule decides.
-    """
-    return 3.0 * model.tol_spec + 8 * (model.n + 2) * math.ulp(1.0)
 
 
 def _finite(m: np.ndarray) -> np.ndarray:
@@ -273,7 +241,7 @@ def _rescaled(model: PopulationModel, divisor: float, target: float, left=None) 
     P at root target, as the identity z (T + F / q(s)) = s z gives; the
     check is then a seeded pass on P^T started at (target, left), whose
     ratio bracket still certifies the root and which perron's left side
-    resumes.
+    resumes.  A seeded pass that does not certify leaves r to P's own pass.
     """
     f = model.fertility / divisor
     if not np.isfinite(f).all():
@@ -288,7 +256,10 @@ def _rescaled(model: PopulationModel, divisor: float, target: float, left=None) 
         vars(scaled)["structure"] = model.structure
         _finite(scaled.projection)
         if left is not None:
-            vars(scaled)["_kept_left"] = [(target, left), []]
+            kept = _Pass((target, left), left=True)
+            with suppress(ConvergenceError):
+                root, _ = _power_root(scaled.projection, scaled.tol_spec, model.structure.cyclic_classes, kept)
+                vars(scaled).update(growth_rate=root, _pass=kept)
     if abs(scaled.growth_rate - target) > STABILITY_TOL * max(1.0, target):
         raise ConsistencyError(
             f"growth rate of the fertility-rescaled model is {scaled.growth_rate!r}, expected {target!r}"
@@ -397,7 +368,7 @@ def target_growth_scale(model: PopulationModel, s: float) -> TargetScaleResult:
     v = proposal and proposal[1]
     if proposal and len(q11) > 1 and report.irreducible:
         try:
-            mu, v = _left_root(q11, report, model.tol_spec, [proposal, []])
+            mu, v = _power_root(q11, model.tol_spec, report.cyclic_classes, _Pass(proposal, left=True))
         except ConvergenceError:
             pass
     q_of_s = (_radius(q11, report, model.tol_spec) if mu is None else mu) / s
@@ -421,7 +392,7 @@ def _exceeds_rho_transition(model: PopulationModel, s: float) -> bool:
     """
     if not math.isfinite(s) or "rho_transition" in vars(model):
         return False
-    ceiling = min(s, 1.0) - model.tol_spec - _mortality_margin(model)
+    ceiling = min(s, 1.0) - model.tol_spec - _mortality_margin(model.tol_spec, model.n)
     if model._rho_bound < ceiling:
         return True
     bound = _radius_below(model.transition, model._transition_structure, model.tol_spec, ceiling)

@@ -283,7 +283,20 @@ def _eig_seed(block: np.ndarray, classes: tuple[int, ...]):
     return None if x0 is None else (lam, x0)
 
 
-def _power_root(block: np.ndarray, tol: float, classes: tuple[int, ...] | None = None, kept=None):
+class _Pass:
+    """A block's first Perron pass, kept by _power_root as it runs, for a tighter tol to resume.
+
+    seed is the pair (lam, x0) the pass on block / lam starts from, or None
+    for a probe, which gives way to the pass going on once that certifies.
+    state is _power_pass's, empty until the pass runs and again once it
+    resumes.  left runs the pass on the transpose.
+    """
+
+    def __init__(self, seed=None, left=False):
+        self.seed, self.state, self.left = seed, [], left
+
+
+def _power_root(block: np.ndarray, tol: float, classes: tuple[int, ...] | None = None, kept: _Pass | None = None):
     """Perron root and sum-1 Perron vector (root, vector) of a block of the given cyclic classes.
 
     classes is None for a block of a reducible matrix, routed as index 1.
@@ -305,20 +318,22 @@ def _power_root(block: np.ndarray, tol: float, classes: tuple[int, ...] | None =
     instead; one without a seed is probed as any other.  Where a block
     that stopped its probes uncertified gets no seed, its last probe goes
     on where it stopped.  MAX_ITERATIONS bounds all passes of the block
-    together.  kept is the pass to start from, [seed or None, state]: a
-    kept first pass, resumed for a tighter tol where it stopped and then
-    emptied, or [seed, []], a seeded pass not yet begun, which stays kept
-    as it goes so that a tighter tol can resume it.  An empty kept gets
-    the first pass; if that probe stops uncertified, the seeded pass on
-    the same block takes its place once it certifies.
+    together.  kept, a _Pass, holds the first pass.
     """
+    kept = _Pass() if kept is None else kept
+    if kept.left:
+        # The transpose reverses every edge, so its classes run the other way.
+        d = max(classes) + 1
+        block, classes = block.T, tuple(-k % d for k in classes)
     probe_budget = _probe_length(block.shape[0])
     remaining = MAX_ITERATIONS
     scale = 1.0
     bracket = (0.0, math.inf)
-    kept = [] if kept is None else kept
-    seed, state = kept or [None if classes is None or max(classes) < 2 else _eig_seed(block, classes), []]
-    kept[:] = [] if state else [seed, state]
+    seed, state = kept.seed, kept.state
+    if state:
+        kept.seed, kept.state = None, []  # resumed here, and released
+    elif seed is None and classes is not None and max(classes) >= 2:
+        seed = kept.seed = _eig_seed(block, classes)
     probed = 0  # iterations of the probe that stopped uncertified on the block, in state
     for _ in range(3 if seed is None else 0):
         if remaining <= 0:
@@ -339,23 +354,20 @@ def _power_root(block: np.ndarray, tol: float, classes: tuple[int, ...] | None =
         block = block / root
         state = []
     if remaining > 0:
-        # Did the kept first probe stop uncertified on this very block?
-        first = seed is None and bool(kept) and kept[1] is state
+        held = kept.state is state  # does kept hold this very pass?
         if seed is None:
             seed = _eig_seed(block, classes or _analyze_pattern(block > 0).cyclic_classes)
-            if seed is not None:
+            if seed is None:
+                seed = (1.0, None)  # no proposal: the probe goes on where it stopped
+            else:
                 state, probed = [], 0
-            elif first:
-                kept[:] = []  # the probe's own pass goes on below, past a probe's length
-        start = None
-        if seed is not None:
-            lam, start = seed
-            scale *= lam
-            block = block / lam
+        lam, start = seed
+        scale *= lam
+        block = block / lam
         root, vector, lo, hi, used = _power_pass(block, tol, remaining + probed, start, state)
         if root is not None:
-            if first and start is not None:
-                kept[:] = [seed, state]  # the seeded pass replaces the probe, for a tighter tol to resume
+            if held:
+                kept.seed, kept.state = seed, state  # for a tighter tol to resume, in place of a probe
             return scale * root, vector
         remaining -= used - probed
         bracket = (scale * lo, scale * hi)
@@ -418,6 +430,33 @@ def _radius_below(m: np.ndarray, report: StructureReport, tol: float, ceiling: f
     return bound
 
 
+def _mortality_margin(tol: float, n: int) -> float:
+    """How far a bound B on rho(T), of order n, must clear the exact rule's edge for the rule to agree.
+
+    The exact rule reads rho_hat, the computed rho(T) at tolerance tol:
+    MortalityError at rho_hat >= 1 - tol, and ScalingError at
+    s <= rho_hat + tol.  B is the upper end hi - 1 of a Collatz-Wielandt
+    bracket of T + I with hi <= 2; the ratios come from sums of n
+    nonnegative products and one quotient, so the true root exceeds B by
+    at most 2 (n + 2) eps.  rho_hat is scale * (root - 1) for a bracket of
+    T / scale + I of width at most tol * hi, the Rayleigh quotient inside
+    it up to the same rounding twice, where scale is 1, a probe's root
+    below 1/2 or LAPACK's proposal of the root,
+    hi * scale <= scale + rho_hat + tol < 3 for a root below 1.  So
+    rho_hat <= B + 3 tol + 6 (n + 2) eps, and a B below 1 - tol - margin,
+    or below s - tol - margin, proves what the rule decides.
+    """
+    return 3.0 * tol + 8 * (n + 2) * math.ulp(1.0)
+
+
+def _require_mortal(rho: float, tol: float) -> None:
+    """The exact rule of the mortality assumption: MortalityError unless the computed rho(T) is below 1 - tol."""
+    if rho >= 1.0 - tol:
+        raise MortalityError(
+            f"rho(T) >= 1: transition matrix spectral radius is {rho:.12g}, the population never dies out"
+        )
+
+
 def perron_pair(m, *, tol: float = SPECTRAL_TOL) -> SpectralPair:
     """Perron root and positive left/right Perron vectors of an irreducible matrix.
 
@@ -429,10 +468,10 @@ def perron_pair(m, *, tol: float = SPECTRAL_TOL) -> SpectralPair:
     return _pair(m, _analyze_pattern(m > 0), tol)
 
 
-def _pair(m: np.ndarray, report: StructureReport, tol: float, kept=None, kept_left=None) -> SpectralPair:
+def _pair(m: np.ndarray, report: StructureReport, tol: float, kept: _Pass | None = None) -> SpectralPair:
     """perron_pair of a validated matrix whose structure report is given.
 
-    The right side resumes kept, and the left side kept_left, a pass of _left_root; None starts afresh.
+    kept, a pass of _power_root on m or on its transpose, is resumed by its own side; the other runs afresh.
     """
     if not report.irreducible:
         raise StructureError("matrix is reducible; analyze each strongly connected component separately")
@@ -445,32 +484,27 @@ def _pair(m: np.ndarray, report: StructureReport, tol: float, kept=None, kept_le
     # Iterate both sides a notch tighter than requested so the combined
     # residuals of the pair stay within tol.
     inner_tol = tol / 4.0
-    rho, right = _power_root(m, inner_tol, report.cyclic_classes, kept)
-    _, left = _left_root(m, report, inner_tol, kept_left)
+    left = kept if kept is not None and kept.left else _Pass(left=True)
+    rho, right = _power_root(m, inner_tol, report.cyclic_classes, None if left is kept else kept)
+    _, left = _power_root(m, inner_tol, report.cyclic_classes, left)
     left = left / float(left @ right)
     right.setflags(write=False)
     left.setflags(write=False)
     return SpectralPair(rho=rho, right=right, left=left)
 
 
-def _left_root(m: np.ndarray, report: StructureReport, tol: float, kept=None):
-    """_power_root of the transpose of an irreducible m: its root and sum-1 left Perron vector."""
-    # The transpose reverses every edge, so its classes run the other way.
-    return _power_root(m.T, tol, tuple(-k % report.imprimitivity_index for k in report.cyclic_classes), kept)
-
-
 def resolvent_inverse(transition) -> np.ndarray:
     """(I - T)^-1 = I + T + T^2 + ... for rho(T) < 1, exactly 0 where no walk of T joins two classes.
 
-    An entry below -CLAMP_TOL in the inverse of a block of I - T raises NumericalError.
+    rho(T) >= 1 - SPECTRAL_TOL raises MortalityError, decided as validate_model decides it: from a
+    bound, and from rho(T) only near the edge.  An entry below -CLAMP_TOL in the inverse of a block
+    of I - T raises NumericalError.
     """
     t = as_matrix(transition, name="transition matrix")
     report = _analyze_pattern(t > 0)
-    rho = _radius(t, report, SPECTRAL_TOL)
-    if rho >= 1.0 - SPECTRAL_TOL:
-        raise MortalityError(
-            f"rho(T) >= 1: transition matrix spectral radius is {rho:.12g}, the population never dies out"
-        )
+    ceiling = 1.0 - SPECTRAL_TOL - _mortality_margin(SPECTRAL_TOL, t.shape[0])
+    if not _radius_below(t, report, SPECTRAL_TOL, ceiling) < ceiling:
+        _require_mortal(_radius(t, report, SPECTRAL_TOL), SPECTRAL_TOL)
     inverse = _resolvent_rows(t, report, np.eye(t.shape[0]))
     inverse.setflags(write=False)
     return inverse

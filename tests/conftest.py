@@ -32,13 +32,14 @@ def kernel_calls(monkeypatch):
     pattern) and "_power_root" (one certified Perron root of a block).
     """
     calls = defaultdict(list)
-    # spectral and model call _analyze_pattern, and dynamics _power_root,
-    # through their own imported names.
+    # spectral and model call _analyze_pattern, and model and dynamics
+    # _power_root, through their own imported names.
     patched = (
         (structure, "_analyze_pattern"),
         (spectral, "_analyze_pattern"),
         (model, "_analyze_pattern"),
         (spectral, "_power_root"),
+        (model, "_power_root"),
         (dynamics, "_power_root"),
     )
     for module, name in patched:

@@ -151,19 +151,34 @@ class TestAnalyzeCommand:
         assert "fecundity" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "leslie",
+        "payload, message",
         [
-            {"survival": 5, "fertility": [1, 1]},
-            {"survival": ["x"], "fertility": [1, 1]},
-            {"survival": [0.5], "fertility": [1, None]},
-            {"survival": [0.5], "fertility": "11"},
+            ([], "top level must be an object"),
+            ({"transition": [[0.5]]}, "model file needs transition and fertility matrices, or a leslie block"),
         ],
-        ids=["scalar-survival", "string-entry", "null-entry", "string-fertility"],
+        ids=["not-an-object", "missing-fields"],
     )
-    def test_malformed_leslie_block_exits_2(self, leslie, tmp_path, capsys):
+    def test_malformed_model_file_exits_2(self, payload, message, tmp_path, capsys):
+        path = write_model(tmp_path, "model.json", payload)
+        assert main(["analyze", path]) == 2
+        assert capsys.readouterr().err == f"error: {path}: {message}\n"
+
+    @pytest.mark.parametrize(
+        "leslie, message",
+        [
+            ({"survival": 5, "fertility": [1, 1]}, "leslie must be an object with survival and fertility lists"),
+            ({"survival": ["x"], "fertility": [1, 1]}, "leslie.survival entries must be JSON numbers"),
+            ({"survival": [0.5], "fertility": [1, None]}, "leslie.fertility entries must be JSON numbers"),
+            ({"survival": [0.5], "fertility": "11"}, "leslie must be an object with survival and fertility lists"),
+            ({"survival": [], "fertility": []}, "fertility vector is empty"),
+        ],
+        ids=["scalar-survival", "string-entry", "null-entry", "string-fertility", "empty"],
+    )
+    def test_malformed_leslie_block_exits_2(self, leslie, message, tmp_path, capsys):
         path = write_model(tmp_path, "leslie.json", {"leslie": leslie})
         assert main(["analyze", path]) == 2
-        assert capsys.readouterr().err.startswith("error: ")
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
 
     @pytest.mark.parametrize(
         "payload, field",
@@ -518,6 +533,23 @@ class TestSimulateCommand:
     def test_dimension_mismatch_exits_2(self, capsys):
         assert main(["simulate", PLANT, "--x0", "1,2", "--steps", "3"]) == 2
 
+    @pytest.mark.parametrize(
+        "x0, message",
+        [
+            ("1,a,2,0,0", "cannot parse initial population '1,a,2,0,0': could not convert string to float: 'a'"),
+            (None, "cannot parse initial population file {x0}: could not convert string to float: 'abc'"),
+            ("1,nan,2,0,0", "population vector has non-finite entries"),
+            ("1,-1,2,0,0", "population vector has negative entries"),
+        ],
+        ids=["inline-parse", "file-parse", "non-finite", "negative"],
+    )
+    def test_invalid_x0_exits_2(self, x0, message, tmp_path, capsys):
+        if x0 is None:  # a file whose one line is not a number
+            x0 = str(tmp_path / "x0.txt")
+            Path(x0).write_text("abc\n")
+        assert main(["simulate", PLANT, "--x0", x0, "--steps", "3"]) == 2
+        assert capsys.readouterr().err == f"error: {message.format(x0=x0)}\n"
+
     def test_normalize_with_zero_growth_exits_2(self, tmp_path, capsys):
         path = write_model(
             tmp_path,
@@ -620,9 +652,9 @@ class TestToleranceFlags:
     def test_spectral_tolerance_reaches_every_perron_pair(self, tmp_path, monkeypatch, capsys):
         seen = []
 
-        def spy(m, report, tol, *kept):
+        def spy(m, report, tol, kept=None):
             seen.append(tol)
-            return spectral._pair(m, report, tol, *kept)
+            return spectral._pair(m, report, tol, kept)
 
         monkeypatch.setattr(model_layer, "_pair", spy)
         path = write_model(

@@ -413,16 +413,16 @@ class TestQOfSPass:
     def test_uncertified_seeded_pass_keeps_the_old_bits(self, monkeypatch):
         # At tol 1e-30 only a bracket of width 0 certifies: the seeded pass on
         # Q11(s)^T often stalls, and Q11(s)'s own cold pass then gives q(s).
-        left_root, refused = model_layer._left_root, []
+        power_root, refused = model_layer._power_root, []
 
         def spy(*args):
             try:
-                return left_root(*args)
+                return power_root(*args)
             except ConvergenceError:
                 refused.append(args[0])
                 raise
 
-        monkeypatch.setattr(model_layer, "_left_root", spy)
+        monkeypatch.setattr(model_layer, "_power_root", spy)
         rng = np.random.default_rng(97)
         fallbacks = 0
         for _ in range(40):
@@ -474,16 +474,16 @@ class TestScalingContract:
             caller(plant)
 
     def test_target_growth_model_off_target_raises(self, plant, monkeypatch):
-        left_root = model_layer._left_root
+        power_root = model_layer._power_root
         # Only the first root, q(s) * s from the seeded pass on Q11(s)^T, is off;
         # the scaled model's growth rate is not.
         offsets = iter([1e-6])
 
-        def offset(m, report, tol, kept=None):
-            root, vector = left_root(m, report, tol, kept)
+        def offset(m, tol, classes=None, kept=None):
+            root, vector = power_root(m, tol, classes, kept)
             return root + next(offsets, 0.0), vector
 
-        monkeypatch.setattr(model_layer, "_left_root", offset)
+        monkeypatch.setattr(model_layer, "_power_root", offset)
         with pytest.raises(ConsistencyError):
             target_growth_scale(plant, 2.0)
 
@@ -681,10 +681,13 @@ class TestComputeOnce:
             getattr(model, quantity)
 
     def test_perron_releases_the_kept_pass(self, plant):
-        plant.growth_rate
-        assert plant._kept
-        plant.perron
-        assert plant._kept == []
+        # A target-scaled model keeps its check's pass, on P^T, for its pair's left side to resume.
+        models = [plant, plant.stationary, target_growth_scale(plant, 2.0).scaled]
+        for model, left in zip(models, [False, False, True]):
+            model.growth_rate
+            assert model._pass.state and model._pass.left == left
+            model.perron
+            assert not model._pass.state
 
     def test_stabilizing_scale_after_analyze_reuses_stationary_model(self, plant, kernel_calls):
         analyze(plant)
@@ -772,6 +775,14 @@ def _outcome(call):
     return "ok"
 
 
+def _exact_mortality(rho, tol):
+    """The exact rule's outcome for a computed rho(T): "ok", or its MortalityError and message."""
+    return "ok" if rho < 1.0 - tol else (
+        "MortalityError",
+        f"rho(T) >= 1: transition matrix spectral radius is {rho:.12g}, the population never dies out",
+    )
+
+
 class TestMortalityBound:
     """Validation proves rho(T) < 1 from a Collatz-Wielandt bound, with the exact rule's decisions."""
 
@@ -783,11 +794,11 @@ class TestMortalityBound:
                 f = np.zeros_like(t)
                 f[0, -1] = 1.0
                 rho = spectral._radius(t, structure.analyze_structure(t), tol)
-                expected = "ok" if rho < 1.0 - tol else (
-                    "MortalityError",
-                    f"rho(T) >= 1: transition matrix spectral radius is {rho:.12g}, the population never dies out",
-                )
+                expected = _exact_mortality(rho, tol)
                 assert _outcome(lambda: validate_model(t, f, tol_spec=tol)) == expected
+                # resolvent_inverse decides at the spectral tolerance it always uses.
+                rho_default = spectral._radius(t, structure.analyze_structure(t), spectral.SPECTRAL_TOL)
+                assert _outcome(lambda: resolvent_inverse(t)) == _exact_mortality(rho_default, spectral.SPECTRAL_TOL)
                 if expected == "ok":
                     model = validate_model(t, f, tol_spec=tol)
                     # Only an edge too close for the bound to decide computes rho(T) at validation.
@@ -803,7 +814,7 @@ class TestMortalityBound:
             t, f = m.transition, m.fertility
             model = validate_model(t, f, tol_spec=tol)
             rho, bound = model.rho_transition, validate_model(t, f, tol_spec=tol)._rho_bound
-            edge = bound + tol + model_layer._mortality_margin(model)
+            edge = bound + tol + spectral._mortality_margin(tol, model.n)
             targets = [rho + tol * c for c in (0.5, 1.0, 2.0, 3.0)]
             targets += [bound, bound * (1.0 - 1e-9), bound * (1.0 + 1e-9)]
             targets += [edge, math.nextafter(edge, 0.0), math.nextafter(edge, math.inf), edge * (1.0 + 1e-9)]
@@ -857,6 +868,14 @@ class TestMortalityBound:
         # Certifying rho(T) to 1e-12 computed 7,990 iterations for these models; its bound, 103.
         certified = sum(iterations for _, iterations in power_passes)
         assert certified <= computed_iterations[0] <= 200
+
+    def test_resolvent_inverse_makes_no_certified_pass(self, power_passes):
+        # Deciding its MortalityError from rho(T) certified this T in an 80-iteration pass.
+        t = random_irreducible_model(np.random.default_rng(4)).transition
+        power_passes.clear()
+        inverse = resolvent_inverse(t)
+        assert sum(iterations for _, iterations in power_passes) < 10
+        np.testing.assert_allclose(inverse @ (np.eye(len(t)) - t), np.eye(len(t)), atol=1e-12)
 
     def test_rescaled_models_make_no_pass_for_the_bound(self, plant, monkeypatch):
         model = random_irreducible_model(np.random.default_rng(8))

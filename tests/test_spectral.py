@@ -705,9 +705,9 @@ class TestResumedPowerRoot:
     @staticmethod
     def assert_resumes(block, classes=None):
         tol = spectral.SPECTRAL_TOL
-        kept = []
+        kept = spectral._Pass()
         rho = spectral._power_root(block, tol, classes, kept)[0]
-        assert rho == spectral._power_root(block, tol, classes)[0] and kept
+        assert rho == spectral._power_root(block, tol, classes)[0] and kept.state
         resumed = spectral._power_root(block, tol / 4.0, classes, kept)
         fresh = spectral._power_root(block, tol / 4.0, classes)
         assert resumed[0] == fresh[0]
@@ -732,32 +732,49 @@ class TestResumedPowerRoot:
     def test_slow_block_resumes_its_seeded_pass(self, power_passes):
         m = _leslie_projection(60, [59, 60])
         classes = structure.analyze_structure(m).cyclic_classes
-        kept = []
+        kept = spectral._Pass()
         spectral._power_root(m, spectral.SPECTRAL_TOL, classes, kept)
         assert [start is None for start, _ in power_passes] == [True, False]
         power_passes.clear()
         spectral._power_root(m, spectral.SPECTRAL_TOL / 4.0, classes, kept)
         # The seeded pass that took over from the uncertified probe goes on; the
         # probe and a fresh seeded pass ran here before.
-        assert [start is None for start, _ in power_passes] == [False] and not kept
+        assert [start is None for start, _ in power_passes] == [False] and not kept.state
 
     def test_probe_without_a_seed_goes_on_where_it_stopped(self, power_passes, monkeypatch):
         # With no seed the fallback pass from the uniform vector repeated the probe's steps.
         m = _leslie_projection(60, [59, 60])
         monkeypatch.setattr(spectral, "_eig_seed", lambda *args: None)
-        kept, tol, probe = [], spectral.SPECTRAL_TOL, spectral._probe_length(60)
+        kept, tol, probe = spectral._Pass(), spectral.SPECTRAL_TOL, spectral._probe_length(60)
         rho, vector = spectral._power_root(m, tol, (0,) * 60, kept)
         root, reference, _, _, iterations = spectral._power_pass(m, tol, spectral.MAX_ITERATIONS)
         assert rho == root and vector.tobytes() == reference.tobytes()
         assert power_passes[:2] == [(None, probe), (None, iterations - probe)]
-        # The kept probe went on past a probe's length, so a tighter tol starts afresh.
-        assert not kept
+        # The kept probe went on past a probe's length, and a tighter tol resumes it there: one pass, no probe.
+        power_passes.clear()
+        resumed = spectral._power_root(m, tol / 4.0, (0,) * 60, kept)
+        assert [start for start, _ in power_passes] == [None] and not kept.state
+        fresh = spectral._power_root(m, tol / 4.0, (0,) * 60)
+        assert resumed[0] == fresh[0] and resumed[1].tobytes() == fresh[1].tobytes()
 
     @pytest.mark.parametrize("n, fertile_ages", [(9, [9]), (12, [4, 8, 12]), (200, [200])])
     def test_seeded_route(self, n, fertile_ages, power_passes):
         m = _leslie_projection(n, fertile_ages)
         self.assert_resumes(m, structure.analyze_structure(m).cyclic_classes)
         assert all(start is not None for start, _ in power_passes)
+
+    @pytest.mark.parametrize("n, fertile_ages", [(9, [9]), (12, [4, 8, 12]), (60, [59, 60])])
+    def test_left_record_runs_on_the_transpose(self, n, fertile_ages):
+        # The transpose's cyclic classes run the other way round the cycle.
+        m = _leslie_projection(n, fertile_ages)
+        report = structure.analyze_structure(m)
+        reversed_classes = tuple(-k % report.imprimitivity_index for k in report.cyclic_classes)
+        tol, kept = spectral.SPECTRAL_TOL, spectral._Pass(left=True)
+        for t in (tol, tol / 4.0):
+            left = spectral._power_root(m, t, report.cyclic_classes, kept)
+            transposed = spectral._power_root(m.T, t, reversed_classes)
+            assert left[0] == transposed[0] and left[1].tobytes() == transposed[1].tobytes()
+        assert not kept.state
 
     def test_reducible_blocks(self):
         rng = np.random.default_rng(23)
