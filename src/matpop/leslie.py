@@ -22,10 +22,7 @@ import numpy as np
 from .errors import ConvergenceError, ModelError
 from .model import PopulationModel, validate_model
 
-# Initial lower end of the root bracket (q blows up as s -> 0+, so q = 1 is
-# crossed above some positive seed), and the |q(r) - 1| the bisected root
-# must meet.
-BRACKET_SEED = 1e-8
+# The |q(r) - 1| the bisected root must meet.
 ROOT_TOL = 1e-12
 
 
@@ -120,22 +117,16 @@ def leslie_r0(model: LeslieModel) -> float:
 def leslie_growth_rate(model: LeslieModel) -> float:
     """Unique positive root of q(r) = 1, by bisection.
 
-    q is strictly decreasing, so the root is bracketed by halving
-    BRACKET_SEED until q drops below 1, keeping the last point where it
-    was below 1 as the upper end, or else by doubling 1 until q drops
-    below 1.  Bisection then closes the bracket to adjacent floats, and
-    the root must meet |q(r) - 1| <= ROOT_TOL.
+    Each positive weight c_k of q gives q(c_k^(1/k)) >= 1, and with m
+    positive weights q(max_k (m c_k)^(1/k)) <= 1, as each term is then at
+    most 1/m; q is strictly decreasing, so the root lies between.
+    Bisection from half the lower end to twice the upper one closes the
+    bracket to adjacent floats, and the root must meet |q(r) - 1| <= ROOT_TOL,
+    which a q whose weights all underflowed to 0 fails.
     """
-    lo, hi = BRACKET_SEED, 1.0
-    while q_poly_eval(model, lo) < 1.0:
-        lo, hi = 0.5 * lo, lo
-        if lo < 1e-300:
-            raise ConvergenceError("could not bracket the growth rate from below")
-    while q_poly_eval(model, hi) > 1.0:
-        lo, hi = hi, 2.0 * hi
-        if hi > 1e300:
-            raise ConvergenceError("could not bracket the growth rate from above")
-
+    weights = [(k, c) for k, c in enumerate(_coefficients(model), 1) if c > 0.0]
+    lo = 0.5 * max((c ** (1.0 / k) for k, c in weights), default=1.0)
+    hi = 2.0 * max(((len(weights) * c) ** (1.0 / k) for k, c in weights), default=1.0)
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:

@@ -23,20 +23,21 @@ growth-rate check starts at z.
 
 The model carries its spectral and classification tolerances, set once
 by validate_model, and computes each derived quantity (the structure of
-P, the structure of T, rho(T), r, P's Perron pair, Q, the structure of
-its block Q11, R0 and the model with F / R0) at most once, on first use;
-the functions here and in the other modules read them.  The mortality
-assumption rho(T) < 1 needs a proof, not the value: validate_model
-keeps an upper bound on rho(T) from Collatz-Wielandt brackets that stop
-as soon as they clear the edge, and target_growth_scale's gate reads that
-bound too.  rho(T) itself is computed only where it is read: by
-r0_positive, by the MortalityError and ScalingError messages, and by
-a bound too close to the edge to decide.
+P, r, P's Perron pair, Q, the structure of its block Q11, R0 and the
+model with F / R0) at most once, on first use; the functions here and in
+the other modules read them.  What depends on T alone, its structure, a
+bound on rho(T) and rho(T), sits in one record of T that the model and
+every rescaling of its fertility share.  The mortality assumption
+rho(T) < 1 needs a proof, not the value: the record keeps an upper bound
+on rho(T) from Collatz-Wielandt brackets that stop as soon as they clear
+the edge, for validate_model and target_growth_scale's gate.  rho(T)
+itself is computed only where it is read: by r0_positive, by the
+MortalityError and ScalingError messages, and by a bound too close to
+the edge to decide.
 """
 
 from __future__ import annotations
 
-import math
 from contextlib import suppress
 from dataclasses import dataclass, field
 from enum import Enum
@@ -47,8 +48,8 @@ import numpy as np
 from .errors import ConsistencyError, ConvergenceError, ModelError, ScalingError, StructureError
 from .matrices import as_matrix
 from .spectral import (
-    SPECTRAL_TOL, SpectralPair, _dominant_pair, _mortality_margin, _pair, _Pass, _power_root, _radius,
-    _radius_below, _require_mortal, _resolvent_rows, _unit,
+    SPECTRAL_TOL, SpectralPair, _dominant_pair, _pair, _Pass, _power_root, _radius, _resolvent_rows, _Transition,
+    _unit,
 )
 from .structure import QPatternReport, StructureReport, _analyze_pattern, _next_gen_pattern
 
@@ -86,8 +87,6 @@ class PopulationModel:
     tol_class: float = CLASSIFY_TOL
     # The Perron pass that certified r, on P or on P^T, kept for that side of perron to resume.
     _pass: _Pass = field(default_factory=_Pass, init=False, repr=False)
-    # An upper bound on rho(T), certified up to _mortality_margin; inf when none is known.
-    _rho_bound: float = field(default=math.inf, init=False, repr=False)
 
     @property
     def n(self) -> int:
@@ -106,14 +105,14 @@ class PopulationModel:
         return _analyze_pattern(_finite(self.projection) > 0)
 
     @cached_property
-    def _transition_structure(self) -> StructureReport:
-        """Strong components of T, shared by T / s and every rescaled model."""
-        return _analyze_pattern(self.transition > 0)
+    def _t(self) -> _Transition:
+        """The record of T: its components, bound on rho(T) and rho(T), shared by every rescaled model."""
+        return _Transition(self.transition, self.tol_spec)
 
-    @cached_property
+    @property
     def rho_transition(self) -> float:
         """rho(T), below 1 for every validated model; computed when read, as validation needs only a bound."""
-        return _radius(self.transition, self._transition_structure, self.tol_spec)
+        return self._t.rho
 
     @cached_property
     def growth_rate(self) -> float:
@@ -136,7 +135,7 @@ class PopulationModel:
         """
         fertile = self.fertility.any(axis=1)
         q = np.zeros_like(self.fertility)
-        q[fertile] = _resolvent_rows(self.transition, self._transition_structure, self.fertility[fertile])
+        q[fertile] = _resolvent_rows(self.transition, self._t.report, self.fertility[fertile])
         q.setflags(write=False)
         return q
 
@@ -217,9 +216,7 @@ def validate_model(
         if s > 1.0
     )
     model = PopulationModel(t, f, warnings, tol_spec, tol_class)
-    # rho(T) < 1 - tol_spec is the target gate's condition at s = 1, which keeps the bound it proves.
-    if not _exceeds_rho_transition(model, 1.0):
-        _require_mortal(model.rho_transition, tol_spec)
+    model._t.require_mortal()
     return model
 
 
@@ -236,7 +233,7 @@ def _rescaled(model: PopulationModel, divisor: float, target: float, left=None) 
     The one check of the paper's scaling contract: F / q(s) has growth
     rate s, and q(1) = R0.  A miss beyond STABILITY_TOL * max(1, target)
     raises ConsistencyError.  The model shares T, warnings, tolerances and
-    rho(T), and while F / divisor keeps F's pattern, P's structure too.
+    the record of T, and while F / divisor keeps F's pattern, P's structure too.
     left, if given, is a positive sum-1 left Perron vector of the rescaled
     P at root target, as the identity z (T + F / q(s)) = s z gives; the
     check is then a seeded pass on P^T started at (target, left), whose
@@ -248,10 +245,7 @@ def _rescaled(model: PopulationModel, divisor: float, target: float, left=None) 
         raise ModelError("fertility matrix has non-finite entries")
     f.setflags(write=False)
     scaled = PopulationModel(model.transition, f, model.warnings, model.tol_spec, model.tol_class)
-    vars(scaled)["_transition_structure"] = model._transition_structure
-    vars(scaled)["_rho_bound"] = model._rho_bound
-    if "rho_transition" in vars(model):
-        vars(scaled)["rho_transition"] = model.rho_transition
+    vars(scaled)["_t"] = model._t
     if np.array_equal(f > 0, model.fertility > 0):
         vars(scaled)["structure"] = model.structure
         _finite(scaled.projection)
@@ -350,7 +344,7 @@ def target_growth_scale(model: PopulationModel, s: float) -> TargetScaleResult:
         raise StructureError(
             "projection matrix is reducible; target-growth scaling needs an irreducible model"
         )
-    if not _exceeds_rho_transition(model, s):
+    if not model._t.exceeds(s):
         rho_t = model.rho_transition
         if not np.isfinite(s) or s <= rho_t + model.tol_spec:
             raise ScalingError(f"target growth rate {s:.6g} must exceed rho(T) = {rho_t:.6g}")
@@ -358,7 +352,7 @@ def target_growth_scale(model: PopulationModel, s: float) -> TargetScaleResult:
     # rho(T / s) = rho(T) / s < 1, and T / s walks no edge that T does not.  Q11(s) shares Q11's
     # walk unless, for a large s, T / s underflowed a long walk to an exact zero.
     fertile = model.fertility.any(axis=1)
-    rows = _resolvent_rows(model.transition / s, model._transition_structure, model.fertility[fertile])
+    rows = _resolvent_rows(model.transition / s, model._t.report, model.fertility[fertile])
     q11 = _finite(rows)[:, fertile]
     pattern = q11 > 0
     same = np.array_equal(pattern, model.next_generation[np.ix_(fertile, fertile)] > 0)
@@ -380,26 +374,6 @@ def target_growth_scale(model: PopulationModel, s: float) -> TargetScaleResult:
     # The scaled model's (s, R0(s)) pair must itself satisfy the trichotomy.
     _classify(s, r0_scaled, model.tol_class)
     return TargetScaleResult(q=q_of_s, scaled=scaled, r0_scaled=r0_scaled)
-
-
-def _exceeds_rho_transition(model: PopulationModel, s: float) -> bool:
-    """Whether a bound on rho(T) proves the finite s above rho(T) + tol_spec; False is no answer.
-
-    The model's kept bound, else one pass stopped below s - tol_spec -
-    margin, whose bound is then kept.  A bound below 1 - tol_spec - margin
-    proves every s >= 1, and keeps the pass's upper end below 2, where the
-    margin holds.  Once rho(T) is computed, it answers.
-    """
-    if not math.isfinite(s) or "rho_transition" in vars(model):
-        return False
-    ceiling = min(s, 1.0) - model.tol_spec - _mortality_margin(model.tol_spec, model.n)
-    if model._rho_bound < ceiling:
-        return True
-    bound = _radius_below(model.transition, model._transition_structure, model.tol_spec, ceiling)
-    if bound < ceiling:
-        vars(model)["_rho_bound"] = bound
-        return True
-    return False
 
 
 def r0_positive(model: PopulationModel) -> bool:

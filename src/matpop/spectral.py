@@ -21,7 +21,9 @@ Where only a bound is wanted, as for the mortality assumption rho(T) < 1,
 a pass stops at a ceiling instead: the upper end of any bracket bounds
 the root, so the first one below the ceiling proves it, and
 _radius_below takes the largest such end over a matrix's strong
-components, their 1 x 1 ones read off the diagonal.
+components, their 1 x 1 ones read off the diagonal.  _Transition, the one
+record of T shared by a model and its rescalings, keeps the best such
+bound and decides mortality and a target's gate from it.
 
 Each block first gets short cold probes from the uniform vector, of
 L = max(500, 20 n) iterations for order n, which certify well-conditioned
@@ -47,6 +49,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -449,12 +452,40 @@ def _mortality_margin(tol: float, n: int) -> float:
     return 3.0 * tol + 8 * (n + 2) * math.ulp(1.0)
 
 
-def _require_mortal(rho: float, tol: float) -> None:
-    """The exact rule of the mortality assumption: MortalityError unless the computed rho(T) is below 1 - tol."""
-    if rho >= 1.0 - tol:
-        raise MortalityError(
-            f"rho(T) >= 1: transition matrix spectral radius is {rho:.12g}, the population never dies out"
-        )
+class _Transition:
+    """T, its strong components (report) and tolerance, one record for a model and every rescaling of its F.
+
+    bound is the best upper bound on rho(T) proven, up to _mortality_margin
+    (inf until one is), and rho is rho(T), computed only when read.
+    """
+
+    def __init__(self, t: np.ndarray, tol: float):
+        self.t, self.tol, self.bound = t, tol, math.inf
+        self.report = _analyze_pattern(t > 0)
+
+    @cached_property
+    def rho(self) -> float:
+        return _radius(self.t, self.report, self.tol)
+
+    def exceeds(self, s: float) -> bool:
+        """Whether a bound proves the finite s above rho(T) + tol; False leaves it to rho(T), as a known rho(T) does.
+
+        The ceiling is at most 1 - tol - margin: that proves every s >= 1 and keeps a pass's upper end below
+        2, where the margin holds.
+        """
+        if not math.isfinite(s) or "rho" in vars(self):
+            return False
+        ceiling = min(s, 1.0) - self.tol - _mortality_margin(self.tol, len(self.t))
+        if not self.bound < ceiling:
+            self.bound = min(self.bound, _radius_below(self.t, self.report, self.tol, ceiling))
+        return self.bound < ceiling
+
+    def require_mortal(self) -> None:
+        """MortalityError unless rho(T) < 1 - tol: the gate at s = 1, which keeps the bound it proves, else rho(T)."""
+        if not self.exceeds(1.0) and self.rho >= 1.0 - self.tol:
+            raise MortalityError(
+                f"rho(T) >= 1: transition matrix spectral radius is {self.rho:.12g}, the population never dies out"
+            )
 
 
 def perron_pair(m, *, tol: float = SPECTRAL_TOL) -> SpectralPair:
@@ -500,12 +531,9 @@ def resolvent_inverse(transition) -> np.ndarray:
     bound, and from rho(T) only near the edge.  An entry below -CLAMP_TOL in the inverse of a block
     of I - T raises NumericalError.
     """
-    t = as_matrix(transition, name="transition matrix")
-    report = _analyze_pattern(t > 0)
-    ceiling = 1.0 - SPECTRAL_TOL - _mortality_margin(SPECTRAL_TOL, t.shape[0])
-    if not _radius_below(t, report, SPECTRAL_TOL, ceiling) < ceiling:
-        _require_mortal(_radius(t, report, SPECTRAL_TOL), SPECTRAL_TOL)
-    inverse = _resolvent_rows(t, report, np.eye(t.shape[0]))
+    record = _Transition(as_matrix(transition, name="transition matrix"), SPECTRAL_TOL)
+    record.require_mortal()
+    inverse = _resolvent_rows(record.t, record.report, np.eye(len(record.t)))
     inverse.setflags(write=False)
     return inverse
 

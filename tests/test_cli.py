@@ -353,6 +353,12 @@ class TestScaleCommand:
         assert "did not converge in 108 of 200000 iterations" in err
         assert "spectral radius is in [0, 1000.0000000000001]" in err
 
+    def test_nonpositive_fertility_divisor_exits_3(self, tmp_path, capsys):
+        # q(s) = 1e-300 / 1e300 underflows to 0.
+        path = write_model(tmp_path, "tiny.json", {"transition": [[0.5]], "fertility": [[1e-300]]})
+        assert main(["scale", path, "--target-growth", "1e300"]) == 3
+        assert "fertility divisor came out nonpositive" in capsys.readouterr().err
+
     def test_reducible_target_exits_2(self, tmp_path, capsys):
         assert main(["scale", jordan_file(tmp_path), "--target-growth", "2"]) == 2
 
@@ -529,6 +535,24 @@ class TestSimulateCommand:
         assert "Exception ignored" not in child.stderr
         if argv[0] == "simulate":
             assert json.loads(child.stderr)["d"] == 2
+
+    def test_reader_closing_stdout_midway_is_not_an_error(self, tmp_path):
+        # The reader takes a few bytes of a long CSV and goes, as `| head -c 64` does: the rest of the
+        # CSV goes to the null device, and the summary is still written.
+        src = str(Path(cli.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+        summary = tmp_path / "summary.json"
+        argv = ["simulate", PLANT, "--x0", "1,0,2,0,0", "--steps", "100000", "--summary", str(summary)]
+        child = subprocess.Popen(
+            [sys.executable, "-m", "matpop.cli", *argv], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env
+        )
+        head = child.stdout.read(64)
+        child.stdout.close()
+        err = child.stderr.read()
+        assert child.wait(timeout=60) == 0
+        assert head.startswith(b"step,total,")
+        assert err == b""
+        assert json.loads(summary.read_text())["d"] == 2
 
     def test_dimension_mismatch_exits_2(self, capsys):
         assert main(["simulate", PLANT, "--x0", "1,2", "--steps", "3"]) == 2

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from matpop import (
+    ConvergenceError,
     LeslieModel,
     ModelError,
     analyze,
@@ -158,9 +159,27 @@ class TestLeslieGrowthRate:
 
     @pytest.mark.parametrize("f", [1e-100, 1e-200, 1e-290])
     def test_tiny_root_is_exact(self, f):
-        # q(s) = f / s, so r = f; the downward search keeps its last point
-        # above the root as the bracket's upper end.
+        # q(s) = f / s, so r = f.
         assert leslie_growth_rate(LeslieModel((), (f,))) == f
+
+    @pytest.mark.parametrize("f", [1e-301, 1e301])
+    def test_roots_at_both_ends_of_the_float_range(self, f):
+        # A search for the bracket from 1e-8 and 1 gave up before reaching either root.
+        leslie = LeslieModel((), (f,))
+        assert leslie_growth_rate(leslie) == pytest.approx(assemble(leslie).growth_rate, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "leslie",
+        [
+            # The root 5e-324 has no float neighbour below it to bisect against.
+            LeslieModel((), (5e-324,)),
+            # The one weight, 0.1^399, underflows to 0, so q is 0 in floats.
+            LeslieModel((0.1,) * 399, (0.0,) * 399 + (1.0,)),
+        ],
+    )
+    def test_root_off_the_equation_raises(self, leslie):
+        with pytest.raises(ConvergenceError, match="root refinement stalled"):
+            leslie_growth_rate(leslie)
 
     def test_root_satisfies_equation(self):
         rng = np.random.default_rng(97)

@@ -329,7 +329,7 @@ def _q11_of_s(model, s):
     """Q11(s) = F_f (I - T/s)^-1 on F's nonzero rows and columns, as target_growth_scale solves it."""
     fertile = model.fertility.any(axis=1)
     t = model.transition / s
-    return spectral._resolvent_rows(t, model._transition_structure, model.fertility[fertile])[:, fertile]
+    return spectral._resolvent_rows(t, model._t.report, model.fertility[fertile])[:, fertile]
 
 
 def _old_q_of_s(model, s):
@@ -802,7 +802,7 @@ class TestMortalityBound:
                 if expected == "ok":
                     model = validate_model(t, f, tol_spec=tol)
                     # Only an edge too close for the bound to decide computes rho(T) at validation.
-                    assert "rho_transition" not in vars(model) or c <= 5.0
+                    assert "rho" not in vars(model._t) or c <= 5.0
                     assert model.rho_transition == rho
 
     @pytest.mark.parametrize("tol", [1e-12, 1e-9, 1e-14])
@@ -813,7 +813,7 @@ class TestMortalityBound:
             m = random_irreducible_model(rng)
             t, f = m.transition, m.fertility
             model = validate_model(t, f, tol_spec=tol)
-            rho, bound = model.rho_transition, validate_model(t, f, tol_spec=tol)._rho_bound
+            rho, bound = model.rho_transition, validate_model(t, f, tol_spec=tol)._t.bound
             edge = bound + tol + spectral._mortality_margin(tol, model.n)
             targets = [rho + tol * c for c in (0.5, 1.0, 2.0, 3.0)]
             targets += [bound, bound * (1.0 - 1e-9), bound * (1.0 + 1e-9)]
@@ -825,19 +825,40 @@ class TestMortalityBound:
                     assert new == ("ScalingError", f"target growth rate {s:.6g} must exceed rho(T) = {rho:.6g}")
                 cases.append(((t, f, s), new))
         # The exact rule: no bound, rho(T) computed at validation.
-        monkeypatch.setattr(model_layer, "_radius_below", lambda *args: math.inf)
+        monkeypatch.setattr(spectral, "_radius_below", lambda *args: math.inf)
         for (t, f, s), new in cases:
             assert _outcome(lambda: target_growth_scale(validate_model(t, f, tol_spec=tol), s)) == new
 
     def test_scaling_below_the_bound_keeps_the_tighter_bound(self):
         model = random_irreducible_model(np.random.default_rng(12))
         rho = float(np.abs(np.linalg.eigvals(model.transition)).max())
-        bound = model._rho_bound
+        bound = model._t.bound
         s = 0.5 * (rho + bound)
         assert rho < s < bound
         target_growth_scale(model, s)
-        assert rho <= model._rho_bound < s - model.tol_spec
-        assert "rho_transition" not in vars(model)
+        assert rho <= model._t.bound < s - model.tol_spec
+        assert "rho" not in vars(model._t)
+
+    def test_a_model_and_its_rescalings_share_one_record_of_t(self, monkeypatch, power_passes):
+        model = random_irreducible_model(np.random.default_rng(12))
+        rho = float(np.abs(np.linalg.eigvals(model.transition)).max())
+        s = 0.5 * (rho + model._t.bound)
+        calls = []
+        radius_below = spectral._radius_below
+        monkeypatch.setattr(spectral, "_radius_below", lambda *args: calls.append(args) or radius_below(*args))
+        counts = []
+        for m in (model.stationary, model):
+            target_growth_scale(m, s)
+            counts.append(len(calls))
+        # Cumulative counts: the stationary model's bounded pass proves s for the whole family, 1 + 0 calls
+        # (1 + 1 with a record per model).
+        assert counts == [1, 1]
+        power_passes.clear()
+        r0_positive(model)
+        assert power_passes
+        power_passes.clear()
+        assert model.stationary.rho_transition == model.rho_transition
+        assert not power_passes
 
     def test_model_calls_leave_rho_transition_uncomputed(self):
         rng = np.random.default_rng(77)
@@ -851,11 +872,11 @@ class TestMortalityBound:
             for s in (0.5 * (rho + r), 2.0):
                 target_growth_scale(model, s)
             (eventual_limit if model.structure.primitive else periodic_limits)(model, np.ones(model.n))
-            assert "rho_transition" not in vars(model)
-            assert "rho_transition" not in vars(model.stationary)
+            assert "rho" not in vars(model._t)
+            assert "rho" not in vars(model.stationary._t)
             # r0_positive reads rho(T), with the bits of the exact pass.
             r0_positive(model)
-            assert model.rho_transition == spectral._radius(model.transition, model._transition_structure, 1e-12)
+            assert model.rho_transition == spectral._radius(model.transition, model._t.report, 1e-12)
 
     def test_validation_computes_few_iterations(self, computed_iterations, power_passes):
         rng = np.random.default_rng(5)
@@ -880,8 +901,8 @@ class TestMortalityBound:
     def test_rescaled_models_make_no_pass_for_the_bound(self, plant, monkeypatch):
         model = random_irreducible_model(np.random.default_rng(8))
         calls = []
-        monkeypatch.setattr(model_layer, "_radius_below", lambda *args: calls.append(args) or math.inf)
+        monkeypatch.setattr(spectral, "_radius_below", lambda *args: calls.append(args) or math.inf)
         for m in (model, plant):
             scaled = [stabilizing_scale(m), target_growth_scale(m, 2.0).scaled]
-            assert all(x._rho_bound == m._rho_bound < 1.0 for x in scaled)
+            assert all(x._t.bound == m._t.bound < 1.0 for x in scaled)
         assert not calls

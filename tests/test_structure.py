@@ -244,6 +244,19 @@ class TestNextGenPattern:
         assert report.q11_indices == (0,)
         assert report.zero_rows == (1,)
 
+    @pytest.mark.parametrize(
+        "q, message",
+        [
+            # Row 0 is Q's one nonzero row, and Q11 = [[0]] has no cycle.
+            ([[0.0, 1.0], [0.0, 0.0]], "not irreducible"),
+            # Q11 = [[0, 1], [1, 0]] is irreducible, but no nonzero row reaches class 3.
+            ([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]], "a column .* is zero"),
+        ],
+    )
+    def test_broken_leading_block_raises(self, q, message):
+        with pytest.raises(ConsistencyError, match=message):
+            next_gen_pattern(q, q)
+
     def test_zero_q_raises(self):
         zero = np.zeros((2, 2))
         with pytest.raises(ConsistencyError):
