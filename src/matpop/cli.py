@@ -250,7 +250,8 @@ def _csv_lines(trajectory: np.ndarray):
     for start in range(0, len(trajectory), chunk_rows):
         rows = trajectory[start:start + chunk_rows]
         steps = np.arange(start, start + len(rows))
-        table = np.column_stack((steps, rows.sum(axis=1), rows))
+        with np.errstate(over="ignore"):  # a total beyond the float range prints as inf
+            table = np.column_stack((steps, rows.sum(axis=1), rows))
         yield row_format * len(rows) % tuple(table.ravel().tolist())
 
 

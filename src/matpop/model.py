@@ -331,9 +331,9 @@ def target_growth_scale(model: PopulationModel, s: float) -> TargetScaleResult:
     a strictly decreasing function of s, and the scaled model's net
     reproductive rate is R0 / q(s).  The scaled model's check starts from
     its left Perron vector z = v F_f (I - T/s)^-1, v being Q11(s)'s left
-    Perron vector: [1] when F has one nonzero row.  For an irreducible Q11(s) of
-    order 2 or more, q(s) s and v come from one pass on Q11(s)^T started
-    at LAPACK's proposal, whose ratio bracket certifies the root.  Without
+    Perron vector.  For an irreducible Q11(s), q(s) s and v come from one
+    pass on Q11(s)^T started at LAPACK's proposal, whose ratio bracket
+    certifies the root; a 1 x 1 Q11(s) is read, with v = [1].  Without
     a proposal, or if that pass does not certify, Q11(s)'s own pass gives
     q(s) and v is the proposal, if any; so it is for a reducible Q11(s).
     Q11(s) shares Q11's structure report while T / s keeps every walk of
@@ -358,9 +358,9 @@ def target_growth_scale(model: PopulationModel, s: float) -> TargetScaleResult:
     same = np.array_equal(pattern, model.next_generation[np.ix_(fertile, fertile)] > 0)
     report = model._q11_structure if same else _analyze_pattern(pattern)
     mu = None
-    proposal = (1.0, np.ones(1)) if len(q11) == 1 else _dominant_pair(q11.T)
+    proposal = _dominant_pair(q11.T)
     v = proposal and proposal[1]
-    if proposal and len(q11) > 1 and report.irreducible:
+    if proposal and report.irreducible:
         try:
             mu, v = _power_root(q11, model.tol_spec, report.cyclic_classes, _Pass(proposal, left=True))
         except ConvergenceError:

@@ -201,8 +201,10 @@ def _dominant_pair(block: np.ndarray):
     """LAPACK's dominant eigenpair as (lam, x) with a positive sum-1 x, or None.
 
     For a nonnegative matrix the Perron root has the largest real part
-    among the eigenvalues.
+    among the eigenvalues.  A 1 x 1 block is its own pair, read, not computed.
     """
+    if block.shape[0] == 1:
+        return (float(block[0, 0]), np.ones(1)) if block[0, 0] > 0.0 else None
     try:
         values, vectors = np.linalg.eig(block)
     except np.linalg.LinAlgError:
@@ -321,8 +323,10 @@ def _power_root(block: np.ndarray, tol: float, classes: tuple[int, ...] | None =
     instead; one without a seed is probed as any other.  Where a block
     that stopped its probes uncertified gets no seed, its last probe goes
     on where it stopped.  MAX_ITERATIONS bounds all passes of the block
-    together.  kept, a _Pass, holds the first pass.
+    together.  kept, a _Pass, holds the first pass.  A 1 x 1 block is read, with the vector [1].
     """
+    if block.shape[0] == 1:
+        return float(block[0, 0]), np.ones(1)
     kept = _Pass() if kept is None else kept
     if kept.left:
         # The transpose reverses every edge, so its classes run the other way.
@@ -506,12 +510,6 @@ def _pair(m: np.ndarray, report: StructureReport, tol: float, kept: _Pass | None
     """
     if not report.irreducible:
         raise StructureError("matrix is reducible; analyze each strongly connected component separately")
-    n = m.shape[0]
-    if n == 1:
-        one = np.ones(1)
-        one.setflags(write=False)
-        return SpectralPair(rho=float(m[0, 0]), right=one, left=one)
-
     # Iterate both sides a notch tighter than requested so the combined
     # residuals of the pair stay within tol.
     inner_tol = tol / 4.0

@@ -499,6 +499,22 @@ class TestSimulateCommand:
         assert main(["simulate", path, "--x0", "1", "--steps", "5", "--out", str(out_path)]) == 3
         assert not out_path.exists()
 
+    @pytest.mark.parametrize(
+        "model",
+        [str(FIXTURES / "leslie3.json"), PLANT, {"leslie": {"survival": [0.5, 0.5], "fertility": [0, 0, 8]}}],
+        ids=["leslie3-d1", "plant-d2", "cycle-d3"],
+    )
+    def test_overflowing_limit_is_the_summary_error(self, model, tmp_path, capsys):
+        # The normalized rows are finite, but v @ x0 and the limits pass the float range.
+        path = model if isinstance(model, str) else write_model(tmp_path, "cycle3.json", model)
+        x0 = ",".join(["1e308"] * load_model_file(path).n)
+        assert main(["simulate", path, "--x0", x0, "--steps", "2", "--normalize"]) == 0
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        summary = json.loads(lines[0])
+        assert "overflow" in summary["error"]
+        assert "limit" not in summary and "limits" not in summary
+
     @pytest.mark.parametrize("flag", ["--out", "--summary"])
     def test_unwritable_output_exits_2(self, flag, tmp_path, capsys):
         target = str(tmp_path / "missing" / "file")
@@ -793,7 +809,15 @@ def test_cli_sweep_smoke(tmp_path):
     spec = importlib.util.spec_from_file_location("cli_sweep", tool)
     sweep = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(sweep)
-    results = [sweep.run(main, argv) for argv in sweep.runs([1], 12, tmp_path)]
+    argvs = list(sweep.runs([1], 12, tmp_path))
+    results = [sweep.run(main, argv) for argv in argvs]
     assert len(results) > 100
     assert {code for code, _, _ in results} <= {0, 2, 3}
     assert not any("Traceback" in err for _, _, err in results)
+    # stderr: a simulate that exits 0 writes its one JSON summary line; any other run, nothing or one error line.
+    for argv, (code, _, err) in zip(argvs, results):
+        lines = err.splitlines()
+        if argv[0] == "simulate" and code == 0:
+            assert len(lines) == 1 and isinstance(json.loads(lines[0]), dict), (argv, err)
+        else:
+            assert err == "" or (len(lines) == 1 and err.startswith(("error: ", "numerical failure: "))), (argv, err)

@@ -358,20 +358,34 @@ class TestPeriodicLimits:
             periodic_limits(model, PLANT_NEWBORN)
 
     @pytest.mark.parametrize(
-        "model",
-        [plant_model(), leslie(6, {3: 1.0, 6: 2.0}), leslie(12, {12: 5.0})],
+        "model, passes",
+        [(plant_model(), 2), (leslie(6, {3: 1.0, 6: 2.0}), 2), (leslie(12, {12: 5.0}), 0)],
         ids=["plant-d2", "leslie6-d3", "semelparous12-d12"],
     )
-    def test_cycle_pair_is_two_seeded_passes(self, model, kernel_calls, power_passes):
-        # Each side of M's pair is one _power_root pass from LAPACK's
-        # proposal: no cold probe, and no Tarjan pass on M.
+    def test_cycle_pair_is_two_seeded_passes(self, model, passes, kernel_calls, power_passes):
+        # Each side of M's pair is one _power_root call from LAPACK's
+        # proposal: no cold probe, and no Tarjan pass on M.  A pure
+        # cycle's M is 1 x 1, whose pair is read with no pass at all.
         assert model.growth_rate > 0.0
         kernel_calls.clear()
         power_passes.clear()
         periodic_limits(model, np.ones(model.n))
         assert len(kernel_calls["_power_root"]) == 2
         assert not kernel_calls["_analyze_pattern"]
-        assert len(power_passes) == 2 and all(start is not None for start, _ in power_passes)
+        assert len(power_passes) == passes and all(start is not None for start, _ in power_passes)
+
+    def test_pure_cycle_calls_no_eig(self, power_passes, monkeypatch):
+        # Each cyclic class of the 12-class semelparous model has one member,
+        # so the cycle product M is 1 x 1: read, where analyze made 4 eig
+        # calls and periodic_limits 2, with 2 passes, on M.
+        model = leslie(12, {12: 5.0})
+        eig, calls = np.linalg.eig, []
+        monkeypatch.setattr(np.linalg, "eig", lambda a: calls.append(a.shape) or eig(a))
+        analyze(model)
+        assert calls == []
+        power_passes.clear()
+        periodic_limits(model, np.ones(12))
+        assert calls == [] and power_passes == []
 
     def test_left_perron_functional_is_conserved(self, plant):
         pair = perron_pair(plant.projection)

@@ -488,6 +488,25 @@ class TestScalingContract:
             target_growth_scale(plant, 2.0)
 
 
+class TestPlantedCaches:
+    """A wrong cached value on the plant breaks the identity that each cross-check guards."""
+
+    def test_zero_r0_of_an_irreducible_model_raises(self, plant):
+        vars(plant)["r0"] = 0.0
+        with pytest.raises(ConsistencyError, match="zero net reproductive rate"):
+            analyze(plant)
+
+    def test_pair_off_the_trichotomy_raises(self, plant):
+        vars(plant).update(growth_rate=2.0, r0=0.5)
+        with pytest.raises(ConsistencyError, match="violate the growth trichotomy"):
+            analyze(plant)
+
+    def test_wrong_rho_transition_breaks_the_r0_certificate(self, plant):
+        vars(plant._t)["rho"] = 10.0
+        with pytest.raises(ConsistencyError, match="disagrees with rho"):
+            r0_positive(plant)
+
+
 class TestR0Positive:
     def test_plant(self, plant):
         assert r0_positive(plant)

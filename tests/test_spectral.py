@@ -301,6 +301,34 @@ class TestPerronPair:
             assert np.max(np.abs(pair.left @ p - pair.rho * pair.left)) <= tol * left_scale
 
 
+class TestOneByOneBlock:
+    """A 1 x 1 block is read: its entry and the vector [1], with no eig call and no power pass."""
+
+    ENTRIES = [1e-300, *np.exp(np.random.default_rng(29).uniform(-690.0, 690.0, 200)).tolist(), 1.0, 1e300]
+
+    @pytest.fixture
+    def eig_calls(self, monkeypatch):
+        eig, calls = np.linalg.eig, []
+        monkeypatch.setattr(np.linalg, "eig", lambda a: calls.append(a.shape) or eig(a))
+        return calls
+
+    def test_entry_and_unit_vector(self, eig_calls, power_passes):
+        for a in self.ENTRIES:
+            block = np.array([[a]])
+            for kept in (None, spectral._Pass(), spectral._Pass(left=True), spectral._Pass((a, np.ones(1)), True)):
+                root, vector = spectral._power_root(block, spectral.SPECTRAL_TOL, (0,), kept)
+                assert root == a and vector.tolist() == [1.0]
+            lam, vector = spectral._dominant_pair(block)
+            assert lam == a and vector.tolist() == [1.0]
+            pair = perron_pair(block)
+            assert pair.rho == a and pair.right.tolist() == [1.0] and pair.left.tolist() == [1.0]
+        assert eig_calls == [] and power_passes == []
+
+    def test_zero_entry_has_no_dominant_pair(self, eig_calls):
+        assert spectral._dominant_pair(np.zeros((1, 1))) is None
+        assert eig_calls == []
+
+
 def _ratio_bracket(a, x) -> tuple[float, float]:
     """Min and max of (A x)_i / x_i for a positive test vector x."""
     ratios = (np.asarray(a) @ x) / x
