@@ -15,6 +15,7 @@ infinity to zero.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,30 +83,21 @@ def assemble(model: LeslieModel) -> PopulationModel:
     return validate_model(*_matrices(model))
 
 
-def _coefficients(model: LeslieModel) -> list[float]:
-    """c_k = f_k * t_1 ... t_{k-1}, the weights of the powers of 1/s in q."""
-    coeffs = []
-    running = 1.0
-    for k, f in enumerate(model.fertility):
-        coeffs.append(f * running)
-        if k < len(model.survival):
-            running *= model.survival[k]
-    return coeffs
-
-
 def q_poly_eval(model: LeslieModel, s: float) -> float:
-    """Fertility divisor q(s), evaluated by Horner's rule in 1/s.
+    """Fertility divisor q(s) = u (f_1 + t_1 u (f_2 + t_2 u (...))), u = 1/s, by Horner's rule over the ages.
 
-    Matches the generic divisor rho(F (I - T/s)^-1) / s of the assembled
-    model.  Float arithmetic overflows to inf for very small s.
+    Each survival fraction enters at its own age, so near the root every
+    factor t_k / s is O(1) and nothing underflows.  Matches the generic
+    divisor rho(F (I - T/s)^-1) / s of the assembled model.  Float
+    arithmetic overflows to inf for very small s.
     """
     s = float(s)
     if not s > 0.0:
         raise ModelError(f"growth rate argument must be positive, got {s:.6g}")
     u = 1.0 / s
     acc = 0.0
-    for c in reversed(_coefficients(model)):
-        acc = u * (c + acc)
+    for f, t in zip(reversed(model.fertility), (0.0, *reversed(model.survival))):
+        acc = u * (f + t * acc)
     return acc
 
 
@@ -117,18 +109,25 @@ def leslie_r0(model: LeslieModel) -> float:
 def leslie_growth_rate(model: LeslieModel) -> float:
     """Unique positive root of q(r) = 1, by bisection.
 
-    Each positive weight c_k of q gives q(c_k^(1/k)) >= 1, and with m
-    positive weights q(max_k (m c_k)^(1/k)) <= 1, as each term is then at
-    most 1/m; q is strictly decreasing, so the root lies between.
-    Bisection from half the lower end to twice the upper one closes the
-    bracket to adjacent floats, and the root must meet |q(r) - 1| <= ROOT_TOL,
-    which a q whose weights all underflowed to 0 fails.
+    Each positive weight c_k = f_k t_1 ... t_{k-1} of q gives
+    q(c_k^(1/k)) >= 1, and with m positive weights
+    q(max_k (m c_k)^(1/k)) <= 1, as each term is then at most 1/m; q is
+    strictly decreasing, so the root lies between.  Both ends come from
+    log c_k, a running sum, so weights below the float range place them.
+    Bisection from half the lower end to twice the upper one, capped at
+    the largest float, closes the bracket to adjacent floats, and the root
+    must meet |q(r) - 1| <= ROOT_TOL.  Midpoints are lo + (hi - lo) / 2,
+    which stay finite next to the largest float.
     """
-    weights = [(k, c) for k, c in enumerate(_coefficients(model), 1) if c > 0.0]
-    lo = 0.5 * max((c ** (1.0 / k) for k, c in weights), default=1.0)
-    hi = 2.0 * max(((len(weights) * c) ** (1.0 / k) for k, c in weights), default=1.0)
+    logs, log_survivorship = [], 0.0
+    for k, (f, t) in enumerate(zip(model.fertility, (*model.survival, 1.0)), 1):
+        if f > 0.0:
+            logs.append((k, math.log(f) + log_survivorship))
+        log_survivorship += math.log(t)
+    lo = 0.5 * max(math.exp(w / k) for k, w in logs)
+    hi = min(2.0 * max(len(logs) ** (1.0 / k) * math.exp(w / k) for k, w in logs), sys.float_info.max)
     for _ in range(200):
-        mid = 0.5 * (lo + hi)
+        mid = lo + 0.5 * (hi - lo)
         if mid <= lo or mid >= hi:
             break
         if q_poly_eval(model, mid) >= 1.0:
@@ -136,7 +135,7 @@ def leslie_growth_rate(model: LeslieModel) -> float:
         else:
             hi = mid
 
-    root = 0.5 * (lo + hi)
+    root = lo + 0.5 * (hi - lo)
     if abs(q_poly_eval(model, root) - 1.0) > ROOT_TOL:
         raise ConvergenceError(f"growth-rate root refinement stalled at q({root!r}) != 1")
     return root

@@ -38,6 +38,7 @@ the edge to decide.
 
 from __future__ import annotations
 
+import math
 from contextlib import suppress
 from dataclasses import dataclass, field
 from enum import Enum
@@ -154,7 +155,29 @@ class PopulationModel:
     @cached_property
     def stationary(self) -> PopulationModel:
         """The model with fertility F / R0, checked to have growth rate 1; needs R0 > 0."""
-        return _rescaled(self, self.r0, 1.0)
+        return _rescaled(self, self.fertility / self.r0, 1.0)
+
+    @cached_property
+    def _lift(self) -> float:
+        """The power of two, exact to multiply by, taking F's least positive entry to the normal range.
+
+        It lifts F's largest entry to at most max(1, F.max()): an F with an entry of 1 or more keeps
+        lift 1, and the lifted rows F (I - T/s)^-1 stay within the resolvent's own size.  frexp gives
+        the smallest normal float the exponent -1021, and an entry below 2^e one of at most e.
+        """
+        f = self.fertility
+        low = math.frexp(f.min(initial=math.inf, where=f > 0))[1]
+        return 1.0 if low >= -1021 else math.ldexp(1.0, max(0, min(-1021 - low, -math.frexp(f.max())[1])))
+
+    @cached_property
+    def _lifted_r0(self) -> float:
+        """R0 times _lift, the radius of Q11 solved on the lifted F, so a subnormal F's R0 keeps its bits."""
+        if self._lift == 1.0:
+            return self.r0
+        fertile = self.fertility.any(axis=1)
+        rows = _resolvent_rows(self.transition, self._t.report, self.fertility[fertile] * self._lift)
+        q11 = _finite(rows)[:, fertile]
+        return _radius(q11, _analyze_pattern(q11 > 0), self.tol_spec)
 
 
 @dataclass(frozen=True)
@@ -227,20 +250,19 @@ def _finite(m: np.ndarray) -> np.ndarray:
     return m
 
 
-def _rescaled(model: PopulationModel, divisor: float, target: float, left=None) -> PopulationModel:
-    """The model with fertility F / divisor, checked to have growth rate target.
+def _rescaled(model: PopulationModel, f: np.ndarray, target: float, left=None) -> PopulationModel:
+    """The model with fertility f, a rescaled F, checked to have growth rate target.
 
     The one check of the paper's scaling contract: F / q(s) has growth
     rate s, and q(1) = R0.  A miss beyond STABILITY_TOL * max(1, target)
     raises ConsistencyError.  The model shares T, warnings, tolerances and
-    the record of T, and while F / divisor keeps F's pattern, P's structure too.
+    the record of T, and while f keeps F's pattern, P's structure too.
     left, if given, is a positive sum-1 left Perron vector of the rescaled
     P at root target, as the identity z (T + F / q(s)) = s z gives; the
     check is then a seeded pass on P^T started at (target, left), whose
     ratio bracket still certifies the root and which perron's left side
     resumes.  A seeded pass that does not certify leaves r to P's own pass.
     """
-    f = model.fertility / divisor
     if not np.isfinite(f).all():
         raise ModelError("fertility matrix has non-finite entries")
     f.setflags(write=False)
@@ -337,7 +359,9 @@ def target_growth_scale(model: PopulationModel, s: float) -> TargetScaleResult:
     a proposal, or if that pass does not certify, Q11(s)'s own pass gives
     q(s) and v is the proposal, if any; so it is for a reducible Q11(s).
     Q11(s) shares Q11's structure report while T / s keeps every walk of
-    T positive.
+    T positive.  They come from F times _lift, exactly, so a subnormal F
+    keeps the bits that the scaled fertility, lifted F / lifted q(s), and
+    R0(s), lifted R0 / lifted q(s), need.
     """
     s = float(s)
     if not model.structure.irreducible:
@@ -352,7 +376,8 @@ def target_growth_scale(model: PopulationModel, s: float) -> TargetScaleResult:
     # rho(T / s) = rho(T) / s < 1, and T / s walks no edge that T does not.  Q11(s) shares Q11's
     # walk unless, for a large s, T / s underflowed a long walk to an exact zero.
     fertile = model.fertility.any(axis=1)
-    rows = _resolvent_rows(model.transition / s, model._t.report, model.fertility[fertile])
+    lifted = model.fertility * model._lift
+    rows = _resolvent_rows(model.transition / s, model._t.report, lifted[fertile])
     q11 = _finite(rows)[:, fertile]
     pattern = q11 > 0
     same = np.array_equal(pattern, model.next_generation[np.ix_(fertile, fertile)] > 0)
@@ -365,15 +390,15 @@ def target_growth_scale(model: PopulationModel, s: float) -> TargetScaleResult:
             mu, v = _power_root(q11, model.tol_spec, report.cyclic_classes, _Pass(proposal, left=True))
         except ConvergenceError:
             pass
-    q_of_s = (_radius(q11, report, model.tol_spec) if mu is None else mu) / s
-    if q_of_s <= 0.0:
+    lifted_q = (_radius(q11, report, model.tol_spec) if mu is None else mu) / s
+    if lifted_q <= 0.0:
         raise ConsistencyError("fertility divisor came out nonpositive for an irreducible model")
 
-    scaled = _rescaled(model, q_of_s, s, None if v is None else _unit(v @ rows))
-    r0_scaled = model.r0 / q_of_s
+    scaled = _rescaled(model, lifted / lifted_q, s, None if v is None else _unit(v @ rows))
+    r0_scaled = model._lifted_r0 / lifted_q
     # The scaled model's (s, R0(s)) pair must itself satisfy the trichotomy.
     _classify(s, r0_scaled, model.tol_class)
-    return TargetScaleResult(q=q_of_s, scaled=scaled, r0_scaled=r0_scaled)
+    return TargetScaleResult(q=lifted_q / model._lift, scaled=scaled, r0_scaled=r0_scaled)
 
 
 def r0_positive(model: PopulationModel) -> bool:

@@ -324,6 +324,7 @@ def _power_root(block: np.ndarray, tol: float, classes: tuple[int, ...] | None =
     that stopped its probes uncertified gets no seed, its last probe goes
     on where it stopped.  MAX_ITERATIONS bounds all passes of the block
     together.  kept, a _Pass, holds the first pass.  A 1 x 1 block is read, with the vector [1].
+    A rescale that would overflow ends the block with ConvergenceError and the bracket so far.
     """
     if block.shape[0] == 1:
         return float(block[0, 0]), np.ones(1)
@@ -357,8 +358,8 @@ def _power_root(block: np.ndarray, tol: float, classes: tuple[int, ...] | None =
             return scale * root, vector
         # A root below the rounding of the + I shift certifies as 0: the largest entry rescales instead.
         root = root or float(block.max())
+        block = _rescaled_block(block, root, bracket, MAX_ITERATIONS - remaining)
         scale *= root
-        block = block / root
         state = []
     if remaining > 0:
         held = kept.state is state  # does kept hold this very pass?
@@ -369,8 +370,8 @@ def _power_root(block: np.ndarray, tol: float, classes: tuple[int, ...] | None =
             else:
                 state, probed = [], 0
         lam, start = seed
+        block = _rescaled_block(block, lam, bracket, MAX_ITERATIONS - remaining)
         scale *= lam
-        block = block / lam
         root, vector, lo, hi, used = _power_pass(block, tol, remaining + probed, start, state)
         if root is not None:
             if held:
@@ -379,12 +380,20 @@ def _power_root(block: np.ndarray, tol: float, classes: tuple[int, ...] | None =
         remaining -= used - probed
         bracket = (scale * lo, scale * hi)
     used = MAX_ITERATIONS - remaining
-    raise ConvergenceError(
-        f"power iteration did not converge in {used} of {MAX_ITERATIONS} iterations; "
-        f"spectral radius is in [{bracket[0]:.17g}, {bracket[1]:.17g}]",
-        bracket=bracket,
-        iterations=used,
-    )
+    raise _bracket_error(f"power iteration did not converge in {used} of {MAX_ITERATIONS} iterations", bracket, used)
+
+
+def _bracket_error(reason: str, bracket: tuple[float, float], used: int) -> ConvergenceError:
+    """The ConvergenceError of a block that stopped for reason, with its bracket and iterations spent."""
+    message = f"{reason}; spectral radius is in [{bracket[0]:.17g}, {bracket[1]:.17g}]"
+    return ConvergenceError(message, bracket=bracket, iterations=used)
+
+
+def _rescaled_block(block: np.ndarray, by: float, bracket: tuple[float, float], used: int) -> np.ndarray:
+    """block / by, unless its largest quotient, block.max() / by, overflows (a by below 1 only): ConvergenceError."""
+    if by < 1.0 and not float(block.max()) / by < math.inf:
+        raise _bracket_error(f"rescaling a block by {by:.17g} overflows the float range", bracket, used)
+    return block / by
 
 
 def spectral_radius(m, *, tol: float = SPECTRAL_TOL) -> float:

@@ -221,6 +221,16 @@ class TestAnalyzeCommand:
         )
         assert main(["analyze", str(path)]) == 2
 
+    def test_overflowing_rescale_is_one_numerical_failure(self, tmp_path, capsys):
+        # P / r overflows for r near 2.2e-8: two RuntimeWarnings leaked, then "spectral radius is in [0, inf]".
+        path = write_model(
+            tmp_path, "overflow.json", {"transition": [[0, 0], [0, 0]], "fertility": [[0, 1e308], [5e-324, 0]]}
+        )
+        assert main(["analyze", path]) == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("numerical failure: rescaling a block by ")
+        assert "overflows the float range" in err
+
     def test_column_sum_warning_surfaces(self, tmp_path, capsys):
         path = write_model(
             tmp_path,
@@ -352,6 +362,24 @@ class TestScaleCommand:
         err = capsys.readouterr().err
         assert "did not converge in 108 of 200000 iterations" in err
         assert "spectral radius is in [0, 1000.0000000000001]" in err
+
+    @pytest.mark.parametrize(
+        "t, fertility, r0_s",
+        [
+            # q(s) and F / q(s) came from an F with few bits left: the scaled model grew at 1.99926 (exit 3).
+            (0.5, 1.5, 3.0),
+            # 1e-320 / (1 - 1e-5) rounds back to 1e-320, so an R0 solved on the subnormal F gave R0(s) = 1.99999.
+            (1e-5, 1.99999, 2.00001),
+        ],
+    )
+    def test_subnormal_fertility_meets_its_target(self, tmp_path, capsys, t, fertility, r0_s):
+        path = write_model(tmp_path, "subnormal.json", {"transition": [[t]], "fertility": [[1e-320]]})
+        assert main(["scale", path, "--target-growth", "2"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["achieved_growth"] == 2.0
+        assert payload["scaled_fertility"] == [[fertility]]
+        assert payload["R0_s"] == r0_s
+        assert payload["q"] == pytest.approx(1e-320 / fertility, rel=1e-3)
 
     def test_nonpositive_fertility_divisor_exits_3(self, tmp_path, capsys):
         # q(s) = 1e-300 / 1e300 underflows to 0.

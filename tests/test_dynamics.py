@@ -6,6 +6,7 @@ from matpop import (
     Fate,
     LeslieModel,
     assemble,
+    dynamics,
     ModelError,
     NumericalError,
     PopulationKind,
@@ -356,6 +357,22 @@ class TestPeriodicLimits:
         vars(model)["growth_rate"] = PLANT_R * (1.0 + 1e-6)
         with pytest.raises(ConsistencyError, match="close the cycle"):
             periodic_limits(model, PLANT_NEWBORN)
+
+    def test_skewed_left_vector_breaks_conservation(self, plant, monkeypatch):
+        # w_0 weights each class by v_c @ x0_c, so the cycle closes for any v.  M's left vector v_0 = [0.5, 0.5]
+        # skewed to [0.5, -0.3] has v_0 @ u_0 < 0, and v @ x0 comes out negative, below any bound relative to it.
+        power_root = dynamics._power_root
+        sides = []
+
+        def skew_left(m, *args):
+            root, vector = power_root(m, *args)
+            sides.append(m)
+            return root, (vector * [1.0, -0.6] if len(sides) == 2 else vector)
+
+        monkeypatch.setattr(dynamics, "_power_root", skew_left)
+        with pytest.raises(ConsistencyError, match="conserve the left Perron functional"):
+            periodic_limits(plant, PLANT_NEWBORN)
+        assert len(sides) == 2 and len(sides[1]) == 2
 
     @pytest.mark.parametrize(
         "model, passes",

@@ -20,6 +20,7 @@ from matpop import (
     stabilizing_scale,
     target_growth_scale,
 )
+from matpop.leslie import ROOT_TOL
 from helpers import random_leslie_model
 
 
@@ -173,13 +174,28 @@ class TestLeslieGrowthRate:
         [
             # The root 5e-324 has no float neighbour below it to bisect against.
             LeslieModel((), (5e-324,)),
-            # The one weight, 0.1^399, underflows to 0, so q is 0 in floats.
-            LeslieModel((0.1,) * 399, (0.0,) * 399 + (1.0,)),
         ],
     )
     def test_root_off_the_equation_raises(self, leslie):
         with pytest.raises(ConvergenceError, match="root refinement stalled"):
             leslie_growth_rate(leslie)
+
+    def test_root_near_the_largest_float(self):
+        # Twice the bracket's upper bound, about 1.5e308, is inf, and the midpoint (lo + hi) / 2 of two
+        # ends near the largest float overflows: the capped end and lo + (hi - lo) / 2 bisect to the root.
+        leslie = LeslieModel((0.5,), (1.5e308, 1.0))
+        root = leslie_growth_rate(leslie)
+        exact = _euler_lotka_root(assemble(leslie), root)
+        assert abs(root - exact) <= 1e-15 * exact
+        assert abs(q_poly_eval(leslie, root) - 1.0) <= ROOT_TOL
+
+    def test_root_of_a_weight_below_the_float_range(self):
+        # The one weight, 0.1^399, underflows to 0: q summed from it was 0, and the root raised.
+        leslie = LeslieModel((0.1,) * 399, (0.0,) * 399 + (1.0,))
+        root = leslie_growth_rate(leslie)
+        exact = _euler_lotka_root(assemble(leslie), root)
+        assert abs(root - exact) <= 1e-15 * exact
+        assert abs(q_poly_eval(leslie, root) - 1.0) <= ROOT_TOL
 
     def test_root_satisfies_equation(self):
         rng = np.random.default_rng(97)
@@ -285,6 +301,25 @@ def _long_period_leslie(rng, period: int) -> LeslieModel:
     fertility[ages - 1] = rng.uniform(0.2, 5.0, ages.size) * (rng.random(ages.size) < 0.6)
     fertility[[period - 1, n - 1]] = rng.uniform(0.2, 5.0, 2)
     return LeslieModel(tuple(rng.uniform(0.3, 0.99, n - 1)), tuple(fertility))
+
+
+class TestWeightsBelowTheFloatRange:
+    """Roots of models whose weights f_k t_1 ... t_{k-1} fall below 1e-308, against a 50-digit Euler-Lotka root."""
+
+    def test_growth_rates(self):
+        rng = np.random.default_rng(107)
+        for _ in range(20):
+            n = int(rng.integers(110, 121))
+            survival = 10.0 ** rng.uniform(-6.0, -3.0, n - 1)
+            fertility = rng.uniform(0.2, 5.0, n) * (rng.random(n) < rng.uniform(0.0, 0.5))
+            fertility[-1] = rng.uniform(0.2, 5.0)
+            leslie = LeslieModel(tuple(survival), tuple(fertility))
+            # The last weight is below 10^(-3 (n - 1)) <= 1e-327.
+            assert fertility[-1] * np.prod(survival) == 0.0
+            root = leslie_growth_rate(leslie)
+            exact = _euler_lotka_root(assemble(leslie), root)
+            assert abs(root - exact) <= 1e-15 * exact
+            assert abs(q_poly_eval(leslie, root) - 1.0) <= ROOT_TOL
 
 
 class TestLongPeriodRootsAgainstEulerLotka:

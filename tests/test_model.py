@@ -222,6 +222,43 @@ class TestTargetGrowthScale:
         with np.errstate(over="ignore"), pytest.raises(ModelError, match="non-finite"):
             target_growth_scale(model, 1e308)
 
+    @pytest.mark.parametrize(
+        "f, exponent",
+        [
+            ([[0.5]], 0),
+            ([[2.2250738585072014e-308]], 0),  # the smallest normal float
+            ([[2.225073858507201e-308]], 1),  # the largest subnormal one
+            ([[1e-320]], 42),
+            ([[5e-324, 2.0**-30], [0.0, 0.0]], 29),  # capped where 2^-30 would pass 1
+            ([[5e-324, 0.75], [0.0, 0.0]], 0),
+            ([[1e-320, 1e300], [0.0, 0.0]], 0),  # an entry of 1 or more keeps F as it is
+        ],
+    )
+    def test_lift_takes_the_least_entry_to_the_normal_range(self, f, exponent):
+        assert validate_model(np.zeros((len(f), len(f))), f)._lift == 2.0**exponent
+
+    def test_subnormal_fertility_beside_a_large_one_keeps_its_scale(self):
+        # (I - T/s)^-1 has entries up to 2 here: a lift to 2^27 took row 1 to 1.5 * 2^1023 = inf.
+        model = validate_model([[0.5, 0.0], [0.5, 0.5]], [[1e-320, 1e300], [0.0, 0.0]])
+        result = target_growth_scale(model, 1.5)
+        assert result.q == pytest.approx(5e299, rel=1e-12)
+        assert result.r0_scaled == pytest.approx(4.0, rel=1e-12)
+        assert result.scaled.fertility == pytest.approx(np.array([[0.0, 2.0], [0.0, 0.0]]), rel=1e-12)
+        assert result.scaled.growth_rate == pytest.approx(1.5, rel=1e-12)
+
+    def test_without_a_lapack_proposal_q_comes_from_the_cold_pass(self, plant, monkeypatch):
+        failed = []
+
+        def eig(a):
+            failed.append(a)
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eig", eig)
+        result = target_growth_scale(plant, 2.0)
+        assert failed
+        assert result.q == pytest.approx(plant_q_of_s(2.0), rel=1e-12)
+        assert result.scaled.growth_rate == pytest.approx(2.0, rel=1e-12)
+
     @pytest.mark.parametrize("s", [1e8, 1e9, 1e12])
     def test_large_targets_are_met_relative_to_s(self, s):
         # The achieved rate is exact to an ulp, which exceeds 1e-8 absolutely.
@@ -299,9 +336,9 @@ class TestLeftVectorIdentity:
         handed = []
         rescaled = model_layer._rescaled
 
-        def spy(model, divisor, target, left=None):
+        def spy(model, fertility, target, left=None):
             handed.append(left)
-            return rescaled(model, divisor, target, left)
+            return rescaled(model, fertility, target, left)
 
         monkeypatch.setattr(model_layer, "_rescaled", spy)
         rng = np.random.default_rng(73)

@@ -9,6 +9,7 @@ from matpop import (
     ConvergenceError,
     ModelError,
     MortalityError,
+    NumericalError,
     SpectralPair,
     StructureError,
     analyze,
@@ -616,6 +617,71 @@ class TestZeroRoot:
         path = tmp_path / "tiny.json"
         path.write_text(json.dumps({"transition": m.transition.tolist(), "fertility": (m.fertility * 1e-17).tolist()}))
         assert main(["analyze", str(path)]) == 0
+
+
+class TestOverflowingRescale:
+    """A rescale past the float range ends the block with ConvergenceError and the bracket so far."""
+
+    def test_small_root_of_a_probe(self):
+        # r is about 2.2e-8, and P / r would need an entry of 1e308 / 2.2e-8: two RuntimeWarnings leaked.
+        model = validate_model([[0.0, 0.0], [0.0, 0.0]], [[0.0, 1e308], [5e-324, 0.0]])
+        with pytest.raises(ConvergenceError, match="overflows the float range") as info:
+            analyze(model)
+        lo, hi = info.value.bracket
+        assert lo <= math.sqrt(1e308 * 5e-324) <= hi
+
+    def test_seed_of_a_long_cycle(self):
+        # Index 3 goes straight to its seed, whose root (1e308 * 1e-320)^(1/3) is 1e-4.
+        block = [[0.0, 0.0, 1e308], [1e-160, 0.0, 0.0], [0.0, 1e-160, 0.0]]
+        with pytest.raises(ConvergenceError, match="overflows the float range") as info:
+            spectral_radius(block)
+        assert info.value.bracket == (0.0, math.inf) and info.value.iterations == 0
+
+
+class TestRareFallbacks:
+    """Statements that only a failing LAPACK call, a planted value or a spent budget reaches."""
+
+    def test_failed_elimination_raises(self, monkeypatch):
+        def solve(a, b):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(np.linalg, "solve", solve)
+        with pytest.raises(NumericalError, match="elimination on I - T failed: Singular matrix"):
+            resolvent_inverse([[0.0, 0.5], [0.5, 0.0]])
+
+    def test_inverse_entry_below_the_clamping_tolerance_raises(self, monkeypatch):
+        monkeypatch.setattr(np.linalg, "solve", lambda a, b: np.full_like(b, -2.0 * spectral.CLAMP_TOL))
+        with pytest.raises(NumericalError, match="below the clamping tolerance"):
+            resolvent_inverse([[0.0, 0.5], [0.5, 0.0]])
+
+    @pytest.mark.parametrize("x", [np.zeros(3), np.array([math.inf, 1.0])], ids=["zero", "inf"])
+    def test_unit_of_a_total_off_the_positive_floats_is_none(self, x):
+        assert spectral._unit(x) is None
+
+    def test_balanced_pair_keeps_the_first_pair_when_the_second_eig_fails(self, monkeypatch):
+        block = np.array([[1.0, 2.0], [3.0, 1.0]])
+        first = spectral._dominant_pair(block)
+        eig, calls = np.linalg.eig, []
+
+        def second_fails(a):
+            calls.append(a)
+            if len(calls) == 2:
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            return eig(a)
+
+        monkeypatch.setattr(np.linalg, "eig", second_fails)
+        lam, x = spectral._balanced_pair(block)
+        assert len(calls) == 2 and lam == first[0]
+        np.testing.assert_array_equal(x, first[1])
+
+    def test_budget_spent_by_a_small_root_probe(self, monkeypatch):
+        # The first probe certifies the root 0.1 and rescales by it; no iteration is left for the next.
+        block = np.array([[0.0, 0.02], [0.5, 0.0]])
+        root, _, _, _, k = spectral._power_pass(block, spectral.SPECTRAL_TOL, spectral._probe_length(2))
+        assert root == pytest.approx(0.1, rel=1e-12)
+        monkeypatch.setattr(spectral, "MAX_ITERATIONS", k)
+        with pytest.raises(ConvergenceError, match=f"did not converge in {k} of {k} iterations"):
+            spectral._power_root(block, spectral.SPECTRAL_TOL, (0, 1))
 
 
 def _seed(block):
