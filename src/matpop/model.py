@@ -95,8 +95,9 @@ class PopulationModel:
 
     @cached_property
     def projection(self) -> np.ndarray:
-        """One-step update matrix P = T + F."""
-        p = self.transition + self.fertility
+        """One-step update matrix P = T + F; an entry that overflows is left for structure to refuse."""
+        with np.errstate(over="ignore"):
+            p = self.transition + self.fertility
         p.setflags(write=False)
         return p
 
@@ -155,7 +156,9 @@ class PopulationModel:
     @cached_property
     def stationary(self) -> PopulationModel:
         """The model with fertility F / R0, checked to have growth rate 1; needs R0 > 0."""
-        return _rescaled(self, self.fertility / self.r0, 1.0)
+        with np.errstate(over="ignore"):
+            f = self.fertility / self.r0
+        return _rescaled(self, f, 1.0)
 
     @cached_property
     def _lift(self) -> float:
@@ -218,13 +221,17 @@ def validate_model(
 ) -> PopulationModel:
     """Validate a (T, F) pair into a PopulationModel carrying both tolerances.
 
-    Rejects dimension mismatches, negative or non-finite entries, a zero
-    fertility matrix, and a transition matrix with spectral radius at or
-    above 1 - tol_spec: a Collatz-Wielandt bound proves the radius below
+    Rejects a tolerance that is not a number strictly between 0 and 1,
+    dimension mismatches, negative or non-finite entries, a zero fertility
+    matrix, and a transition matrix with spectral radius at or above
+    1 - tol_spec: a Collatz-Wielandt bound proves the radius below
     that and is kept, and only a T too close for the bound computes
     rho(T), which decides.  Column sums of T above 1 are biologically
     suspect but only produce warnings, since no conclusion depends on them.
     """
+    for name, tol in (("tol_spec", tol_spec), ("tol_class", tol_class)):
+        if not 0.0 < tol < 1.0:
+            raise ModelError(f"{name} must be finite with 0 < tol < 1, got {tol!r}")
     t = as_matrix(transition, name="transition matrix")
     f = as_matrix(fertility, name="fertility matrix")
     if t.shape != f.shape:
@@ -233,9 +240,11 @@ def validate_model(
         )
     if f.max() == 0.0:
         raise ModelError("fertility matrix is zero")
+    with np.errstate(over="ignore"):
+        sums = t.sum(axis=0)
     warnings = tuple(
         f"column {j + 1} of the transition matrix sums to {s:.6g} > 1"
-        for j, s in enumerate(t.sum(axis=0))
+        for j, s in enumerate(sums)
         if s > 1.0
     )
     model = PopulationModel(t, f, warnings, tol_spec, tol_class)
@@ -377,7 +386,8 @@ def target_growth_scale(model: PopulationModel, s: float) -> TargetScaleResult:
     # walk unless, for a large s, T / s underflowed a long walk to an exact zero.
     fertile = model.fertility.any(axis=1)
     lifted = model.fertility * model._lift
-    rows = _resolvent_rows(model.transition / s, model._t.report, lifted[fertile])
+    with np.errstate(over="ignore"):
+        rows = _resolvent_rows(model.transition / s, model._t.report, lifted[fertile])
     q11 = _finite(rows)[:, fertile]
     pattern = q11 > 0
     same = np.array_equal(pattern, model.next_generation[np.ix_(fertile, fertile)] > 0)
@@ -394,7 +404,9 @@ def target_growth_scale(model: PopulationModel, s: float) -> TargetScaleResult:
     if lifted_q <= 0.0:
         raise ConsistencyError("fertility divisor came out nonpositive for an irreducible model")
 
-    scaled = _rescaled(model, lifted / lifted_q, s, None if v is None else _unit(v @ rows))
+    with np.errstate(over="ignore"):
+        f = lifted / lifted_q
+    scaled = _rescaled(model, f, s, None if v is None else _unit(v @ rows))
     r0_scaled = model._lifted_r0 / lifted_q
     # The scaled model's (s, R0(s)) pair must itself satisfy the trichotomy.
     _classify(s, r0_scaled, model.tol_class)

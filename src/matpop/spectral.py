@@ -250,6 +250,7 @@ def _cycle_maps(block: np.ndarray, classes: tuple[int, ...]):
     return members, [block[members[(k + 1) % len(members)][:, None], c] for k, c in enumerate(members)]
 
 
+@np.errstate(all="ignore")
 def _eig_seed(block: np.ndarray, classes: tuple[int, ...]):
     """A proposed Perron pair (lam, x0) of an irreducible block, or None.
 
@@ -262,7 +263,9 @@ def _eig_seed(block: np.ndarray, classes: tuple[int, ...]):
     chain of small products, and the carried entries are products of
     nonnegative numbers, accurate however widely they range.  For d = 1,
     M is the block itself.  The pair is only a proposal: the pass it seeds
-    still has to certify the root with a ratio bracket.
+    still has to certify the root with a ratio bracket.  A product or a
+    root beyond the float range gives None, as does a carried vector that
+    leaves it, which _unit rejects.
     """
     members, maps = _cycle_maps(block, classes)
     # M is formed with each partial product scaled to unit maximum, so a
@@ -272,13 +275,18 @@ def _eig_seed(block: np.ndarray, classes: tuple[int, ...]):
     for a in maps:
         product = a if product is None else a @ product
         peak = float(product.max())
+        if not 0.0 < peak < math.inf:
+            return None
         product = product / peak
         log_scale += math.log(peak)
     pair = _balanced_pair(product)
     if pair is None:
         return None
     mu, x = pair
-    lam = math.exp((log_scale + math.log(mu)) / len(maps))
+    log_lam = (log_scale + math.log(mu)) / len(maps)
+    if not log_lam < math.log(np.finfo(float).max):
+        return None
+    lam = math.exp(log_lam)
     x0 = np.empty(block.shape[0])
     x0[members[0]] = x
     for k in range(len(maps) - 1):
@@ -536,15 +544,18 @@ def resolvent_inverse(transition) -> np.ndarray:
 
     rho(T) >= 1 - SPECTRAL_TOL raises MortalityError, decided as validate_model decides it: from a
     bound, and from rho(T) only near the edge.  An entry below -CLAMP_TOL in the inverse of a block
-    of I - T raises NumericalError.
+    of I - T, or beyond the float range, raises NumericalError.
     """
     record = _Transition(as_matrix(transition, name="transition matrix"), SPECTRAL_TOL)
     record.require_mortal()
     inverse = _resolvent_rows(record.t, record.report, np.eye(len(record.t)))
+    if not np.isfinite(inverse).all():
+        raise NumericalError("the resolvent inverse overflows the float range")
     inverse.setflags(write=False)
     return inverse
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _resolvent_rows(t: np.ndarray, report: StructureReport, rows: np.ndarray) -> np.ndarray:
     """rows @ (I - T)^-1 for a validated T with rho(T) < 1, over the strong components in report.
 
@@ -552,7 +563,8 @@ def _resolvent_rows(t: np.ndarray, report: StructureReport, rows: np.ndarray) ->
     in i's component or a later one, so components are solved last to
     first: a 1 x 1 one by a division, a block (all of an irreducible T) by
     its own inverse, clamped at 0.  Unsolved rows of y are exactly 0 and the
-    coupling sums nonnegative products, so an entry no walk feeds stays 0.
+    coupling sums nonnegative products, so an entry no walk feeds stays 0.  An entry that overflows
+    is left as inf or nan, without a warning, for the caller to refuse.
     """
     tt = np.ascontiguousarray(t.T)
     r = rows.T

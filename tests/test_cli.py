@@ -1,15 +1,19 @@
+import contextlib
 import importlib.util
+import io
 import json
 import math
 import os
 import re
 import subprocess
 import sys
+import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from matpop import cli, dynamics, spectral, target_growth_scale, validate_model
@@ -59,6 +63,47 @@ def trajectories(draw):
     rows = draw(st.sampled_from([1, chunk - 1, chunk, chunk + 1, 2 * chunk + 1]))
     values = st.one_of(st.sampled_from(EDGE_VALUES), st.floats(0.0, 1e300))
     return draw(hnp.arrays(np.float64, (rows, n), elements=values, fill=values))
+
+
+# Weights across the float range: zero, subnormals, and entries next to the largest float.
+WIDE_VALUES = [0.0, 5e-324, 1e-300, 1e-10, 0.3, 0.9, 1.0, 1e10, 1e300, 1.7e308]
+# Its root passes the largest float: _eig_seed's exp of the root's logarithm raised OverflowError, a traceback.
+BEYOND_FLOAT_ROOT = {
+    "transition": [[1.7e308, 1.7e308, 5e-324], [1.7e308, 1e-10, 1.0], [0.9, 1e-10, 1.0]],
+    "fertility": [[0.0, 0.0, 0.0], [0.9, 1e10, 0.3], [0.3, 0.9, 1e300]],
+}
+# r is about 0.58: P / r, F / R0 and F / q(2) pass the largest float.
+P_OVER_R_OVERFLOWS = {"transition": [[0.0, 0.0], [0.0, 0.0]], "fertility": [[0.0, 1.7e308], [2e-309, 0.0]]}
+# rho(T) = 0, and T / 0.5 passes the largest float.
+T_OVER_S_OVERFLOWS = {"transition": [[0.0, 0.0], [1.5e308, 0.0]], "fertility": [[0.0, 1e-308], [0.0, 0.0]]}
+
+
+@st.composite
+def wide_models(draw):
+    n = draw(st.integers(1, 3))
+    matrices = st.lists(st.lists(st.sampled_from(WIDE_VALUES), min_size=n, max_size=n), min_size=n, max_size=n)
+    return {"transition": draw(matrices), "fertility": draw(matrices)}
+
+
+def contract_commands(path: str, n: int):
+    """The argv of each command the fail-fast contract covers, for a model file of order n."""
+    x0 = ",".join(["1"] * n)
+    return [
+        ["analyze", path],
+        ["scale", path, "--stationary"],
+        ["scale", path, "--target-growth", "2"],
+        ["scale", path, "--target-growth", "0.5"],
+        ["simulate", path, "--x0", x0, "--steps", "3"],
+    ]
+
+
+def run_strict(argv) -> tuple[int, str]:
+    """(exit code, stderr) of main(argv), with stdout discarded; any warning is an error, and nothing is caught."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(argv)
+    return code, err.getvalue()
 
 
 def jordan_file(tmp_path) -> str:
@@ -831,12 +876,55 @@ class TestCallBudget:
         assert not seeds
 
 
-def test_cli_sweep_smoke(tmp_path):
-    # Every 12th model of the sweep's first seed: each run ends in exit 0, 2 or 3, none in a traceback.
+class TestFailFastContract:
+    """Weights across 1e+-300: each command exits 0, 2 or 3, with no traceback and no warning.
+
+    analyze and scale write at most one stderr line, the error or numerical failure.
+    """
+
+    @settings(derandomize=True, max_examples=80, deadline=None)
+    @given(wide_models())
+    @example(BEYOND_FLOAT_ROOT)
+    @example(P_OVER_R_OVERFLOWS)
+    @example(T_OVER_S_OVERFLOWS)
+    def test_wide_weights(self, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "model.json"
+            path.write_text(json.dumps(data))
+            for argv in contract_commands(str(path), len(data["transition"])):
+                code, err = run_strict(argv)
+                assert code in (0, 2, 3), (argv, err)
+                assert argv[0] == "simulate" or len(err.splitlines()) <= 1, (argv, err)
+
+    def test_root_beyond_the_float_range_fails_in_one_line(self, tmp_path):
+        path = write_model(tmp_path, "root.json", BEYOND_FLOAT_ROOT)
+        for argv in contract_commands(path, 3):
+            code, err = run_strict(argv)
+            assert code in (2, 3) and len(err.splitlines()) == 1, (argv, err)
+            assert err.startswith(("error: ", "numerical failure: ")), (argv, err)
+
+    def test_limits_name_an_overflowing_p_over_r(self, tmp_path):
+        path = write_model(tmp_path, "p_over_r.json", P_OVER_R_OVERFLOWS)
+        code, err = run_strict(["simulate", path, "--x0", "1,1", "--steps", "0"])
+        assert code == 0
+        assert "P / r overflows" in json.loads(err)["error"]
+
+    def test_overflowing_t_over_s_is_refused(self, tmp_path):
+        path = write_model(tmp_path, "t_over_s.json", T_OVER_S_OVERFLOWS)
+        assert run_strict(["scale", path, "--target-growth", "0.5"]) == (2, "error: matrix has non-finite entries\n")
+
+
+def load_cli_sweep():
     tool = Path(__file__).parents[1] / "tools" / "cli_sweep.py"
     spec = importlib.util.spec_from_file_location("cli_sweep", tool)
     sweep = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(sweep)
+    return sweep
+
+
+def test_cli_sweep_smoke(tmp_path):
+    # Every 12th model of the sweep's first seed: each run ends in exit 0, 2 or 3, none in a traceback.
+    sweep = load_cli_sweep()
     argvs = list(sweep.runs([1], 12, tmp_path))
     results = [sweep.run(main, argv) for argv in argvs]
     assert len(results) > 100
@@ -849,3 +937,12 @@ def test_cli_sweep_smoke(tmp_path):
             assert len(lines) == 1 and isinstance(json.loads(lines[0]), dict), (argv, err)
         else:
             assert err == "" or (len(lines) == 1 and err.startswith(("error: ", "numerical failure: "))), (argv, err)
+
+
+def test_cli_sweep_flags_a_leak_that_both_checkouts_share():
+    # compare fails on any leak of the new checkout, so one that the old checkout shares is no longer "0 differing".
+    sweep = load_cli_sweep()
+    warning = warnings.formatwarning("overflow encountered in divide", RuntimeWarning, "spectral.py", 285)
+    assert sweep.leaks({"code": 3, "stderr": warning + "numerical failure: no convergence\n"})
+    assert sweep.leaks({"code": "traceback", "stderr": "OverflowError: math range error\n"})
+    assert not sweep.leaks({"code": 3, "stderr": "numerical failure: the limits overflow: 1e308: inf\n"})

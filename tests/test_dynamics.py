@@ -6,7 +6,6 @@ from matpop import (
     Fate,
     LeslieModel,
     assemble,
-    dynamics,
     ModelError,
     NumericalError,
     PopulationKind,
@@ -352,27 +351,17 @@ class TestPeriodicLimits:
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericalError):
             periodic_limits(plant, [1.7e308] * 5)
 
+    def test_growth_rate_too_small_to_divide_by_raises(self):
+        # r is about 0.58, and P / r would need an entry of 1.7e308 / 0.58.
+        model = validate_model(np.zeros((2, 2)), [[0.0, 1.7e308], [2e-309, 0.0]])
+        with pytest.raises(NumericalError, match="too small to divide by: P / r overflows"):
+            periodic_limits(model, [1.0, 1.0])
+
     def test_wrong_growth_rate_breaks_the_cycle_identity(self):
         model = plant_model()
         vars(model)["growth_rate"] = PLANT_R * (1.0 + 1e-6)
         with pytest.raises(ConsistencyError, match="close the cycle"):
             periodic_limits(model, PLANT_NEWBORN)
-
-    def test_skewed_left_vector_breaks_conservation(self, plant, monkeypatch):
-        # w_0 weights each class by v_c @ x0_c, so the cycle closes for any v.  M's left vector v_0 = [0.5, 0.5]
-        # skewed to [0.5, -0.3] has v_0 @ u_0 < 0, and v @ x0 comes out negative, below any bound relative to it.
-        power_root = dynamics._power_root
-        sides = []
-
-        def skew_left(m, *args):
-            root, vector = power_root(m, *args)
-            sides.append(m)
-            return root, (vector * [1.0, -0.6] if len(sides) == 2 else vector)
-
-        monkeypatch.setattr(dynamics, "_power_root", skew_left)
-        with pytest.raises(ConsistencyError, match="conserve the left Perron functional"):
-            periodic_limits(plant, PLANT_NEWBORN)
-        assert len(sides) == 2 and len(sides[1]) == 2
 
     @pytest.mark.parametrize(
         "model, passes",
@@ -404,12 +393,18 @@ class TestPeriodicLimits:
         periodic_limits(model, np.ones(12))
         assert calls == [] and power_passes == []
 
-    def test_left_perron_functional_is_conserved(self, plant):
-        pair = perron_pair(plant.projection)
-        x0 = np.array([2.0, 1.0, 0.0, 0.5, 3.0])
-        result = periodic_limits(plant, x0)
+    @pytest.mark.parametrize(
+        "model, x0, index",
+        oracle_cases()
+        + [pytest.param(leslie(n, {n: 5.0}), np.arange(1.0, n + 1), n, id=f"semelparous-{n}") for n in (200, 400)],
+    )
+    def test_left_perron_functional_is_conserved(self, model, x0, index):
+        # periodic_limits checks closure alone, which implies v @ w_i = v @ x0 for a positive v; so a test checks it.
+        left = model.perron.left
+        result = periodic_limits(model, x0)
+        assert result.period == index
         for limit in result.limits:
-            assert float(pair.left @ limit) == pytest.approx(float(pair.left @ x0), abs=1e-7)
+            assert float(left @ limit) == pytest.approx(float(left @ x0), rel=1e-9)
 
 
 class TestNormalizedPowers:

@@ -87,6 +87,54 @@ class TestValidateModel:
         with pytest.raises(ModelError):
             validate_model([[-0.1]], [[1.0]])
 
+    @pytest.mark.parametrize(
+        "name, value",
+        [("tol_spec", 0.0), ("tol_spec", math.nan), ("tol_spec", -1e-12), ("tol_spec", 1.5), ("tol_spec", math.inf),
+         ("tol_class", math.nan), ("tol_class", 2.0), ("tol_class", 1.0)],
+    )
+    def test_tolerance_outside_the_unit_interval_rejected(self, name, value):
+        # The CLI's rule for its flags: finite, 0 < tol < 1.  Before, tol_spec = 1.5 read as rho(T) >= 1 and
+        # tol_class = 2.0 classified r = 1.1, R0 = 1.2 as Stationary.
+        with pytest.raises(ModelError, match=f"{name} must be finite with 0 < tol < 1"):
+            validate_model([[0.5]], [[0.6]], **{name: value})
+
+    @pytest.mark.parametrize("name, value", [("tol_spec", 1e-6), ("tol_spec", 0.25), ("tol_class", 5e-324), ("tol_class", 0.5)])
+    def test_tolerance_inside_the_unit_interval_kept(self, name, value):
+        assert getattr(validate_model([[0.5]], [[0.6]], **{name: value}), name) == value
+
+    def test_column_sum_beyond_the_float_range_warns_without_a_runtime_warning(self):
+        t = [[0.0, 0.0, 0.0], [1.7e308, 0.0, 0.0], [1.7e308, 0.0, 0.0]]  # nilpotent, rho = 0
+        model = validate_model(t, [[0.0, 0.0, 1.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+        assert model.warnings == ("column 1 of the transition matrix sums to inf > 1",)
+
+
+class TestFloatRange:
+    """A value computed past the float range is refused with the error of its check, and no numpy warning.
+
+    Pytest's filter turns a RuntimeWarning into an error, so each case also fails on a leak.
+    """
+
+    def test_projection(self):
+        model = validate_model([[0.3, 0.0], [1.7e308, 1e-10]], [[1.0, 0.3], [1.7e308, 1.7e308]])
+        with pytest.raises(ModelError, match="matrix has non-finite entries"):
+            analyze(model)
+
+    def test_next_generation(self):
+        with pytest.raises(ModelError, match="matrix has non-finite entries"):
+            analyze(validate_model([[0.3]], [[1.7e308]]))
+
+    @pytest.mark.parametrize("scale", [stabilizing_scale, lambda m: target_growth_scale(m, 2.0)], ids=["stationary", "target"])
+    def test_rescaled_fertility(self, scale):
+        # r is about 0.58 and R0 about 0.34, so F / R0 and F / q(2) pass 1.7e308.
+        model = validate_model([[0.0, 0.0], [0.0, 0.0]], [[0.0, 1.7e308], [2e-309, 0.0]])
+        with pytest.raises(ModelError, match="fertility matrix has non-finite entries"):
+            scale(model)
+
+    def test_transition_over_a_target_below_one(self):
+        model = validate_model([[0.0, 0.0], [1.5e308, 0.0]], [[0.0, 1e-308], [0.0, 0.0]])
+        with pytest.raises(ModelError, match="matrix has non-finite entries"):
+            target_growth_scale(model, 0.5)
+
 
 class TestNextGenerationMatrix:
     def test_plant(self, plant):

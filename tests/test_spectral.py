@@ -638,6 +638,30 @@ class TestOverflowingRescale:
         assert info.value.bracket == (0.0, math.inf) and info.value.iterations == 0
 
 
+class TestSeedBeyondTheFloatRange:
+    """_eig_seed proposes nothing, without a numpy warning, where its numbers leave the float range."""
+
+    def test_carried_vector_overflows(self):
+        # Index 3, r about 4.6e-98: carrying M's vector by 1e308 / lam overflows.
+        assert _seed(np.array([[0.0, 0.0, 1e-300], [1e308, 0.0, 0.0], [0.0, 1e-300, 0.0]])) is None
+
+    def test_root_beyond_the_largest_float(self):
+        # The root exceeds 1.7e308, so exp of its logarithm would raise OverflowError.
+        t = np.array([[1.7e308, 1.7e308, 5e-324], [1.7e308, 1e-10, 1.0], [0.9, 1e-10, 1.0]])
+        f = np.array([[0.0, 0.0, 0.0], [0.9, 1e10, 0.3], [0.3, 0.9, 1e300]])
+        assert _seed(t + f) is None
+
+    def test_partial_product_overflows(self):
+        # Index 2 with two classes of 2: A_1 A_0 has entries 2 * 1.7e308 once A_0 is scaled to unit maximum.
+        a = np.full((2, 2), 1.7e308)
+        zero = np.zeros((2, 2))
+        assert _seed(np.block([[zero, a], [a, zero]])) is None
+
+    def test_resolvent_inverse_beyond_the_float_range_raises(self):
+        with pytest.raises(NumericalError, match="resolvent inverse overflows the float range"):
+            resolvent_inverse([[0.0, 0.0, 0.0], [1e308, 0.0, 0.0], [0.0, 1e308, 0.0]])
+
+
 class TestRareFallbacks:
     """Statements that only a failing LAPACK call, a planted value or a spent budget reaches."""
 

@@ -11,8 +11,10 @@ that escapes main with an exception other than SystemExit records the code
 "traceback" and the formatted traceback as its stderr.
 
 `compare` records each checkout in a child process, from its own src, and
-prints every run whose exit code, stdout or stderr differ; it exits 1 if
-any do.
+prints every run whose exit code, stdout or stderr differ, and every run of
+the new checkout that leaks: a "traceback" code or a Python warning in its
+stderr, which the old checkout may share.  It exits 1 if any run differs or
+leaks.
 
 The runs are analyze, scale --stationary, scale --target-growth (two
 targets between rho(T) and 4 rho(T + F), 2.0, and a power of ten up to
@@ -33,6 +35,7 @@ import contextlib
 import io
 import json
 import math
+import re
 import subprocess
 import sys
 import tempfile
@@ -43,6 +46,8 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
+# The line warnings.showwarning writes: "<file>:<line>: <category>: <message>".
+WARNING_LINE = re.compile(r"^.+:\d+: \w*Warning: ", re.MULTILINE)
 SLOW_LESLIE = (
     ([0.325, 0.408, 0.389, 0.601, 0.335, 0.622, 0.432], [0.0, 2.292, 2.39, 0.0, 0.0, 0.0, 0.0, 1.5]),
     ([1e-8] * 39, [1.0] + [0.0] * 38 + [1.0]),
@@ -179,6 +184,11 @@ def record(out_path: Path, seeds, every: int) -> None:
             out.write(json.dumps(line).replace(tmp, "<dir>") + "\n")
 
 
+def leaks(line: dict) -> bool:
+    """Whether a recorded run escaped main with a traceback or wrote a Python warning to stderr."""
+    return line["code"] == "traceback" or WARNING_LINE.search(line["stderr"]) is not None
+
+
 def compare(old: Path, new: Path, seeds, every: int) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         records = []
@@ -190,14 +200,17 @@ def compare(old: Path, new: Path, seeds, every: int) -> int:
                 check=True,
             )
             records.append([json.loads(line) for line in path.read_text().splitlines()])
-    differing = 0
+    differing = leaking = 0
     for a, b in zip(*records, strict=True):
         if a != b:
             differing += 1
             print(json.dumps({"argv": a["argv"], "old": {k: a[k] for k in ("code", "stdout", "stderr")},
                               "new": {k: b[k] for k in ("code", "stdout", "stderr")}}))
-    print(f"{len(records[0])} runs, {differing} differing", file=sys.stderr)
-    return 1 if differing else 0
+        if leaks(b):
+            leaking += 1
+            print(json.dumps({"argv": b["argv"], "leak": {k: b[k] for k in ("code", "stderr")}}))
+    print(f"{len(records[0])} runs, {differing} differing, {leaking} leaking", file=sys.stderr)
+    return 1 if differing or leaking else 0
 
 
 def _parser() -> argparse.ArgumentParser:
