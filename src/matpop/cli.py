@@ -31,6 +31,7 @@ from .model import (
     CLASSIFY_TOL,
     AnalysisReport,
     PopulationModel,
+    TargetScaleResult,
     analyze,
     stabilizing_scale,
     target_growth_scale,
@@ -165,16 +166,10 @@ def cmd_analyze(args) -> int:
 def cmd_scale(args) -> int:
     model = _load(args)
     if args.stationary:
-        scaled = stabilizing_scale(model)
-        divisor = model.r0
-        target = 1.0
-        r0_scaled = 1.0
+        result = TargetScaleResult(model.r0, stabilizing_scale(model), 1.0)
     else:
         result = target_growth_scale(model, args.target_growth)
-        scaled = result.scaled
-        divisor = result.q
-        target = float(args.target_growth)
-        r0_scaled = result.r0_scaled
+    scaled = result.scaled
 
     if scaled.structure.irreducible:
         stable = scaled.perron.right.tolist()
@@ -183,10 +178,10 @@ def cmd_scale(args) -> int:
     payload = {
         "tool": _tool_block(args),
         "mode": "stationary" if args.stationary else "target_growth",
-        "q": divisor,
-        "target_growth": target,
+        "q": result.q,
+        "target_growth": 1.0 if args.stationary else float(args.target_growth),
         "achieved_growth": scaled.growth_rate,
-        "R0_s": r0_scaled,
+        "R0_s": result.r0_scaled,
         "scaled_fertility": scaled.fertility.tolist(),
         "stable_population": stable,
         "warnings": list(scaled.warnings),

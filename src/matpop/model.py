@@ -39,6 +39,7 @@ the edge to decide.
 from __future__ import annotations
 
 import math
+import sys
 from contextlib import suppress
 from dataclasses import dataclass, field
 from enum import Enum
@@ -155,10 +156,8 @@ class PopulationModel:
 
     @cached_property
     def stationary(self) -> PopulationModel:
-        """The model with fertility F / R0, checked to have growth rate 1; needs R0 > 0."""
-        with np.errstate(over="ignore"):
-            f = self.fertility / self.r0
-        return _rescaled(self, f, 1.0)
+        """The model with fertility F / R0, the lifted F over the lifted R0, with growth rate 1; needs R0 > 0."""
+        return _rescaled(self, self._lifted_r0, 1.0)
 
     @cached_property
     def _lift(self) -> float:
@@ -174,9 +173,12 @@ class PopulationModel:
 
     @cached_property
     def _lifted_r0(self) -> float:
-        """R0 times _lift, the radius of Q11 solved on the lifted F, so a subnormal F's R0 keeps its bits."""
+        """R0 times _lift, exact for a normal R0; a lifted F solves again an R0 subnormal or unconverged."""
         if self._lift == 1.0:
             return self.r0
+        with suppress(ConvergenceError):
+            if self.r0 >= sys.float_info.min:
+                return self.r0 * self._lift
         fertile = self.fertility.any(axis=1)
         rows = _resolvent_rows(self.transition, self._t.report, self.fertility[fertile] * self._lift)
         q11 = _finite(rows)[:, fertile]
@@ -259,11 +261,11 @@ def _finite(m: np.ndarray) -> np.ndarray:
     return m
 
 
-def _rescaled(model: PopulationModel, f: np.ndarray, target: float, left=None) -> PopulationModel:
-    """The model with fertility f, a rescaled F, checked to have growth rate target.
+def _rescaled(model: PopulationModel, divisor: float, target: float, left=None) -> PopulationModel:
+    """The model with fertility F _lift / divisor, divisor being q(target) _lift, checked to have growth rate target.
 
-    The one check of the paper's scaling contract: F / q(s) has growth
-    rate s, and q(1) = R0.  A miss beyond STABILITY_TOL * max(1, target)
+    The one rescaling of F and check of the paper's scaling contract:
+    F / q(s) has growth rate s, and q(1) = R0.  A miss beyond STABILITY_TOL * max(1, target)
     raises ConsistencyError.  The model shares T, warnings, tolerances and
     the record of T, and while f keeps F's pattern, P's structure too.
     left, if given, is a positive sum-1 left Perron vector of the rescaled
@@ -272,6 +274,8 @@ def _rescaled(model: PopulationModel, f: np.ndarray, target: float, left=None) -
     ratio bracket still certifies the root and which perron's left side
     resumes.  A seeded pass that does not certify leaves r to P's own pass.
     """
+    with np.errstate(over="ignore"):
+        f = model.fertility * model._lift / divisor
     if not np.isfinite(f).all():
         raise ModelError("fertility matrix has non-finite entries")
     f.setflags(write=False)
@@ -369,7 +373,7 @@ def target_growth_scale(model: PopulationModel, s: float) -> TargetScaleResult:
     q(s) and v is the proposal, if any; so it is for a reducible Q11(s).
     Q11(s) shares Q11's structure report while T / s keeps every walk of
     T positive.  They come from F times _lift, exactly, so a subnormal F
-    keeps the bits that the scaled fertility, lifted F / lifted q(s), and
+    keeps the bits that _rescaled's fertility, lifted F / lifted q(s), and
     R0(s), lifted R0 / lifted q(s), need.
     """
     s = float(s)
@@ -385,9 +389,8 @@ def target_growth_scale(model: PopulationModel, s: float) -> TargetScaleResult:
     # rho(T / s) = rho(T) / s < 1, and T / s walks no edge that T does not.  Q11(s) shares Q11's
     # walk unless, for a large s, T / s underflowed a long walk to an exact zero.
     fertile = model.fertility.any(axis=1)
-    lifted = model.fertility * model._lift
     with np.errstate(over="ignore"):
-        rows = _resolvent_rows(model.transition / s, model._t.report, lifted[fertile])
+        rows = _resolvent_rows(model.transition / s, model._t.report, model.fertility[fertile] * model._lift)
     q11 = _finite(rows)[:, fertile]
     pattern = q11 > 0
     same = np.array_equal(pattern, model.next_generation[np.ix_(fertile, fertile)] > 0)
@@ -404,9 +407,7 @@ def target_growth_scale(model: PopulationModel, s: float) -> TargetScaleResult:
     if lifted_q <= 0.0:
         raise ConsistencyError("fertility divisor came out nonpositive for an irreducible model")
 
-    with np.errstate(over="ignore"):
-        f = lifted / lifted_q
-    scaled = _rescaled(model, f, s, None if v is None else _unit(v @ rows))
+    scaled = _rescaled(model, lifted_q, s, None if v is None else _unit(v @ rows))
     r0_scaled = model._lifted_r0 / lifted_q
     # The scaled model's (s, R0(s)) pair must itself satisfy the trichotomy.
     _classify(s, r0_scaled, model.tol_class)

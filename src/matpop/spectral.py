@@ -502,11 +502,20 @@ class _Transition:
         return self.bound < ceiling
 
     def require_mortal(self) -> None:
-        """MortalityError unless rho(T) < 1 - tol: the gate at s = 1, which keeps the bound it proves, else rho(T)."""
-        if not self.exceeds(1.0) and self.rho >= 1.0 - self.tol:
-            raise MortalityError(
-                f"rho(T) >= 1: transition matrix spectral radius is {self.rho:.12g}, the population never dies out"
-            )
+        """MortalityError unless rho(T) < 1 - tol: the gate at s = 1, which keeps the bound it proves, else rho(T).
+
+        A rho(T) that does not converge is still decided by a diagonal entry of 1 - tol or more, a lower bound.
+        """
+        if self.exceeds(1.0):
+            return
+        try:
+            value, what = self.rho, "spectral radius is"
+        except ConvergenceError:
+            value, what = float(self.t.diagonal().max()), "has diagonal entry"
+            if value < 1.0 - self.tol:
+                raise
+        if value >= 1.0 - self.tol:
+            raise MortalityError(f"rho(T) >= 1: transition matrix {what} {value:.12g}, the population never dies out")
 
 
 def perron_pair(m, *, tol: float = SPECTRAL_TOL) -> SpectralPair:

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from matpop import cli, dynamics, spectral, target_growth_scale, validate_model
+from matpop import MortalityError, cli, dynamics, resolvent_inverse, spectral, target_growth_scale, validate_model
 from matpop import model as model_layer
 from matpop.cli import load_model_file, main
 from helpers import PLANT_R, plant_stable_of_s
@@ -65,12 +65,29 @@ def trajectories(draw):
     return draw(hnp.arrays(np.float64, (rows, n), elements=values, fill=values))
 
 
+def load_cli_sweep():
+    tool = Path(__file__).parents[1] / "tools" / "cli_sweep.py"
+    spec = importlib.util.spec_from_file_location("cli_sweep", tool)
+    sweep = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(sweep)
+    return sweep
+
+
 # Weights across the float range: zero, subnormals, and entries next to the largest float.
-WIDE_VALUES = [0.0, 5e-324, 1e-300, 1e-10, 0.3, 0.9, 1.0, 1e10, 1e300, 1.7e308]
+WIDE_VALUES = load_cli_sweep().WIDE_VALUES
 # Its root passes the largest float: _eig_seed's exp of the root's logarithm raised OverflowError, a traceback.
 BEYOND_FLOAT_ROOT = {
     "transition": [[1.7e308, 1.7e308, 5e-324], [1.7e308, 1e-10, 1.0], [0.9, 1e-10, 1.0]],
     "fertility": [[0.0, 0.0, 0.0], [0.9, 1e10, 0.3], [0.3, 0.9, 1e300]],
+}
+# Its R0 pass on the unlifted Q11 does not converge: "did not converge in 1036 of 200000 iterations".
+STALLED_R0 = {
+    "transition": [
+        [0.0, 0.03333333333333333, 0.09999999999999999],
+        [0.03333333333333333, 0.03333333333333333, 0.03333333333333333],
+        [0.0, 0.09999999999999999, 0.16666666666666666],
+    ],
+    "fertility": [[5e-324, 0.3, 3e-315], [3e-315, 0.0, 0.3], [3e-315, 3e-315, 5e-324]],
 }
 # r is about 0.58: P / r, F / R0 and F / q(2) pass the largest float.
 P_OVER_R_OVERFLOWS = {"transition": [[0.0, 0.0], [0.0, 0.0]], "fertility": [[0.0, 1.7e308], [2e-309, 0.0]]}
@@ -425,6 +442,31 @@ class TestScaleCommand:
         assert payload["scaled_fertility"] == [[fertility]]
         assert payload["R0_s"] == r0_s
         assert payload["q"] == pytest.approx(1e-320 / fertility, rel=1e-3)
+
+    @pytest.mark.parametrize("argv", [["analyze"], ["scale", "--stationary"]])
+    def test_subnormal_fertility_scales_to_one(self, tmp_path, capsys, argv):
+        # R0 = 1e-320 / (1 - 1e-5) rounds back to 1e-320: F / R0 grew at 1.00001 (exit 3).
+        # The lifted F over the lifted R0 is 0.99999, with growth rate 1.
+        path = write_model(tmp_path, "subnormal.json", {"transition": [[1e-5]], "fertility": [[1e-320]]})
+        assert main([argv[0], path, *argv[1:]]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        payload = json.loads(captured.out)
+        if argv[0] == "analyze":
+            assert payload["stability_residual"] == 0.0
+        else:
+            assert payload["scaled_fertility"] == [[0.99999]]
+            assert payload["achieved_growth"] == 1.0
+
+    def test_lifted_fertility_scales_where_its_r0_stalls(self, tmp_path, capsys):
+        # Lift 2: the pass on the unlifted Q11 stalls, so R0 is solved again on the lifted F.
+        path = write_model(tmp_path, "stall.json", STALLED_R0)
+        assert main(["scale", path, "--target-growth", "2"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        payload = json.loads(captured.out)
+        assert payload["achieved_growth"] == 2.0
+        assert payload["R0_s"] == pytest.approx(4.40022746, rel=1e-8)
 
     def test_nonpositive_fertility_divisor_exits_3(self, tmp_path, capsys):
         # q(s) = 1e-300 / 1e300 underflows to 0.
@@ -897,11 +939,18 @@ class TestFailFastContract:
                 assert argv[0] == "simulate" or len(err.splitlines()) <= 1, (argv, err)
 
     def test_root_beyond_the_float_range_fails_in_one_line(self, tmp_path):
+        # rho(T) does not converge, but rho(T) >= T[0, 0] = 1.7e308 proves the population immortal.
         path = write_model(tmp_path, "root.json", BEYOND_FLOAT_ROOT)
         for argv in contract_commands(path, 3):
             code, err = run_strict(argv)
-            assert code in (2, 3) and len(err.splitlines()) == 1, (argv, err)
-            assert err.startswith(("error: ", "numerical failure: ")), (argv, err)
+            assert code == 2 and len(err.splitlines()) == 1, (argv, err)
+            assert err.startswith("error: rho(T) >= 1: transition matrix has diagonal entry 1.7e+308"), (argv, err)
+
+    def test_root_beyond_the_float_range_is_immortal_in_the_library(self):
+        t = BEYOND_FLOAT_ROOT["transition"]
+        for call in (lambda: validate_model(t, BEYOND_FLOAT_ROOT["fertility"]), lambda: resolvent_inverse(t)):
+            with pytest.raises(MortalityError, match="diagonal entry 1.7e"):
+                call()
 
     def test_limits_name_an_overflowing_p_over_r(self, tmp_path):
         path = write_model(tmp_path, "p_over_r.json", P_OVER_R_OVERFLOWS)
@@ -912,14 +961,6 @@ class TestFailFastContract:
     def test_overflowing_t_over_s_is_refused(self, tmp_path):
         path = write_model(tmp_path, "t_over_s.json", T_OVER_S_OVERFLOWS)
         assert run_strict(["scale", path, "--target-growth", "0.5"]) == (2, "error: matrix has non-finite entries\n")
-
-
-def load_cli_sweep():
-    tool = Path(__file__).parents[1] / "tools" / "cli_sweep.py"
-    spec = importlib.util.spec_from_file_location("cli_sweep", tool)
-    sweep = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(sweep)
-    return sweep
 
 
 def test_cli_sweep_smoke(tmp_path):
@@ -946,3 +987,15 @@ def test_cli_sweep_flags_a_leak_that_both_checkouts_share():
     assert sweep.leaks({"code": 3, "stderr": warning + "numerical failure: no convergence\n"})
     assert sweep.leaks({"code": "traceback", "stderr": "OverflowError: math range error\n"})
     assert not sweep.leaks({"code": 3, "stderr": "numerical failure: the limits overflow: 1e308: inf\n"})
+
+
+def test_cli_sweep_wide_models_draw_from_the_wide_values(tmp_path):
+    # Each wide model runs analyze, scale --stationary and scale --target-growth 2, with entries from WIDE_VALUES.
+    sweep = load_cli_sweep()
+    argvs = list(sweep.wide_runs([1, 2], 4, tmp_path))
+    assert [argv[0] for argv in argvs] == ["analyze", "scale", "scale"] * 8
+    assert [argv[2:] for argv in argvs[:3]] == [[], ["--stationary"], ["--target-growth", "2"]]
+    for argv in argvs[::3]:
+        data = json.loads(Path(argv[1]).read_text())
+        assert {x for m in data.values() for row in m for x in row} <= set(WIDE_VALUES)
+        assert 1 <= len(data["transition"]) <= 3

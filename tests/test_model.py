@@ -233,6 +233,18 @@ class TestStabilizingScale:
         for a in (1.0, 10.0, 1e6):
             assert spectral_radius(DEAD_END_T + a * DEAD_END_F) == 0.0
 
+    def test_subnormal_r0_scales_to_one(self):
+        # R0 = 1e-320 / (1 - 1e-5) rounds back to 1e-320, so F / R0 grew at 1.00001; the lifted R0 keeps its bits.
+        model = validate_model([[1e-5]], [[1e-320]])
+        assert r0_positive(model)
+        assert abs(stabilizing_scale(model).growth_rate - 1.0) <= model_layer.STABILITY_TOL
+
+    def test_normal_r0_keeps_the_bits_of_f_over_r0(self):
+        # A lift of 64 takes 1e-320 to the normal range; F lift / (R0 lift) rounds as F / R0 does.
+        model = validate_model([[0.5, 0.0], [0.5, 0.5]], [[1e-320, 0.01], [0.0, 0.0]])
+        assert model._lift == 64.0
+        assert np.array_equal(model.stationary.fertility, model.fertility / model.r0)
+
     def test_random_models_scale_to_one(self):
         rng = np.random.default_rng(59)
         for _ in range(100):

@@ -401,6 +401,17 @@ class TestResolventInverse:
         with pytest.raises(MortalityError):
             resolvent_inverse(np.eye(2))
 
+    def test_unconverged_rho_is_decided_by_the_diagonal(self, monkeypatch):
+        def fail(*args):
+            raise ConvergenceError("no convergence")
+
+        monkeypatch.setattr(spectral, "_radius", fail)
+        with pytest.raises(MortalityError, match="diagonal entry 1,"):
+            resolvent_inverse([[1.0, 1.0], [1.0, 0.0]])
+        # A diagonal below 1 - tol proves nothing: the failure stands.
+        with pytest.raises(ConvergenceError):
+            resolvent_inverse([[0.0, 1.0], [1.0, 0.0]])
+
     def test_entries_nonnegative(self):
         rng = np.random.default_rng(23)
         for _ in range(50):

@@ -2,19 +2,30 @@
 
     python tools/cli_sweep.py record OUT.jsonl [--src SRC] [--seeds 1 2] [--every K]
     python tools/cli_sweep.py compare OLD_CHECKOUT NEW_CHECKOUT [--seeds 1 2] [--every K]
+    python tools/cli_sweep.py wide OLD_CHECKOUT NEW_CHECKOUT [--seeds 1 2]
 
 `record` imports matpop from SRC (default: this checkout's src) and calls
 `matpop.cli.main(argv)` once per run, with stdout and stderr captured and
 every warning shown.  It writes one JSON line per run: the argv, the exit
-code and both streams, with the model directory written as <dir>.  A run
-that escapes main with an exception other than SystemExit records the code
-"traceback" and the formatted traceback as its stderr.
+code, both streams and the run's wall time in seconds, with the model
+directory written as <dir>.  A run that escapes main with an exception
+other than SystemExit records the code "traceback" and the formatted
+traceback as its stderr.  With --wide it records the wide runs instead.
 
 `compare` records each checkout in a child process, from its own src, and
 prints every run whose exit code, stdout or stderr differ, and every run of
 the new checkout that leaks: a "traceback" code or a Python warning in its
 stderr, which the old checkout may share.  It exits 1 if any run differs or
 leaks.
+
+`wide` records the wide runs of each checkout the same way: analyze,
+scale --stationary and scale --target-growth 2 of WIDE_MODELS models
+per seed, each of order 1-3 with every entry of T and F drawn from
+WIDE_VALUES, zero, subnormals and entries next to the largest float.  It
+prints the count of each (command, old exit code, new exit code), every
+run that leaves exit 0, and each side's count of runs over SLOW_SECONDS.  It exits 1 if a run of
+the new checkout leaks or leaves exit 0.  It takes about a minute per seed
+per checkout; keep it out of CI.
 
 The runs are analyze, scale --stationary, scale --target-growth (two
 targets between rho(T) and 4 rho(T + F), 2.0, and a power of ten up to
@@ -39,8 +50,10 @@ import re
 import subprocess
 import sys
 import tempfile
+import time
 import traceback
 import warnings
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -52,6 +65,15 @@ SLOW_LESLIE = (
     ([0.325, 0.408, 0.389, 0.601, 0.335, 0.622, 0.432], [0.0, 2.292, 2.39, 0.0, 0.0, 0.0, 0.0, 1.5]),
     ([1e-8] * 39, [1.0] + [0.0] * 38 + [1.0]),
 )
+# The entries of the wide models, which tests/test_cli.py draws from too: zero, subnormals,
+# and entries next to the largest float.
+WIDE_VALUES = [0.0, 5e-324, 1e-300, 1e-10, 0.3, 0.9, 1.0, 1e10, 1e300, 1.7e308]
+# The wide models drawn per seed.
+WIDE_MODELS = 1500
+# A run of the wide sweep slower than this many seconds is counted as slow.
+SLOW_SECONDS = 0.3
+# The fields of a recorded run that compare holds equal.
+OUTCOME = ("code", "stdout", "stderr")
 
 
 def _rho(m: np.ndarray) -> float:
@@ -160,6 +182,21 @@ def runs(seeds, every: int, directory: Path):
             index += 1
 
 
+def wide_runs(seeds, count: int, directory: Path):
+    """Yield the argv of analyze, scale --stationary and scale --target-growth 2 of count wide models per seed."""
+    for seed in seeds:
+        rng = np.random.default_rng(seed)
+        for k in range(count):
+            n = int(rng.integers(1, 4))
+            t = rng.choice(WIDE_VALUES, (n, n))
+            f = rng.choice(WIDE_VALUES, (n, n))
+            path = directory / f"w{seed}_{k}.json"
+            path.write_text(json.dumps({"transition": t.tolist(), "fertility": f.tolist()}))
+            yield ["analyze", str(path)]
+            yield ["scale", str(path), "--stationary"]
+            yield ["scale", str(path), "--target-growth", "2"]
+
+
 def run(main, argv) -> tuple[object, str, str]:
     """(exit code, stdout, stderr) of main(argv), or ("traceback", stdout, the traceback)."""
     out, err = io.StringIO(), io.StringIO()
@@ -174,13 +211,16 @@ def run(main, argv) -> tuple[object, str, str]:
     return code, out.getvalue(), err.getvalue()
 
 
-def record(out_path: Path, seeds, every: int) -> None:
+def record(out_path: Path, seeds, every: int, wide: bool = False) -> None:
     from matpop.cli import main
 
     with tempfile.TemporaryDirectory() as tmp, open(out_path, "w") as out:
-        for argv in runs(seeds, every, Path(tmp)):
+        argvs = wide_runs(seeds, WIDE_MODELS, Path(tmp)) if wide else runs(seeds, every, Path(tmp))
+        for argv in argvs:
+            start = time.perf_counter()
             code, stdout, stderr = run(main, argv)
-            line = {"argv": argv, "code": code, "stdout": stdout, "stderr": stderr}
+            line = {"argv": argv, "code": code, "stdout": stdout, "stderr": stderr,
+                    "seconds": time.perf_counter() - start}
             out.write(json.dumps(line).replace(tmp, "<dir>") + "\n")
 
 
@@ -189,28 +229,56 @@ def leaks(line: dict) -> bool:
     return line["code"] == "traceback" or WARNING_LINE.search(line["stderr"]) is not None
 
 
-def compare(old: Path, new: Path, seeds, every: int) -> int:
+def _record_both(old: Path, new: Path, seeds, options: list[str]) -> list[list[dict]]:
+    """The recorded runs of each checkout, each recorded in a child process from its own src."""
     with tempfile.TemporaryDirectory() as tmp:
         records = []
         for label, checkout in (("old", old), ("new", new)):
             path = Path(tmp) / f"{label}.jsonl"
             subprocess.run(
                 [sys.executable, __file__, "record", str(path), "--src", str(checkout / "src"),
-                 "--every", str(every), "--seeds", *map(str, seeds)],
+                 *options, "--seeds", *map(str, seeds)],
                 check=True,
             )
             records.append([json.loads(line) for line in path.read_text().splitlines()])
+    return records
+
+
+def compare(old: Path, new: Path, seeds, every: int) -> int:
+    records = _record_both(old, new, seeds, ["--every", str(every)])
     differing = leaking = 0
     for a, b in zip(*records, strict=True):
-        if a != b:
+        if any(a[k] != b[k] for k in OUTCOME):
             differing += 1
-            print(json.dumps({"argv": a["argv"], "old": {k: a[k] for k in ("code", "stdout", "stderr")},
-                              "new": {k: b[k] for k in ("code", "stdout", "stderr")}}))
+            print(json.dumps({"argv": a["argv"], "old": {k: a[k] for k in OUTCOME},
+                              "new": {k: b[k] for k in OUTCOME}}))
         if leaks(b):
             leaking += 1
             print(json.dumps({"argv": b["argv"], "leak": {k: b[k] for k in ("code", "stderr")}}))
     print(f"{len(records[0])} runs, {differing} differing, {leaking} leaking", file=sys.stderr)
     return 1 if differing or leaking else 0
+
+
+def wide(old: Path, new: Path, seeds) -> int:
+    records = _record_both(old, new, seeds, ["--wide"])
+    outcomes = Counter()
+    left = leaking = 0
+    for a, b in zip(*records, strict=True):
+        outcomes[" ".join([a["argv"][0], *a["argv"][2:]]), a["code"], b["code"]] += 1
+        if a["code"] == 0 and b["code"] != 0:
+            left += 1
+            print(json.dumps({"argv": a["argv"], "old": a["code"], "new": {k: b[k] for k in ("code", "stderr")}}))
+        if leaks(b):
+            leaking += 1
+            print(json.dumps({"argv": b["argv"], "leak": {k: b[k] for k in ("code", "stderr")}}))
+    for (command, was, now), count in sorted(outcomes.items(), key=str):
+        print(f"{command:<26} {was!s:>9} -> {now!s:<9} {count:>6}")
+    for label, side in zip(("old", "new"), records):
+        codes = Counter(line["code"] for line in side)
+        slow = sum(line["seconds"] > SLOW_SECONDS for line in side)
+        print(f"{label}: exit codes {dict(sorted(codes.items(), key=str))}, {slow} runs over {SLOW_SECONDS} s")
+    print(f"{len(records[0])} runs, {left} leaving exit 0, {leaking} leaking", file=sys.stderr)
+    return 1 if left or leaking else 0
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -219,11 +287,15 @@ def _parser() -> argparse.ArgumentParser:
     one = commands.add_parser("record", help="record every run of one checkout as JSON lines")
     one.add_argument("out", type=Path)
     one.add_argument("--src", type=Path, default=ROOT / "src", help="directory holding the matpop package")
+    one.add_argument("--wide", action="store_true", help="record the wide runs instead")
     two = commands.add_parser("compare", help="record two checkouts and list the runs that differ")
-    two.add_argument("old", type=Path)
-    two.add_argument("new", type=Path)
-    for sub in (one, two):
+    three = commands.add_parser("wide", help="record two checkouts' wide runs and count their exit codes")
+    for sub in (two, three):
+        sub.add_argument("old", type=Path)
+        sub.add_argument("new", type=Path)
+    for sub in (one, two, three):
         sub.add_argument("--seeds", type=int, nargs="+", default=[1, 2])
+    for sub in (one, two):
         sub.add_argument("--every", type=int, default=1, help="keep every K-th model of each seed")
     return parser
 
@@ -232,6 +304,8 @@ if __name__ == "__main__":
     args = _parser().parse_args()
     if args.command == "record":
         sys.path.insert(0, str(args.src.resolve()))
-        record(args.out, args.seeds, args.every)
-    else:
+        record(args.out, args.seeds, args.every, args.wide)
+    elif args.command == "compare":
         sys.exit(compare(args.old.resolve(), args.new.resolve(), args.seeds, args.every))
+    else:
+        sys.exit(wide(args.old.resolve(), args.new.resolve(), args.seeds))
