@@ -39,7 +39,8 @@ from .model import (
 )
 from .spectral import SPECTRAL_TOL
 
-# Values per chunk of CSV rows formatted by one string operation.
+# Values per chunk of CSV rows: the writer's memory is bounded by a chunk, and a
+# row reuses the text of an equal row of its chunk or of the previous one.
 CSV_CHUNK_VALUES = 4096
 
 
@@ -231,23 +232,69 @@ def _simulation_summary(model: PopulationModel, x0: np.ndarray) -> dict:
     return summary
 
 
+def _nine_digit_codes(values: np.ndarray, first: int) -> np.ndarray:
+    """An int64 code per value such that equal codes mean equal `%.9g` text.
+
+    For a positive value a and an integer e in [-14, 30], let
+    y = a * 10^(8-e), or a / 10^(e-8): the power of ten is exact, so y is
+    the real a 10^(8-e) rounded once.  Rounding is monotone and leaves
+    every double unchanged, among them 1e8, 1e9 and every half-integer in
+    between, so the real value lies on the same side of each of them as y.
+    Where 1e8 < y < 1e9 and y is not a half-integer, m = rint(y) is thus
+    the correctly rounded 9-digit mantissa of a, and a's text is that of
+    m 10^(e-8), a function of (m, e) alone.  It is also where y = 1e9,
+    which is the text of 10^(e+1) from either side, and where y = 1e8, the
+    text of 10^e, to which a real value just below rounds up at 9 digits.
+    Such a value has the code m * 1024 + e - 8, with e = floor(log10(a))
+    clipped to [-14, 30].  +0.0 has the code 0.  Every other value
+    (-0.0, inf, nan, a negative, a value outside [1e-14, 1e31], a y on a
+    half-integer) is left unproven: its code is -1 - first - its flat
+    index, unique across a run when first counts the values before it.
+    """
+    powers = np.array([float(10**k) for k in range(23)])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        shift = np.fmin(np.fmax(8.0 - np.floor(np.log10(values)), -22.0), 22.0)  # 8 - e
+        power = powers[np.abs(shift).astype(np.intp)]
+        y = values / power
+        np.multiply(values, power, out=y, where=shift >= 0.0)
+        mantissa = np.rint(y)
+        proven = (y >= 1e8) & (y <= 1e9) & (np.abs(y - mantissa) < 0.5)
+        codes = (mantissa * 1024.0 - shift).astype(np.int64)
+    unproven = np.flatnonzero(~proven)
+    codes.flat[unproven] = -1 - first - unproven
+    codes[values.view(np.int64) == 0] = 0
+    return codes
+
+
 def _csv_lines(trajectory: np.ndarray):
     """The CSV text of a trajectory: the header, then one string per chunk of rows.
 
-    A chunk holds about CSV_CHUNK_VALUES values, so memory stays bounded
-    whatever the step count, and each chunk is formatted by one % over a
-    repeated row format instead of one call per value.
+    The bytes are those of `%.9g` applied value by value.  A chunk holds
+    about CSV_CHUNK_VALUES values, so memory stays bounded whatever the
+    step count.  A row whose 9-digit codes (_nine_digit_codes) equal those
+    of a row of this chunk or the previous one reuses that row's text, so
+    each distinct row is formatted once, by one % over a repeated format.
     """
     n = trajectory.shape[1]
     yield "step,total," + ",".join(f"class_{i + 1}" for i in range(n)) + "\n"
-    row_format = "%d" + ",%.9g" * (n + 1) + "\n"
+    text_format = ",%.9g" * (n + 1) + "\n"
+    row_key = np.dtype((np.void, 8 * (n + 1)))
     chunk_rows = max(1, CSV_CHUNK_VALUES // (n + 2))
+    texts: dict = {}  # the text of each distinct row of the previous chunk, by its codes
     for start in range(0, len(trajectory), chunk_rows):
         rows = trajectory[start:start + chunk_rows]
-        steps = np.arange(start, start + len(rows))
         with np.errstate(over="ignore"):  # a total beyond the float range prints as inf
-            table = np.column_stack((steps, rows.sum(axis=1), rows))
-        yield row_format * len(rows) % tuple(table.ravel().tolist())
+            table = np.column_stack((rows.sum(axis=1), rows))
+        keys = _nine_digit_codes(table, start * (n + 1)).view(row_key).ravel().tolist()
+        last = dict(zip(keys, range(len(keys))))  # each distinct row's last index
+        new = [key for key in last if key not in texts]
+        values = tuple(table[[last[key] for key in new]].ravel().tolist())
+        texts = {key: texts[key] for key in last if key in texts}
+        texts.update(zip(new, (text_format * len(new) % values).splitlines(True)))
+        lines = [None] * (2 * len(rows))
+        lines[::2] = range(start, start + len(rows))
+        lines[1::2] = map(texts.__getitem__, keys)
+        yield "%d%s" * len(rows) % tuple(lines)
 
 
 def _write(path: str | None, default, lines) -> None:

@@ -8,7 +8,7 @@ from .errors import ModelError
 
 
 def as_matrix(values, *, name: str = "matrix") -> np.ndarray:
-    """Coerce to a read-only square float64 array with finite entries >= 0.
+    """Coerce to a read-only square float64 array with finite entries >= 0, -0.0 stored as 0.0.
 
     Raises ModelError when the input is ragged, non-square, empty, or has
     negative or non-finite entries.
@@ -23,12 +23,13 @@ def as_matrix(values, *, name: str = "matrix") -> np.ndarray:
         raise ModelError(f"{name} has non-finite entries")
     if (m < 0).any():
         raise ModelError(f"{name} has negative entries")
+    m += 0.0  # -0.0 + 0.0 is 0.0, so no entry prints as -0
     m.setflags(write=False)
     return m
 
 
 def as_population_vector(values, n: int, *, name: str = "population vector") -> np.ndarray:
-    """Coerce to a read-only length-n float64 vector that is >= 0 and not all zero."""
+    """Coerce to a read-only length-n float64 vector that is >= 0 and not all zero, -0.0 stored as 0.0."""
     try:
         v = np.array(values, dtype=float)
     except (TypeError, ValueError, OverflowError) as exc:
@@ -41,5 +42,6 @@ def as_population_vector(values, n: int, *, name: str = "population vector") -> 
         raise ModelError(f"{name} has negative entries")
     if not (v > 0).any():
         raise ModelError(f"{name} is zero")
+    v += 0.0  # -0.0 + 0.0 is 0.0, so no entry prints as -0
     v.setflags(write=False)
     return v

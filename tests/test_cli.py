@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -42,7 +43,8 @@ def reference_csv(trajectory: np.ndarray) -> str:
     n = trajectory.shape[1]
     lines = ["step,total," + ",".join(f"class_{i + 1}" for i in range(n)) + "\n"]
     for k, row in enumerate(trajectory):
-        values = [row.sum(), *row.tolist()]
+        with np.errstate(over="ignore"):  # a total beyond the float range prints as inf
+            values = [row.sum(), *row.tolist()]
         lines.append(f"{k}," + ",".join(format(float(v), ".9g") for v in values) + "\n")
     return "".join(lines)
 
@@ -56,13 +58,33 @@ def chunk_rows(n: int) -> int:
 EDGE_VALUES = [0.0, 5e-324, 2.2250738585072014e-308, 1e299, 9.99e299]
 
 
+# 9-digit ties (m + 1/2) 10^k from 1e-17 to 1e34 and powers of ten from 1e-20 to
+# 1e35, each with its two neighbours: both routes of cli._nine_digit_codes and the
+# edges of its proven range; then -0.0 and +0.0, subnormals, and an entry whose row
+# totals overflow to inf.
+CODE_VALUES = [
+    float(w)
+    for v in [(m + 0.5) * 10.0**k for m in (100000000, 123456789, 999999999) for k in range(-25, 26)]
+    + [10.0**k for k in range(-20, 36)]
+    for w in (np.nextafter(v, 0.0), v, np.nextafter(v, np.inf))
+] + [-0.0, 0.0, 5e-324, 1e-310, 1.7e308]
+
+
 @st.composite
 def trajectories(draw):
     n = draw(st.sampled_from([1, 2, 5, 30, 200]))
     chunk = chunk_rows(n)
     rows = draw(st.sampled_from([1, chunk - 1, chunk, chunk + 1, 2 * chunk + 1]))
-    values = st.one_of(st.sampled_from(EDGE_VALUES), st.floats(0.0, 1e300))
-    return draw(hnp.arrays(np.float64, (rows, n), elements=values, fill=values))
+    values = st.one_of(st.sampled_from(EDGE_VALUES + CODE_VALUES), st.floats(0.0, 1e300))
+    if draw(st.booleans()):
+        return draw(hnp.arrays(np.float64, (rows, n), elements=values, fill=values))
+    # Rows drawn from a small pool, some moved by a rounding error, repeat within
+    # and across chunks.
+    pool = draw(hnp.arrays(np.float64, (draw(st.integers(1, 4)), n), elements=values))
+    picks = st.integers(0, len(pool) - 1)
+    nudges = st.sampled_from([1.0, 1.0 + 2.0**-52, 1.0 - 2.0**-53])
+    return (pool[draw(hnp.arrays(np.intp, rows, elements=picks, fill=picks))]
+            * draw(hnp.arrays(np.float64, (rows, 1), elements=nudges, fill=nudges)))
 
 
 def load_cli_sweep():
@@ -474,6 +496,15 @@ class TestScaleCommand:
         assert main(["scale", path, "--target-growth", "1e300"]) == 3
         assert "fertility divisor came out nonpositive" in capsys.readouterr().err
 
+    def test_negative_zero_entries_print_as_zero(self, tmp_path, capsys):
+        path = write_model(tmp_path, "negzero.json", {
+            "transition": [[0.5, -0.0], [0.5, 0.5]], "fertility": [[-0.0, 1.0], [0.0, 0.0]],
+        })
+        assert main(["scale", path, "--stationary"]) == 0
+        out = capsys.readouterr().out
+        assert "-0.0" not in out
+        assert json.loads(out)["scaled_fertility"][0] == [0.0, 0.5]
+
     def test_reducible_target_exits_2(self, tmp_path, capsys):
         assert main(["scale", jordan_file(tmp_path), "--target-growth", "2"]) == 2
 
@@ -491,6 +522,12 @@ class TestSimulateCommand:
         rows = [line.split(",") for line in lines[1:]]
         for k, row in enumerate(rows):
             assert row == [str(k), f"{1 + k:.9g}", "1", f"{k:.9g}"]
+
+    def test_negative_zero_x0_prints_as_zero(self, capsys):
+        assert main(["simulate", PLANT, "--x0=-0,1,-0.0,0,0", "--steps", "1"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1] == "0,1,0,1,0,0,0"
+        assert "-0" not in lines[2].split(",")
 
     def test_plant_normalized_oscillation_summary(self, capsys):
         assert main(
@@ -577,10 +614,43 @@ class TestSimulateCommand:
 
     @given(trajectory=trajectories())
     @settings(max_examples=60, deadline=None)
+    # Every code value twice, in one chunk and across a chunk boundary: two values
+    # of one code but different text would print one's text for the other.
+    @example(trajectory=np.array(CODE_VALUES * 2)[:, None])
+    @example(trajectory=np.array(CODE_VALUES * 8).reshape(-1, 2))
     def test_csv_chunks_match_per_value_formatting(self, trajectory):
         pieces = list(cli._csv_lines(trajectory))
         assert "".join(pieces) == reference_csv(trajectory)
         assert all(piece.count("\n") <= chunk_rows(trajectory.shape[1]) for piece in pieces)
+
+    @pytest.mark.parametrize(
+        "model, steps, normalize",
+        [
+            (PLANT, 30000, True),  # a cycle of d = 2 limits
+            ({"leslie": {"survival": [0.9] * 23, "fertility": [0.0] * 23 + [5.0]}}, 10000, True),
+            (PLANT, 5000, False),  # decays through subnormals to rows of exact zeros
+        ],
+        ids=["plant-normalized", "semelparous24-normalized", "plant-to-zero"],
+    )
+    def test_long_runs_match_per_value_formatting(self, model, steps, normalize, tmp_path, capsys):
+        path = model if isinstance(model, str) else write_model(tmp_path, "model.json", model)
+        m = load_model_file(path)
+        argv = ["simulate", path, "--x0", ",".join(["1"] * m.n), "--steps", str(steps)]
+        assert main([*argv, "--normalize"] if normalize else argv) == 0
+        trajectory = dynamics.iterate(m, np.ones(m.n), steps, normalize=normalize)
+        assert capsys.readouterr().out == reference_csv(trajectory)
+
+    def test_csv_memory_is_bounded_by_a_chunk(self):
+        # 200,000 rows that do not repeat: their CSV text is about 6 MB.
+        trajectory = np.random.default_rng(0).random((200_000, 1))
+        tracemalloc.start()
+        try:
+            for _ in cli._csv_lines(trajectory):
+                pass
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_000_000
 
     @pytest.mark.parametrize("offset", [-1, 0, 1])
     @pytest.mark.parametrize("n", [1, 5, 30, 200])
@@ -978,6 +1048,18 @@ def test_cli_sweep_smoke(tmp_path):
             assert len(lines) == 1 and isinstance(json.loads(lines[0]), dict), (argv, err)
         else:
             assert err == "" or (len(lines) == 1 and err.startswith(("error: ", "numerical failure: "))), (argv, err)
+
+
+def test_cli_sweep_runs_a_long_normalized_simulate_per_model(tmp_path):
+    # Just over two chunks of the CSV writer: a chunk boundary, and rows of the previous chunk.
+    sweep = load_cli_sweep()
+    assert sweep.CSV_CHUNK_VALUES == cli.CSV_CHUNK_VALUES
+    argvs = list(sweep.runs([1], 12, tmp_path))
+    long_runs = [argv for argv in argvs if argv[0] == "simulate" and int(argv[5]) > 60]
+    assert [argv[1] for argv in long_runs] == list(dict.fromkeys(argv[1] for argv in argvs))
+    for argv in long_runs:
+        assert argv[6:] == ["--normalize"]
+        assert int(argv[5]) + 1 > 2 * chunk_rows(len(argv[3].split(",")))
 
 
 def test_cli_sweep_flags_a_leak_that_both_checkouts_share():

@@ -82,6 +82,10 @@ class TestIterate:
             with pytest.raises(ValueError):
                 trajectory[1, 0] = 1.0
 
+    def test_negative_zero_x0_is_stored_as_zero(self, plant):
+        trajectory = iterate(plant, [-0.0, 1.0, -0.0, 0.0, 0.0], 1)
+        assert not np.signbit(trajectory).any()
+
     def test_jordan_block_closed_form(self):
         trajectory = iterate(jordan_block_model(), [1.0, 0.0], 5)
         for k, population in enumerate(trajectory):

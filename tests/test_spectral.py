@@ -54,6 +54,10 @@ class TestAsMatrix:
         with pytest.raises(ModelError):
             as_matrix([[float("nan"), 0.0], [0.0, 1.0]])
 
+    def test_negative_zero_is_stored_as_zero(self):
+        m = as_matrix([[-0.0, 1.0], [0.5, -0.0]])
+        assert not np.signbit(m).any()
+
     def test_result_is_read_only(self):
         m = as_matrix([[1.0, 0.0], [0.0, 1.0]])
         with pytest.raises(ValueError):

@@ -30,7 +30,9 @@ per checkout; keep it out of CI.
 The runs are analyze, scale --stationary, scale --target-growth (two
 targets between rho(T) and 4 rho(T + F), 2.0, and a power of ten up to
 1e6) and simulate (1 to 59 steps of the all-ones x0, with and without
---normalize) of every model of these families, drawn by numpy alone from
+--normalize, and with --normalize just over two chunks of the CSV
+writer, so that each crosses a chunk boundary and reaches rows of the
+previous chunk) of every model of these families, drawn by numpy alone from
 each seed: random stage-structured models with n <= 10 (irreducible and
 primitive, and general, often reducible, ones), random cyclic models of
 index 2-6 with 1-3 classes per cycle step, random Leslie models with
@@ -72,6 +74,9 @@ WIDE_VALUES = [0.0, 5e-324, 1e-300, 1e-10, 0.3, 0.9, 1.0, 1e10, 1e300, 1.7e308]
 WIDE_MODELS = 1500
 # A run of the wide sweep slower than this many seconds is counted as slow.
 SLOW_SECONDS = 0.3
+# Values per chunk of matpop.cli's CSV writer, CSV_CHUNK_VALUES; a constant here, so
+# that both checkouts of a compare run the same argv.
+CSV_CHUNK_VALUES = 4096
 # The fields of a recorded run that compare holds equal.
 OUTCOME = ("code", "stdout", "stderr")
 
@@ -179,6 +184,8 @@ def runs(seeds, every: int, directory: Path):
             x0 = ",".join(["1"] * len(t))
             yield ["simulate", str(path), "--x0", x0, "--steps", steps]
             yield ["simulate", str(path), "--x0", x0, "--steps", steps, "--normalize"]
+            long_steps = str(2 * (CSV_CHUNK_VALUES // (len(t) + 2)) + 1)
+            yield ["simulate", str(path), "--x0", x0, "--steps", long_steps, "--normalize"]
             index += 1
 
 
@@ -240,7 +247,8 @@ def _record_both(old: Path, new: Path, seeds, options: list[str]) -> list[list[d
                  *options, "--seeds", *map(str, seeds)],
                 check=True,
             )
-            records.append([json.loads(line) for line in path.read_text().splitlines()])
+            with path.open() as lines:
+                records.append([json.loads(line) for line in lines])
     return records
 
 
