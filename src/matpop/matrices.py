@@ -19,13 +19,7 @@ def as_matrix(values, *, name: str = "matrix") -> np.ndarray:
         raise ModelError(f"{name} is not a rectangular array of numbers: {exc}") from None
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
         raise ModelError(f"{name} must be square and nonempty, got shape {m.shape}")
-    if not np.isfinite(m).all():
-        raise ModelError(f"{name} has non-finite entries")
-    if (m < 0).any():
-        raise ModelError(f"{name} has negative entries")
-    m += 0.0  # -0.0 + 0.0 is 0.0, so no entry prints as -0
-    m.setflags(write=False)
-    return m
+    return _nonnegative(m, name)
 
 
 def as_population_vector(values, n: int, *, name: str = "population vector") -> np.ndarray:
@@ -36,12 +30,18 @@ def as_population_vector(values, n: int, *, name: str = "population vector") -> 
         raise ModelError(f"{name} is not a vector of numbers: {exc}") from None
     if v.ndim != 1 or v.shape[0] != n:
         raise ModelError(f"{name} must have length {n}, got shape {v.shape}")
-    if not np.isfinite(v).all():
-        raise ModelError(f"{name} has non-finite entries")
-    if (v < 0).any():
-        raise ModelError(f"{name} has negative entries")
+    v = _nonnegative(v, name)
     if not (v > 0).any():
         raise ModelError(f"{name} is zero")
-    v += 0.0  # -0.0 + 0.0 is 0.0, so no entry prints as -0
-    v.setflags(write=False)
     return v
+
+
+def _nonnegative(a: np.ndarray, name: str) -> np.ndarray:
+    """a, read-only, once its entries are checked finite and >= 0, with -0.0 stored as 0.0."""
+    if not np.isfinite(a).all():
+        raise ModelError(f"{name} has non-finite entries")
+    if (a < 0).any():
+        raise ModelError(f"{name} has negative entries")
+    a += 0.0  # -0.0 + 0.0 is 0.0, so no entry prints as -0
+    a.setflags(write=False)
+    return a

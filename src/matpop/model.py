@@ -39,7 +39,6 @@ the edge to decide.
 from __future__ import annotations
 
 import math
-import sys
 from contextlib import suppress
 from dataclasses import dataclass, field
 from enum import Enum
@@ -130,29 +129,46 @@ class PopulationModel:
         return _pair(self.projection, self.structure, self.tol_spec, self._pass)
 
     @cached_property
+    def _fertile(self) -> np.ndarray:
+        """F's nonzero rows f, on which Q and every Q11(s) are solved."""
+        return self.fertility.any(axis=1)
+
+    @cached_property
     def next_generation(self) -> np.ndarray:
         """Next generation matrix Q = F (I - T)^-1, solved on F's nonzero rows; 0 where no walk joins.
 
         Entry (i, j) counts the class-i newborns descending from one
         class-j individual over its whole remaining lifetime.
         """
-        fertile = self.fertility.any(axis=1)
         q = np.zeros_like(self.fertility)
-        q[fertile] = _resolvent_rows(self.transition, self._t.report, self.fertility[fertile])
+        q[self._fertile] = _resolvent_rows(self.transition, self._t.report, self.fertility[self._fertile])
         q.setflags(write=False)
         return q
 
     @cached_property
     def _q11_structure(self) -> StructureReport:
-        """Strong components of Q11's pattern, shared by R0 and analyze's pattern laws."""
-        fertile = self.fertility.any(axis=1)
-        return _analyze_pattern(_finite(self.next_generation)[np.ix_(fertile, fertile)] > 0)
+        """Strong components of Q11's pattern, shared by R0, each Q11(s) of that pattern and analyze's pattern laws."""
+        return _analyze_pattern(_finite(self.next_generation)[np.ix_(self._fertile, self._fertile)] > 0)
+
+    def _q11(self, s: float) -> tuple[np.ndarray, np.ndarray, StructureReport]:
+        """(rows, Q11(s), report): rows = F_f _lift (I - T/s)^-1, Q's own at s = 1 and lift 1, Q11(s) = rows[:, f].
+
+        T / s walks no edge that T does not, so report is Q11's unless, for a large s, T / s underflowed a
+        long walk to an exact zero, or the lift kept an entry that underflowed to 0 in Q11.
+        """
+        f = self._fertile
+        if s == 1.0 and self._lift == 1.0:
+            return self.next_generation[f], self.next_generation[np.ix_(f, f)], self._q11_structure
+        with np.errstate(over="ignore"):
+            rows = _resolvent_rows(self.transition / s, self._t.report, self.fertility[f] * self._lift)
+        q11 = _finite(rows)[:, f]
+        same = np.array_equal(q11 > 0, self.next_generation[np.ix_(f, f)] > 0)
+        return rows, q11, self._q11_structure if same else _analyze_pattern(q11 > 0)
 
     @cached_property
     def r0(self) -> float:
-        """R0 = rho(Q) = rho(Q11), Q on F's nonzero rows and columns: 0 when P has no cycle through F."""
-        fertile = self.fertility.any(axis=1)
-        return _radius(self.next_generation[np.ix_(fertile, fertile)], self._q11_structure, self.tol_spec)
+        """R0 = rho(Q) = rho(Q11), the lifted R0 over _lift: 0 when P has no cycle through F."""
+        return self._lifted_r0 / self._lift
 
     @cached_property
     def stationary(self) -> PopulationModel:
@@ -161,28 +177,21 @@ class PopulationModel:
 
     @cached_property
     def _lift(self) -> float:
-        """The power of two, exact to multiply by, taking F's least positive entry to the normal range.
+        """The power of two, exact to multiply by, taking the least positive entry of F or Q11 to the normal range.
 
         It lifts F's largest entry to at most max(1, F.max()): an F with an entry of 1 or more keeps
         lift 1, and the lifted rows F (I - T/s)^-1 stay within the resolvent's own size.  frexp gives
         the smallest normal float the exponent -1021, and an entry below 2^e one of at most e.
         """
-        f = self.fertility
-        low = math.frexp(f.min(initial=math.inf, where=f > 0))[1]
+        f, q11 = self.fertility, self.next_generation[self._fertile][:, self._fertile]
+        low = min(math.frexp(m.min(initial=math.inf, where=m > 0))[1] for m in (f, q11))
         return 1.0 if low >= -1021 else math.ldexp(1.0, max(0, min(-1021 - low, -math.frexp(f.max())[1])))
 
     @cached_property
     def _lifted_r0(self) -> float:
-        """R0 times _lift, exact for a normal R0; a lifted F solves again an R0 subnormal or unconverged."""
-        if self._lift == 1.0:
-            return self.r0
-        with suppress(ConvergenceError):
-            if self.r0 >= sys.float_info.min:
-                return self.r0 * self._lift
-        fertile = self.fertility.any(axis=1)
-        rows = _resolvent_rows(self.transition, self._t.report, self.fertility[fertile] * self._lift)
-        q11 = _finite(rows)[:, fertile]
-        return _radius(q11, _analyze_pattern(q11 > 0), self.tol_spec)
+        """R0 times _lift: the radius of Q11(1), the lifted F's one R0 pass."""
+        _, q11, report = self._q11(1.0)
+        return _radius(q11, report, self.tol_spec)
 
 
 @dataclass(frozen=True)
@@ -371,8 +380,7 @@ def target_growth_scale(model: PopulationModel, s: float) -> TargetScaleResult:
     certifies the root; a 1 x 1 Q11(s) is read, with v = [1].  Without
     a proposal, or if that pass does not certify, Q11(s)'s own pass gives
     q(s) and v is the proposal, if any; so it is for a reducible Q11(s).
-    Q11(s) shares Q11's structure report while T / s keeps every walk of
-    T positive.  They come from F times _lift, exactly, so a subnormal F
+    Q11(s) comes from F times _lift, exactly, so a subnormal F or Q11
     keeps the bits that _rescaled's fertility, lifted F / lifted q(s), and
     R0(s), lifted R0 / lifted q(s), need.
     """
@@ -386,23 +394,13 @@ def target_growth_scale(model: PopulationModel, s: float) -> TargetScaleResult:
         if not np.isfinite(s) or s <= rho_t + model.tol_spec:
             raise ScalingError(f"target growth rate {s:.6g} must exceed rho(T) = {rho_t:.6g}")
 
-    # rho(T / s) = rho(T) / s < 1, and T / s walks no edge that T does not.  Q11(s) shares Q11's
-    # walk unless, for a large s, T / s underflowed a long walk to an exact zero.
-    fertile = model.fertility.any(axis=1)
-    with np.errstate(over="ignore"):
-        rows = _resolvent_rows(model.transition / s, model._t.report, model.fertility[fertile] * model._lift)
-    q11 = _finite(rows)[:, fertile]
-    pattern = q11 > 0
-    same = np.array_equal(pattern, model.next_generation[np.ix_(fertile, fertile)] > 0)
-    report = model._q11_structure if same else _analyze_pattern(pattern)
+    rows, q11, report = model._q11(s)
     mu = None
     proposal = _dominant_pair(q11.T)
     v = proposal and proposal[1]
     if proposal and report.irreducible:
-        try:
+        with suppress(ConvergenceError):
             mu, v = _power_root(q11, model.tol_spec, report.cyclic_classes, _Pass(proposal, left=True))
-        except ConvergenceError:
-            pass
     lifted_q = (_radius(q11, report, model.tol_spec) if mu is None else mu) / s
     if lifted_q <= 0.0:
         raise ConsistencyError("fertility divisor came out nonpositive for an irreducible model")

@@ -103,6 +103,7 @@ BEYOND_FLOAT_ROOT = {
     "fertility": [[0.0, 0.0, 0.0], [0.9, 1e10, 0.3], [0.3, 0.9, 1e300]],
 }
 # Its R0 pass on the unlifted Q11 does not converge: "did not converge in 1036 of 200000 iterations".
+# Its lift is 2, and the pass on the lifted Q11 certifies.
 STALLED_R0 = {
     "transition": [
         [0.0, 0.03333333333333333, 0.09999999999999999],
@@ -111,6 +112,8 @@ STALLED_R0 = {
     ],
     "fertility": [[5e-324, 0.3, 3e-315], [3e-315, 0.0, 0.3], [3e-315, 3e-315, 5e-324]],
 }
+# F is normal, but Q11 = [[1e-320]] is not: an R0 of a few bits gave F / R0 a growth rate of 1.0000056 (exit 3).
+SUBNORMAL_Q11 = {"transition": [[0.0, 0.0], [1e-20, 0.0]], "fertility": [[0.0, 1e-300], [0.0, 0.0]]}
 # r is about 0.58: P / r, F / R0 and F / q(2) pass the largest float.
 P_OVER_R_OVERFLOWS = {"transition": [[0.0, 0.0], [0.0, 0.0]], "fertility": [[0.0, 1.7e308], [2e-309, 0.0]]}
 # rho(T) = 0, and T / 0.5 passes the largest float.
@@ -489,6 +492,31 @@ class TestScaleCommand:
         payload = json.loads(captured.out)
         assert payload["achieved_growth"] == 2.0
         assert payload["R0_s"] == pytest.approx(4.40022746, rel=1e-8)
+
+    @pytest.mark.parametrize("argv", [["analyze"], ["scale", "--stationary"]])
+    def test_stalled_r0_certifies_on_the_lifted_q11(self, tmp_path, capsys, argv):
+        path = write_model(tmp_path, "stall.json", STALLED_R0)
+        assert main([argv[0], path, *argv[1:]]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        payload = json.loads(captured.out)
+        assert payload["R0" if argv[0] == "analyze" else "q"] == 0.0478590585
+
+    @pytest.mark.parametrize(
+        "argv, growth",
+        [(["analyze"], None), (["scale", "--stationary"], 1.0), (["scale", "--target-growth", "2"], 2.0)],
+    )
+    def test_subnormal_q11_scales(self, tmp_path, capsys, argv, growth):
+        path = write_model(tmp_path, "subnormal_q11.json", SUBNORMAL_Q11)
+        assert main([argv[0], path, *argv[1:]]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        payload = json.loads(captured.out)
+        if growth is None:
+            assert payload["R0"] == 1e-320
+            assert payload["stability_residual"] == 0.0
+        else:
+            assert payload["achieved_growth"] == growth
 
     def test_nonpositive_fertility_divisor_exits_3(self, tmp_path, capsys):
         # q(s) = 1e-300 / 1e300 underflows to 0.
@@ -1081,3 +1109,21 @@ def test_cli_sweep_wide_models_draw_from_the_wide_values(tmp_path):
         data = json.loads(Path(argv[1]).read_text())
         assert {x for m in data.values() for row in m for x in row} <= set(WIDE_VALUES)
         assert 1 <= len(data["transition"]) <= 3
+
+
+def test_cli_sweep_wide_tally_counts_runs_whose_bytes_move():
+    # A run that keeps its exit code but changes stdout or stderr is counted per command and printed.
+    sweep = load_cli_sweep()
+
+    def line(argv, code, stdout="", stderr=""):
+        return {"argv": argv, "code": code, "stdout": stdout, "stderr": stderr, "seconds": 0.1}
+
+    analyze, stationary = ["analyze", "m.json"], ["scale", "m.json", "--stationary"]
+    old = [line(analyze, 0, "{}"), line(analyze, 3, stderr="[0, 1]\n"), line(stationary, 3), line(stationary, 2)]
+    new = [line(analyze, 0, "{}"), line(analyze, 3, stderr="[0, 2]\n"), line(stationary, 0, "{}"), line(stationary, 2)]
+    outcomes, moved, lines = sweep.wide_tally(old, new)
+    assert outcomes == {("analyze", 0, 0): 1, ("analyze", 3, 3): 1, ("scale --stationary", 3, 0): 1,
+                        ("scale --stationary", 2, 2): 1}
+    assert moved == {"analyze": 1}
+    assert lines == [{"argv": analyze, "old": {"code": 3, "stdout": "", "stderr": "[0, 1]\n"},
+                      "new": {"code": 3, "stdout": "", "stderr": "[0, 2]\n"}}]

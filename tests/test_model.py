@@ -239,6 +239,12 @@ class TestStabilizingScale:
         assert r0_positive(model)
         assert abs(stabilizing_scale(model).growth_rate - 1.0) <= model_layer.STABILITY_TOL
 
+    def test_subnormal_q11_lifts_r0(self):
+        # F is normal, but Q11 = [[1e-320]]: the lift reads Q11, and F lift / (R0 lift) grows at 1.
+        model = validate_model([[0.0, 0.0], [1e-20, 0.0]], [[0.0, 1e-300], [0.0, 0.0]])
+        assert model._lift == 2.0**42
+        assert abs(stabilizing_scale(model).growth_rate - 1.0) <= model_layer.STABILITY_TOL
+
     def test_normal_r0_keeps_the_bits_of_f_over_r0(self):
         # A lift of 64 takes 1e-320 to the normal range; F lift / (R0 lift) rounds as F / R0 does.
         model = validate_model([[0.5, 0.0], [0.5, 0.5]], [[1e-320, 0.01], [0.0, 0.0]])
@@ -282,20 +288,22 @@ class TestTargetGrowthScale:
         with np.errstate(over="ignore"), pytest.raises(ModelError, match="non-finite"):
             target_growth_scale(model, 1e308)
 
-    @pytest.mark.parametrize(
-        "f, exponent",
-        [
-            ([[0.5]], 0),
-            ([[2.2250738585072014e-308]], 0),  # the smallest normal float
-            ([[2.225073858507201e-308]], 1),  # the largest subnormal one
-            ([[1e-320]], 42),
-            ([[5e-324, 2.0**-30], [0.0, 0.0]], 29),  # capped where 2^-30 would pass 1
-            ([[5e-324, 0.75], [0.0, 0.0]], 0),
-            ([[1e-320, 1e300], [0.0, 0.0]], 0),  # an entry of 1 or more keeps F as it is
-        ],
-    )
-    def test_lift_takes_the_least_entry_to_the_normal_range(self, f, exponent):
-        assert validate_model(np.zeros((len(f), len(f))), f)._lift == 2.0**exponent
+    LIFTS = [
+        ([[0.5]], 0, None),
+        ([[2.2250738585072014e-308]], 0, None),  # the smallest normal float
+        ([[2.225073858507201e-308]], 1, None),  # the largest subnormal one
+        ([[1e-320]], 42, None),
+        ([[5e-324, 2.0**-30], [0.0, 0.0]], 29, None),  # capped where 2^-30 would pass 1
+        ([[5e-324, 0.75], [0.0, 0.0]], 0, None),
+        ([[1e-320, 1e300], [0.0, 0.0]], 0, None),  # an entry of 1 or more keeps F as it is
+        ([[0.0, 1e-300], [0.0, 0.0]], 42, [[0.0, 0.0], [1e-20, 0.0]]),  # Q11 = [[1e-320]], not F, sets the lift
+        ([[0.0, 0.75], [0.0, 0.0]], 0, [[0.0, 0.0], [1e-310, 0.0]]),  # Q11 = [[7.5e-311]], and the cap holds
+    ]
+
+    # t None is a zero T; the ids are f's index and the exponent.
+    @pytest.mark.parametrize("f, exponent, t", LIFTS, ids=[f"f{k}-{e}" for k, (_, e, _) in enumerate(LIFTS)])
+    def test_lift_takes_the_least_entry_to_the_normal_range(self, f, exponent, t):
+        assert validate_model(np.zeros((len(f), len(f))) if t is None else t, f)._lift == 2.0**exponent
 
     def test_subnormal_fertility_beside_a_large_one_keeps_its_scale(self):
         # (I - T/s)^-1 has entries up to 2 here: a lift to 2^27 took row 1 to 1.5 * 2^1023 = inf.
@@ -565,10 +573,16 @@ class TestScalingContract:
 
     @pytest.mark.parametrize("caller", [analyze, stabilizing_scale])
     def test_stationary_model_off_one_raises(self, plant, caller):
-        # On the plant, F / (R0 + 1e-6) has a growth rate about 1e-6 below 1.
-        vars(plant)["r0"] = PLANT_R0 + 1e-6
+        # The divisor is the lifted R0, R0 itself at the plant's lift of 1: F / (R0 + 1e-6) grows about 1e-6 below 1.
+        vars(plant)["_lifted_r0"] = PLANT_R0 + 1e-6
         with pytest.raises(ConsistencyError):
             caller(plant)
+        # At a lift of 64, F lift / (R0 lift (1 + 1e-6)) does too.
+        lifted = validate_model([[0.5, 0.0], [0.5, 0.5]], [[1e-320, 0.01], [0.0, 0.0]])
+        assert lifted._lift == 64.0
+        vars(lifted)["_lifted_r0"] = lifted._lifted_r0 * (1.0 + 1e-6)
+        with pytest.raises(ConsistencyError):
+            caller(lifted)
 
     def test_target_growth_model_off_target_raises(self, plant, monkeypatch):
         power_root = model_layer._power_root

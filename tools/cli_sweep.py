@@ -23,7 +23,9 @@ scale --stationary and scale --target-growth 2 of WIDE_MODELS models
 per seed, each of order 1-3 with every entry of T and F drawn from
 WIDE_VALUES, zero, subnormals and entries next to the largest float.  It
 prints the count of each (command, old exit code, new exit code), every
-run that leaves exit 0, and each side's count of runs over SLOW_SECONDS.  It exits 1 if a run of
+run that leaves exit 0, every run that keeps its exit code but changes
+stdout or stderr, as compare prints it, with their count per command, and
+each side's count of runs over SLOW_SECONDS.  It exits 1 if a run of
 the new checkout leaks or leaves exit 0.  It takes about a minute per seed
 per checkout; keep it out of CI.
 
@@ -252,14 +254,18 @@ def _record_both(old: Path, new: Path, seeds, options: list[str]) -> list[list[d
     return records
 
 
+def _differing(a: dict, b: dict) -> dict:
+    """The line that prints a run whose outcome differs between two checkouts."""
+    return {"argv": a["argv"], "old": {k: a[k] for k in OUTCOME}, "new": {k: b[k] for k in OUTCOME}}
+
+
 def compare(old: Path, new: Path, seeds, every: int) -> int:
     records = _record_both(old, new, seeds, ["--every", str(every)])
     differing = leaking = 0
     for a, b in zip(*records, strict=True):
         if any(a[k] != b[k] for k in OUTCOME):
             differing += 1
-            print(json.dumps({"argv": a["argv"], "old": {k: a[k] for k in OUTCOME},
-                              "new": {k: b[k] for k in OUTCOME}}))
+            print(json.dumps(_differing(a, b)))
         if leaks(b):
             leaking += 1
             print(json.dumps({"argv": b["argv"], "leak": {k: b[k] for k in ("code", "stderr")}}))
@@ -267,12 +273,26 @@ def compare(old: Path, new: Path, seeds, every: int) -> int:
     return 1 if differing or leaking else 0
 
 
+def wide_tally(old: list[dict], new: list[dict]) -> tuple[Counter, Counter, list[dict]]:
+    """Two checkouts' wide runs tallied: the count of each (command, old exit code, new exit code),
+    the count per command of runs that keep their exit code but change stdout or stderr, and those runs' lines."""
+    outcomes, moved, lines = Counter(), Counter(), []
+    for a, b in zip(old, new, strict=True):
+        command = " ".join([a["argv"][0], *a["argv"][2:]])
+        outcomes[command, a["code"], b["code"]] += 1
+        if a["code"] == b["code"] and any(a[k] != b[k] for k in OUTCOME):
+            moved[command] += 1
+            lines.append(_differing(a, b))
+    return outcomes, moved, lines
+
+
 def wide(old: Path, new: Path, seeds) -> int:
     records = _record_both(old, new, seeds, ["--wide"])
-    outcomes = Counter()
+    outcomes, moved, lines = wide_tally(*records)
+    for line in lines:
+        print(json.dumps(line))
     left = leaking = 0
     for a, b in zip(*records, strict=True):
-        outcomes[" ".join([a["argv"][0], *a["argv"][2:]]), a["code"], b["code"]] += 1
         if a["code"] == 0 and b["code"] != 0:
             left += 1
             print(json.dumps({"argv": a["argv"], "old": a["code"], "new": {k: b[k] for k in ("code", "stderr")}}))
@@ -281,6 +301,8 @@ def wide(old: Path, new: Path, seeds) -> int:
             print(json.dumps({"argv": b["argv"], "leak": {k: b[k] for k in ("code", "stderr")}}))
     for (command, was, now), count in sorted(outcomes.items(), key=str):
         print(f"{command:<26} {was!s:>9} -> {now!s:<9} {count:>6}")
+    for command, count in sorted(moved.items()):
+        print(f"{command:<26} same exit code, other bytes {count:>6}")
     for label, side in zip(("old", "new"), records):
         codes = Counter(line["code"] for line in side)
         slow = sum(line["seconds"] > SLOW_SECONDS for line in side)
