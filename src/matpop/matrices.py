@@ -1,4 +1,4 @@
-"""Input validation for the dense nonnegative matrices and vectors the models use."""
+"""Input validation for the dense nonnegative matrices and vectors the models use, and their tolerances."""
 
 from __future__ import annotations
 
@@ -34,6 +34,12 @@ def as_population_vector(values, n: int, *, name: str = "population vector") -> 
     if not (v > 0).any():
         raise ModelError(f"{name} is zero")
     return v
+
+
+def check_tolerance(tol, name: str = "tol") -> None:
+    """Raise ModelError, naming the tolerance, unless tol is a number strictly between 0 and 1."""
+    if not 0.0 < tol < 1.0:
+        raise ModelError(f"{name} must be finite with 0 < tol < 1, got {tol!r}")
 
 
 def _nonnegative(a: np.ndarray, name: str) -> np.ndarray:

@@ -47,10 +47,10 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConsistencyError, ConvergenceError, ModelError, ScalingError, StructureError
-from .matrices import as_matrix
+from .matrices import as_matrix, check_tolerance
 from .spectral import (
-    SPECTRAL_TOL, SpectralPair, _dominant_pair, _pair, _Pass, _power_root, _radius, _resolvent_rows, _Transition,
-    _unit,
+    SPECTRAL_TOL, SpectralPair, _bracket_error_over, _dominant_pair, _pair, _Pass, _power_root, _radius,
+    _resolvent_rows, _Transition, _unit,
 )
 from .structure import QPatternReport, StructureReport, _analyze_pattern, _next_gen_pattern
 
@@ -189,9 +189,12 @@ class PopulationModel:
 
     @cached_property
     def _lifted_r0(self) -> float:
-        """R0 times _lift: the radius of Q11(1), the lifted F's one R0 pass."""
+        """R0 times _lift: the radius of Q11(1), the lifted F's one R0 pass, whose failure names R0's own bracket."""
         _, q11, report = self._q11(1.0)
-        return _radius(q11, report, self.tol_spec)
+        try:
+            return _radius(q11, report, self.tol_spec)
+        except ConvergenceError as exc:
+            raise _bracket_error_over(exc, self._lift) from None
 
 
 @dataclass(frozen=True)
@@ -240,9 +243,8 @@ def validate_model(
     rho(T), which decides.  Column sums of T above 1 are biologically
     suspect but only produce warnings, since no conclusion depends on them.
     """
-    for name, tol in (("tol_spec", tol_spec), ("tol_class", tol_class)):
-        if not 0.0 < tol < 1.0:
-            raise ModelError(f"{name} must be finite with 0 < tol < 1, got {tol!r}")
+    check_tolerance(tol_spec, "tol_spec")
+    check_tolerance(tol_class, "tol_class")
     t = as_matrix(transition, name="transition matrix")
     f = as_matrix(fertility, name="fertility matrix")
     if t.shape != f.shape:
@@ -369,7 +371,7 @@ def stabilizing_scale(model: PopulationModel) -> PopulationModel:
 def target_growth_scale(model: PopulationModel, s: float) -> TargetScaleResult:
     """Scale fertility so the model's growth rate becomes exactly s.
 
-    Requires an irreducible projection matrix and a target s above
+    Requires an irreducible projection matrix and a finite target s above
     rho(T), decided from a bound on rho(T) wherever one can, with the
     exact rule's outcome.  The divisor is q(s) = rho(F (I - T/s)^-1) / s,
     a strictly decreasing function of s, and the scaled model's net
@@ -389,9 +391,11 @@ def target_growth_scale(model: PopulationModel, s: float) -> TargetScaleResult:
         raise StructureError(
             "projection matrix is reducible; target-growth scaling needs an irreducible model"
         )
+    if not math.isfinite(s):
+        raise ScalingError(f"target growth rate must be finite, got {s:.6g}")
     if not model._t.exceeds(s):
         rho_t = model.rho_transition
-        if not np.isfinite(s) or s <= rho_t + model.tol_spec:
+        if s <= rho_t + model.tol_spec:
             raise ScalingError(f"target growth rate {s:.6g} must exceed rho(T) = {rho_t:.6g}")
 
     rows, q11, report = model._q11(s)

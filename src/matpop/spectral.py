@@ -54,7 +54,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConvergenceError, MortalityError, NumericalError, StructureError
-from .matrices import as_matrix
+from .matrices import as_matrix, check_tolerance
 from .structure import StructureReport, _analyze_pattern
 
 # Stop once the ratio bracket is this tight, relative to max(1, root).
@@ -397,6 +397,12 @@ def _bracket_error(reason: str, bracket: tuple[float, float], used: int) -> Conv
     return ConvergenceError(message, bracket=bracket, iterations=used)
 
 
+def _bracket_error_over(exc: ConvergenceError, by: float) -> ConvergenceError:
+    """exc, a _bracket_error of a matrix times by, as the matrix's own: its bracket over by, same reason and count."""
+    reason = str(exc).rpartition("; spectral radius is in")[0]
+    return _bracket_error(reason, (exc.bracket[0] / by, exc.bracket[1] / by), exc.iterations)
+
+
 def _rescaled_block(block: np.ndarray, by: float, bracket: tuple[float, float], used: int) -> np.ndarray:
     """block / by, unless its largest quotient, block.max() / by, overflows (a by below 1 only): ConvergenceError."""
     if by < 1.0 and not float(block.max()) / by < math.inf:
@@ -411,6 +417,7 @@ def spectral_radius(m, *, tol: float = SPECTRAL_TOL) -> float:
     connected components and the largest per-component Perron root wins.
     Trivial 1x1 components contribute their own diagonal entry.
     """
+    check_tolerance(tol)
     m = as_matrix(m)
     return _radius(m, _analyze_pattern(m > 0), tol)
 
@@ -494,7 +501,7 @@ class _Transition:
         The ceiling is at most 1 - tol - margin: that proves every s >= 1 and keeps a pass's upper end below
         2, where the margin holds.
         """
-        if not math.isfinite(s) or "rho" in vars(self):
+        if "rho" in vars(self):
             return False
         ceiling = min(s, 1.0) - self.tol - _mortality_margin(self.tol, len(self.t))
         if not self.bound < ceiling:
@@ -525,6 +532,7 @@ def perron_pair(m, *, tol: float = SPECTRAL_TOL) -> SpectralPair:
     not be unique or positive, so callers should analyze each strong
     component separately.
     """
+    check_tolerance(tol)
     m = as_matrix(m)
     return _pair(m, _analyze_pattern(m > 0), tol)
 

@@ -61,12 +61,24 @@ class QPatternReport:
     q_irreducible: bool
 
 
-def _strong_components(succ: list[list[int]], n: int) -> tuple[list[list[int]], list[int]]:
-    """Tarjan's algorithm, iteratively: components in reverse topological order, and DFS depths."""
+def _analyze_pattern(pattern: np.ndarray) -> StructureReport:
+    """Tarjan's pass, iteratively, over the pattern's digraph; then an irreducible pattern's index and classes.
+
+    A DFS frame is a vertex with the iterator over its successors: a vertex
+    is numbered, and given its depth, when it is pushed, and finished when
+    its iterator runs out.  A finished component's vertices take index n,
+    above every low link, so only an edge to a vertex still on the stack
+    lowers one.
+    """
+    n = pattern.shape[0]
+    # Edge sources[e] -> targets[e] for each entry (i, j) set, grouped by source j, i ascending.
+    sources, targets = np.nonzero(pattern.T)
+    ends = np.cumsum(np.count_nonzero(pattern, axis=0)).tolist()
+    flat = targets.tolist()
+    succ = [flat[start:end] for start, end in zip([0] + ends, ends)]
     index = [-1] * n
     depth = [0] * n
     low = [0] * n
-    on_stack = [False] * n
     stack: list[int] = []
     components: list[list[int]] = []
     counter = 0
@@ -74,53 +86,33 @@ def _strong_components(succ: list[list[int]], n: int) -> tuple[list[list[int]], 
     for root in range(n):
         if index[root] != -1:
             continue
-        work: list[list[int]] = [[root, 0]]
+        index[root] = low[root] = counter
+        counter += 1
+        stack.append(root)
+        work = [(root, iter(succ[root]))]
         while work:
-            v, child = work[-1]
-            if child == 0:
-                index[v] = low[v] = counter
-                depth[v] = len(work) - 1
-                counter += 1
-                stack.append(v)
-                on_stack[v] = True
-            descended = False
-            targets = succ[v]
-            while child < len(targets):
-                w = targets[child]
-                child += 1
+            v, successors = work[-1]
+            for w in successors:
                 if index[w] == -1:
-                    work[-1][1] = child
-                    work.append([w, 0])
-                    descended = True
+                    index[w] = low[w] = counter
+                    depth[w] = len(work)
+                    counter += 1
+                    stack.append(w)
+                    work.append((w, iter(succ[w])))
                     break
-                if on_stack[w]:
-                    low[v] = min(low[v], index[w])
-            if descended:
-                continue
-            work.pop()
-            if low[v] == index[v]:
-                component = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    component.append(w)
-                    if w == v:
-                        break
-                components.append(component)
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
-    return components, depth
-
-
-def _analyze_pattern(pattern: np.ndarray) -> StructureReport:
-    n = pattern.shape[0]
-    # Edge sources[e] -> targets[e] for each entry (i, j) set, grouped by source j, i ascending.
-    sources, targets = np.nonzero(pattern.T)
-    ends = np.cumsum(np.count_nonzero(pattern, axis=0)).tolist()
-    flat = targets.tolist()
-    succ = [flat[start:end] for start, end in zip([0] + ends, ends)]
-    components, depth = _strong_components(succ, n)
+                low[v] = min(low[v], index[w])
+            else:
+                work.pop()
+                if low[v] == index[v]:
+                    component = [stack.pop()]
+                    while component[-1] != v:
+                        component.append(stack.pop())
+                    for w in component:
+                        index[w] = n
+                    components.append(component)
+                if work:
+                    parent = work[-1][0]
+                    low[parent] = min(low[parent], low[v])
     components.reverse()  # topological order: edges run earlier -> later
     ordered = tuple(tuple(sorted(c)) for c in components)
 

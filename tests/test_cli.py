@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import time
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -17,7 +18,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from matpop import MortalityError, cli, dynamics, resolvent_inverse, spectral, target_growth_scale, validate_model
+from matpop import (
+    ConvergenceError, MortalityError, cli, dynamics, resolvent_inverse, spectral, target_growth_scale, validate_model,
+)
 from matpop import model as model_layer
 from matpop.cli import load_model_file, main
 from helpers import PLANT_R, plant_stable_of_s
@@ -114,6 +117,10 @@ STALLED_R0 = {
 }
 # F is normal, but Q11 = [[1e-320]] is not: an R0 of a few bits gave F / R0 a growth rate of 1.0000056 (exit 3).
 SUBNORMAL_Q11 = {"transition": [[0.0, 0.0], [1e-20, 0.0]], "fertility": [[0.0, 1e-300], [0.0, 0.0]]}
+# P is irreducible only through T's subnormal entry; rho(T) = 0.3 does not certify in 200,000 iterations.
+SUBNORMAL_JORDAN = {"transition": [[0.3, 0.3], [5e-324, 0.3]], "fertility": [[0.0, 0.9], [0.0, 0.0]]}
+# Lift 2: the R0 pass on the lifted Q11 stops after 902 iterations.
+LIFTED_R0_STALLS = {"transition": [[1e-10, 1e-10], [0.9, 0.9]], "fertility": [[1e-10, 0.3], [5e-324, 5e-324]]}
 # r is about 0.58: P / r, F / R0 and F / q(2) pass the largest float.
 P_OVER_R_OVERFLOWS = {"transition": [[0.0, 0.0], [0.0, 0.0]], "fertility": [[0.0, 1.7e308], [2e-309, 0.0]]}
 # rho(T) = 0, and T / 0.5 passes the largest float.
@@ -405,6 +412,27 @@ class TestScaleCommand:
     def test_target_zero_exits_2(self, capsys):
         assert main(["scale", PLANT, "--target-growth", "0"]) == 2
         assert "must exceed rho(T)" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("target", ["inf", "nan", "1e400"])
+    def test_nonfinite_target_exits_2_at_once(self, tmp_path, capsys, target):
+        # rho(T) was computed for the message alone: 200,000 iterations here, then exit 3.
+        path = write_model(tmp_path, "jordan.json", SUBNORMAL_JORDAN)
+        start = time.perf_counter()
+        assert main(["scale", path, "--target-growth", target]) == 2
+        assert time.perf_counter() - start < 0.05
+        assert capsys.readouterr().err == f"error: target growth rate must be finite, got {float(target):.6g}\n"
+
+    @pytest.mark.parametrize("argv", [["analyze"], ["scale", "--stationary"]])
+    def test_failed_lifted_r0_names_the_bracket_of_r0(self, tmp_path, capsys, argv):
+        # The bracket was the lifted Q11's, [5, 5.4000000055999999]: twice R0's.
+        path = write_model(tmp_path, "lifted.json", LIFTED_R0_STALLS)
+        assert main([argv[0], path, *argv[1:]]) == 3
+        err = capsys.readouterr().err
+        assert "power iteration did not converge in 902 of 200000 iterations" in err
+        assert err.endswith("; spectral radius is in [2.5, 2.7000000028]\n")
+        with pytest.raises(ConvergenceError) as info:
+            validate_model(LIFTED_R0_STALLS["transition"], LIFTED_R0_STALLS["fertility"]).r0
+        assert (info.value.bracket, info.value.iterations) == ((2.5, 2.7000000028), 902)
 
     def test_r0_zero_stationary_exits_2(self, tmp_path, capsys):
         path = write_model(

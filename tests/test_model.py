@@ -951,7 +951,9 @@ class TestMortalityBound:
             targets += [math.nan, math.inf, -1.0]
             for s in targets:
                 new = _outcome(lambda: target_growth_scale(validate_model(t, f, tol_spec=tol), s))
-                if not s > rho + tol:
+                if not math.isfinite(s):
+                    assert new == ("ScalingError", f"target growth rate must be finite, got {s:.6g}")
+                elif not s > rho + tol:
                     assert new == ("ScalingError", f"target growth rate {s:.6g} must exceed rho(T) = {rho:.6g}")
                 cases.append(((t, f, s), new))
         # The exact rule: no bound, rho(T) computed at validation.

@@ -95,6 +95,14 @@ class TestSpectralRadius:
     def test_single_entry(self):
         assert spectral_radius([[0.25]]) == 0.25
 
+    @pytest.mark.parametrize("function", [spectral_radius, perron_pair])
+    @pytest.mark.parametrize("tol", [5.0, 1.0, 0.0, -1.0, math.nan, math.inf])
+    def test_tolerance_outside_the_unit_interval_rejected(self, function, tol):
+        # validate_model's rule.  Before, tol = 5.0 gave 0.9166666666666665 for a root of 0.92622677, and
+        # tol = -1 or nan spent 1,002 iterations, then raised ConvergenceError.
+        with pytest.raises(ModelError, match=r"^tol must be finite with 0 < tol < 1, got "):
+            function([[0.1, 0.9, 0.0], [0.3, 0.2, 0.5], [0.0, 0.7, 0.05]], tol=tol)
+
     def test_reducible_takes_max_over_blocks(self):
         m = np.array([[0.5, 1.0], [0.0, 2.0]])
         assert spectral_radius(m) == pytest.approx(2.0, abs=1e-12)

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import networkx as nx
 import numpy as np
@@ -10,6 +11,7 @@ from matpop import (
     analyze_structure,
     next_gen_pattern,
     resolvent_inverse,
+    structure,
 )
 from helpers import (
     PLANT_F,
@@ -53,6 +55,35 @@ def long_period_patterns(rng):
     tails = rng.choice(300, 40, replace=False)
     chords[(tails + rng.choice([4, 7], 40)) % 300, tails] = True
     patterns.append((chords, 3))
+    return patterns
+
+
+def walk_inputs(case):
+    """Patterns for the strong-component walk: 50 random ones for a seed, or one named pattern.
+
+    "chain" is the path 0 -> 1 -> ... -> 4999 and "cycle" the same path
+    closed by 4999 -> 0, both far deeper than the recursion limit.
+    "incomparable" has edges from 0 to the cycles {1, 2} and {3, 4} and the
+    loop at 5, no two of them joined by a walk, edges from 2 and 4 to 6, and
+    a loop at 7 that no walk joins to the rest.
+    """
+    if case in ("chain", "cycle"):
+        n = 5000
+        assert n > sys.getrecursionlimit()
+        m = np.zeros((n, n), dtype=bool)
+        m[np.arange(1, n), np.arange(n - 1)] = True
+        m[0, n - 1] = case == "cycle"
+        return [m]
+    if case == "incomparable":
+        m = np.zeros((8, 8))
+        for source, target in ((0, 1), (0, 3), (0, 5), (1, 2), (2, 1), (3, 4), (4, 3), (5, 5), (2, 6), (4, 6), (7, 7)):
+            m[target, source] = 1.0
+        return [m]
+    rng = np.random.default_rng(case)
+    patterns = []
+    for _ in range(50):
+        n = int(rng.integers(1, 41))
+        patterns.append((rng.random((n, n)) < rng.uniform(0.0, 0.3)).astype(float))
     return patterns
 
 
@@ -114,13 +145,11 @@ class TestAnalyzeStructure:
         assert order[(0,)] < order[(1,)]
         assert order[(2,)] < order[(1,)]
 
-    @pytest.mark.parametrize("seed", range(4))
-    def test_components_and_order_match_networkx(self, seed):
-        rng = np.random.default_rng(seed)
-        for _ in range(50):
-            n = int(rng.integers(1, 41))
-            m = (rng.random((n, n)) < rng.uniform(0.0, 0.3)).astype(float)
-            report = analyze_structure(m)
+    @pytest.mark.parametrize("case", [0, 1, 2, 3, "chain", "cycle", "incomparable"])
+    def test_components_and_order_match_networkx(self, case):
+        for m in walk_inputs(case):
+            # A bool pattern is walked as analyze_structure would walk it, without its float copy.
+            report = structure._analyze_pattern(m) if m.dtype == bool else analyze_structure(m)
             graph = digraph_of(m)
             assert {frozenset(c) for c in report.components} == {
                 frozenset(c) for c in nx.strongly_connected_components(graph)
@@ -129,6 +158,12 @@ class TestAnalyzeStructure:
             rank = {v: k for k, component in enumerate(report.components) for v in component}
             # Every edge between components runs from an earlier one to a later one.
             assert all(rank[u] <= rank[v] for u, v in graph.edges)
+        if case == "cycle":
+            assert report.imprimitivity_index == 5000
+            assert report.cyclic_classes == tuple(range(5000))
+        if case == "incomparable":
+            # The sets and the order above allow {7} anywhere and {1, 2}, {3, 4} and {5} in any order.
+            assert report.components == ((7,), (0,), (5,), (3, 4), (1, 2), (6,))
 
     def test_depends_only_on_pattern(self):
         rng = np.random.default_rng(31)
