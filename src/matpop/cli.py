@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from pathlib import Path
@@ -27,6 +26,7 @@ from . import __version__
 from .dynamics import eventual_limit, iterate, periodic_limits
 from .errors import ModelError, NumericalError
 from .leslie import LeslieModel, _matrices
+from .matrices import check_tolerance
 from .model import (
     CLASSIFY_TOL,
     AnalysisReport,
@@ -331,10 +331,11 @@ def _tolerance(raw: str) -> float:
     """Parse a tolerance flag: a finite number strictly between 0 and 1."""
     try:
         value = float(raw)
+        check_tolerance(value)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a number: {raw!r}") from None
-    if not (math.isfinite(value) and 0.0 < value < 1.0):
-        raise argparse.ArgumentTypeError(f"must be finite with 0 < tol < 1, got {raw!r}")
+    except ModelError:
+        raise argparse.ArgumentTypeError(f"must be finite with 0 < tol < 1, got {raw!r}") from None
     return value
 
 

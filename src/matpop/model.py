@@ -19,7 +19,10 @@ Perron vector: with rows = F_f (I - T/s)^-1 on F's nonzero rows f and
 v Q11(s) = mu v, z = v rows has z T = s z - s v F_f and z F = mu v F_f,
 so z (T + F / q(s)) = s z.  One pass on Q11(s)^T, seeded at LAPACK's
 proposal, certifies mu = q(s) s and v together, and the scaled model's
-growth-rate check starts at z.
+growth-rate check starts at z.  At s = 1, q(1) = R0 and rows are Q's
+fertile rows: where Q11 is 1 x 1 it is R0 itself, read, and v = [1], so
+the stationary model's check of a block of index 3 or more, which
+_eig_seed would start, starts at Q's fertile row.
 
 The model carries its spectral and classification tolerances, set once
 by validate_model, and computes each derived quantity (the structure of
@@ -172,8 +175,17 @@ class PopulationModel:
 
     @cached_property
     def stationary(self) -> PopulationModel:
-        """The model with fertility F / R0, the lifted F over the lifted R0, with growth rate 1; needs R0 > 0."""
-        return _rescaled(self, self._lifted_r0, 1.0)
+        """The model with fertility F / R0, the lifted F over the lifted R0, with growth rate 1; needs R0 > 0.
+
+        Where P is irreducible of index 3 or more and Q11 is 1 x 1, the check starts at Q's fertile row;
+        every other check is P's own pass, whose last bits analyze prints as its residual.
+        """
+        left = None
+        if self.structure.irreducible and max(self.structure.cyclic_classes) >= 2:
+            rows, q11, _ = self._q11(1.0)
+            if q11.shape == (1, 1):
+                left = _unit(rows[0])
+        return _rescaled(self, self._lifted_r0, 1.0, left)
 
     @cached_property
     def _lift(self) -> float:
@@ -189,8 +201,11 @@ class PopulationModel:
 
     @cached_property
     def _lifted_r0(self) -> float:
-        """R0 times _lift: the radius of Q11(1), the lifted F's one R0 pass, whose failure names R0's own bracket."""
-        _, q11, report = self._q11(1.0)
+        """R0 times _lift: the radius of Q11(1), the lifted F's one R0 pass."""
+        return self._lifted_radius(*self._q11(1.0)[1:])
+
+    def _lifted_radius(self, q11: np.ndarray, report: StructureReport) -> float:
+        """The radius of a lifted Q11(s), whose failure names the bracket of Q11(s) itself, the lifted one over _lift."""
         try:
             return _radius(q11, report, self.tol_spec)
         except ConvergenceError as exc:
@@ -405,7 +420,7 @@ def target_growth_scale(model: PopulationModel, s: float) -> TargetScaleResult:
     if proposal and report.irreducible:
         with suppress(ConvergenceError):
             mu, v = _power_root(q11, model.tol_spec, report.cyclic_classes, _Pass(proposal, left=True))
-    lifted_q = (_radius(q11, report, model.tol_spec) if mu is None else mu) / s
+    lifted_q = (model._lifted_radius(q11, report) if mu is None else mu) / s
     if lifted_q <= 0.0:
         raise ConsistencyError("fertility divisor came out nonpositive for an irreducible model")
 

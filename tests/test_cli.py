@@ -19,7 +19,8 @@ from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from matpop import (
-    ConvergenceError, MortalityError, cli, dynamics, resolvent_inverse, spectral, target_growth_scale, validate_model,
+    ConvergenceError, MortalityError, analyze, cli, dynamics, resolvent_inverse, spectral, target_growth_scale,
+    validate_model,
 )
 from matpop import model as model_layer
 from matpop.cli import load_model_file, main
@@ -433,6 +434,18 @@ class TestScaleCommand:
         with pytest.raises(ConvergenceError) as info:
             validate_model(LIFTED_R0_STALLS["transition"], LIFTED_R0_STALLS["fertility"]).r0
         assert (info.value.bracket, info.value.iterations) == ((2.5, 2.7000000028), 902)
+
+    def test_failed_lifted_q_names_the_bracket_of_q11(self, tmp_path, capsys):
+        # The bracket was the lifted Q11(2)'s, [0, 0.49090909115371906]: twice Q11(2)'s.
+        path = write_model(tmp_path, "lifted.json", LIFTED_R0_STALLS)
+        assert main(["scale", path, "--target-growth", "2"]) == 3
+        err = capsys.readouterr().err
+        assert "power iteration did not converge in 592 of 200000 iterations" in err
+        assert err.endswith("; spectral radius is in [0, 0.24545454557685953]\n")
+        model = validate_model(LIFTED_R0_STALLS["transition"], LIFTED_R0_STALLS["fertility"])
+        with pytest.raises(ConvergenceError) as info:
+            target_growth_scale(model, 2.0)
+        assert (info.value.bracket, info.value.iterations) == ((0.0, 0.24545454557685953), 592)
 
     def test_r0_zero_stationary_exits_2(self, tmp_path, capsys):
         path = write_model(
@@ -901,7 +914,8 @@ class TestToleranceFlags:
         assert info.value.code == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert flag in captured.err
+        reason = "not a number:" if value == "x" else "must be finite with 0 < tol < 1, got"
+        assert captured.err.splitlines()[-1] == f"matpop: error: argument {flag}: {reason} {value!r}"
 
     def test_loose_classification_tolerance_changes_class(self, tmp_path, capsys):
         # r almost exactly 1: classified Growing normally, Stationary when
@@ -1024,6 +1038,19 @@ class TestCallBudget:
         assert main(["analyze", path]) == 0
         assert json.loads(capsys.readouterr().out)["imprimitivity_index"] == 6
         assert power_passes and all(start is not None for start, _ in power_passes)
+
+    def test_long_period_stationary_check_is_one_seeded_step(self, tmp_path, power_passes, monkeypatch):
+        # Q11 is 1 x 1, so the check starts at Q's fertile row, the stationary model's left Perron
+        # vector.  From _eig_seed it made two more eig calls, on the cycle product: 4 in all.
+        model = load_model_file(write_model(tmp_path, "d6.json", INDEX_6_LESLIE))
+        eig, calls = np.linalg.eig, []
+        monkeypatch.setattr(np.linalg, "eig", lambda a: calls.append(a.shape) or eig(a))
+        model.growth_rate, model.r0
+        power_passes.clear()
+        model.stationary
+        assert [(start is not None, iterations) for start, iterations in power_passes] == [(True, 1)]
+        assert analyze(model).stability_residual <= 2 * np.finfo(float).eps
+        assert len(calls) <= 2
 
     @pytest.mark.parametrize("name, s", [("plant", 2.0), ("leslie3", 1.5), ("index6", 1.2)])
     def test_target_check_is_one_seeded_step(self, name, s, tmp_path, power_passes, monkeypatch):
@@ -1155,3 +1182,23 @@ def test_cli_sweep_wide_tally_counts_runs_whose_bytes_move():
     assert moved == {"analyze": 1}
     assert lines == [{"argv": analyze, "old": {"code": 3, "stdout": "", "stderr": "[0, 1]\n"},
                       "new": {"code": 3, "stdout": "", "stderr": "[0, 2]\n"}}]
+
+
+def test_cli_sweep_compare_tally_names_the_fields_that_move():
+    # Each differing run counts once per changed field: a top-level key of JSON stdout, else stdout, code, stderr.
+    sweep = load_cli_sweep()
+
+    def line(argv, code, stdout="", stderr=""):
+        return {"argv": argv, "code": code, "stdout": stdout, "stderr": stderr, "seconds": 0.1}
+
+    analyze, stationary = ["analyze", "m.json"], ["scale", "m.json", "--stationary"]
+    simulate = ["simulate", "m.json", "--x0", "1", "--steps", "2"]
+    old = [line(analyze, 0, '{"R0": 1, "r": 2, "stability_residual": 0}'), line(analyze, 0, '{"r": 2}'),
+           line(stationary, 3, stderr="[0, 1]\n"), line(simulate, 0, "step\n0,1\n", "{}\n"), line(analyze, 0, "{}")]
+    new = [line(analyze, 0, '{"R0": 1, "r": 2, "stability_residual": 1e-16}'),
+           line(analyze, 0, '{"r": 3, "q": 1}'), line(stationary, 0, '{"q": 1}'),
+           line(simulate, 0, "step\n0,2\n", "{}\n"), line(analyze, 0, "{}")]
+    assert sweep.compare_tally(old, new) == {
+        ("analyze", "stability_residual"): 1, ("analyze", "r"): 1, ("analyze", "q"): 1, ("scale", "code"): 1,
+        ("scale", "stderr"): 1, ("scale", "stdout"): 1, ("simulate", "stdout"): 1,
+    }

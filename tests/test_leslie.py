@@ -338,4 +338,5 @@ class TestLongPeriodRootsAgainstEulerLotka:
             scaled = target_growth_scale(model, float(r) * rng.uniform(0.5, 2.0)).scaled
             s = _euler_lotka_root(scaled, scaled.growth_rate)
             assert abs(scaled.growth_rate - s) <= 2e-15 * s
-            assert report.stability_residual <= 16 * eps
+            # 10 eps before the stationary check started at Q's fertile row, with 16 eps allowed.
+            assert report.stability_residual <= 2 * eps

@@ -397,18 +397,23 @@ class TestTargetGrowthScale:
             assert r0_direct == pytest.approx(r0 / result.q, abs=1e-10)
 
 
+def _handed_left_vectors(monkeypatch) -> list:
+    """The list of the left vectors that _rescaled is handed, None included, filled as it is called."""
+    handed, rescaled = [], model_layer._rescaled
+
+    def spy(model, fertility, target, left=None):
+        handed.append(left)
+        return rescaled(model, fertility, target, left)
+
+    monkeypatch.setattr(model_layer, "_rescaled", spy)
+    return handed
+
+
 class TestLeftVectorIdentity:
     """z = v F_f (I - T/s)^-1, v Q11(s)'s left Perron vector, is the left Perron vector of T + F / q(s)."""
 
     def test_random_models(self, monkeypatch):
-        handed = []
-        rescaled = model_layer._rescaled
-
-        def spy(model, fertility, target, left=None):
-            handed.append(left)
-            return rescaled(model, fertility, target, left)
-
-        monkeypatch.setattr(model_layer, "_rescaled", spy)
+        handed = _handed_left_vectors(monkeypatch)
         rng = np.random.default_rng(73)
         leslie = [(1.0, 0.9, 0.7), (0.0, 0.0, 2.0), (0.0, 0.8, 0.0, 1.1), (0.0, 0.0, 0.0, 0.0, 0.0, 3.0)]
         models = [random_irreducible_model(rng, n_max=8) for _ in range(24)]
@@ -428,6 +433,40 @@ class TestLeftVectorIdentity:
                 assert (z > 0.0).all()
                 np.testing.assert_allclose(z, left / left.sum(), rtol=1e-9, atol=0.0)
         assert kinds == {(k, d) for k in (False, True) for d in (1, 2, 3)}
+
+    def test_stationary_check_starts_at_q_fertile_row_of_a_long_period_leslie(self, monkeypatch):
+        # At s = 1 a 1 x 1 Q11 is R0 itself and v = [1], so z is Q's fertile row.  Only blocks of
+        # index 3 or more, which went to _eig_seed, get it; index 1 and 2 keep their cold probes.
+        handed = _handed_left_vectors(monkeypatch)
+        rng = np.random.default_rng(79)
+        for period in range(1, 7):
+            f = np.zeros(3 * period)
+            f[period - 1 :: period] = rng.uniform(0.5, 3.0, 3)
+            model = assemble(LeslieModel(rng.uniform(0.3, 0.9, 3 * period - 1), f))
+            assert model.structure.imprimitivity_index == period
+            stationary = stabilizing_scale(model)
+            z = handed[-1]
+            if period < 3:
+                assert z is None
+                continue
+            q = model.next_generation[0]
+            np.testing.assert_array_equal(z, q / q.sum())
+            left = perron_pair(stationary.projection).left
+            np.testing.assert_allclose(z, left / left.sum(), rtol=1e-9, atol=0.0)
+            assert stationary.growth_rate == pytest.approx(1.0, abs=4 * np.finfo(float).eps)
+
+    def test_two_fertile_rows_of_index_3_keep_their_stationary_check(self, monkeypatch):
+        # Q11 is 2 x 2, so R0 comes from a pass and z would belong to a slightly different root: the
+        # check keeps _eig_seed, and its residual keeps the bits it had before the fertile-row seed.
+        handed = _handed_left_vectors(monkeypatch)
+        t = np.zeros((6, 6))
+        t[2:4, 0:2] = [[0.5, 0.2], [0.3, 0.6]]
+        t[4:6, 2:4] = [[0.7, 0.1], [0.2, 0.8]]
+        f = np.zeros((6, 6))
+        f[0:2, 4:6] = [[1.5, 0.4], [0.9, 2.0]]
+        report = analyze(validate_model(t, f))
+        assert report.structure.imprimitivity_index == 3 and handed == [None]
+        assert report.stability_residual.hex() == "0x1.b000000000000p-45"
 
 
 def _q11_of_s(model, s):

@@ -15,8 +15,11 @@ traceback as its stderr.  With --wide it records the wide runs instead.
 `compare` records each checkout in a child process, from its own src, and
 prints every run whose exit code, stdout or stderr differ, and every run of
 the new checkout that leaks: a "traceback" code or a Python warning in its
-stderr, which the old checkout may share.  It exits 1 if any run differs or
-leaks.
+stderr, which the old checkout may share.  Then it writes to stderr what
+moved, as a count of differing runs per command and per changed field:
+each top-level key of a JSON stdout whose value differs, as in
+"analyze stability_residual: 109", else "stdout", and "code" and "stderr".
+It exits 1 if any run differs or leaks.
 
 `wide` records the wide runs of each checkout the same way: analyze,
 scale --stationary and scale --target-growth 2 of WIDE_MODELS models
@@ -259,6 +262,29 @@ def _differing(a: dict, b: dict) -> dict:
     return {"argv": a["argv"], "old": {k: a[k] for k in OUTCOME}, "new": {k: b[k] for k in OUTCOME}}
 
 
+def _changed_fields(a: dict, b: dict) -> list[str]:
+    """The fields in which two runs' outcomes differ: "code", "stderr", and each top-level key of a JSON
+    object on stdout whose value differs, or "stdout" where either side's stdout is not such an object."""
+    fields = [k for k in ("code", "stderr") if a[k] != b[k]]
+    if a["stdout"] != b["stdout"]:
+        try:
+            old, new = json.loads(a["stdout"]), json.loads(b["stdout"])
+        except json.JSONDecodeError:
+            old = new = None
+        if isinstance(old, dict) and isinstance(new, dict):
+            fields += sorted(k for k in old.keys() | new.keys() if k not in old or k not in new or old[k] != new[k])
+        else:
+            fields.append("stdout")
+    return fields
+
+
+def compare_tally(old: list[dict], new: list[dict]) -> Counter:
+    """The count of differing runs per (command, changed field), over two checkouts' runs."""
+    return Counter(
+        (a["argv"][0], field) for a, b in zip(old, new, strict=True) for field in _changed_fields(a, b)
+    )
+
+
 def compare(old: Path, new: Path, seeds, every: int) -> int:
     records = _record_both(old, new, seeds, ["--every", str(every)])
     differing = leaking = 0
@@ -269,6 +295,8 @@ def compare(old: Path, new: Path, seeds, every: int) -> int:
         if leaks(b):
             leaking += 1
             print(json.dumps({"argv": b["argv"], "leak": {k: b[k] for k in ("code", "stderr")}}))
+    for (command, field), count in sorted(compare_tally(*records).items()):
+        print(f"{command} {field}: {count}", file=sys.stderr)
     print(f"{len(records[0])} runs, {differing} differing, {leaking} leaking", file=sys.stderr)
     return 1 if differing or leaking else 0
 
