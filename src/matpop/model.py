@@ -14,15 +14,11 @@ growth classification:
 Scaling only the fertility matrix moves the growth rate without touching
 survival: dividing F by R0 makes the model stationary, and dividing by
 q(s) = rho(F (I - T/s)^-1) / s makes the growth rate exactly s for any
-target s above rho(T).  The same algebra gives the scaled model's left
-Perron vector: with rows = F_f (I - T/s)^-1 on F's nonzero rows f and
-v Q11(s) = mu v, z = v rows has z T = s z - s v F_f and z F = mu v F_f,
-so z (T + F / q(s)) = s z.  One pass on Q11(s)^T, seeded at LAPACK's
-proposal, certifies mu = q(s) s and v together, and the scaled model's
-growth-rate check starts at z.  At s = 1, q(1) = R0 and rows are Q's
-fertile rows: where Q11 is 1 x 1 it is R0 itself, read, and v = [1], so
-the stationary model's check of a block of index 3 or more, which
-_eig_seed would start, starts at Q's fertile row.
+target s above rho(T), q(1) being R0.  One route, _q11_root, gives q(s) s
+at every s, s = 1 included, with the left Perron vector v of Q11(s), the
+block of F (I - T/s)^-1 on F's nonzero rows f, and the paper's series
+gives z = v F_f (I - T/s)^-1, the scaled model's left Perron vector, at
+which its growth-rate check starts.
 
 The model carries its spectral and classification tolerances, set once
 by validate_model, and computes each derived quantity (the structure of
@@ -177,14 +173,11 @@ class PopulationModel:
     def stationary(self) -> PopulationModel:
         """The model with fertility F / R0, the lifted F over the lifted R0, with growth rate 1; needs R0 > 0.
 
-        Where P is irreducible of index 3 or more and Q11 is 1 x 1, the check starts at Q's fertile row;
-        every other check is P's own pass, whose last bits analyze prints as its residual.
+        An irreducible P's check starts at z = v rows, v from R0's own pass, and its last bits are
+        analyze's residual.
         """
-        left = None
-        if self.structure.irreducible and max(self.structure.cyclic_classes) >= 2:
-            rows, q11, _ = self._q11(1.0)
-            if q11.shape == (1, 1):
-                left = _unit(rows[0])
+        _, v, rows = self._r0_root
+        left = _unit(v @ rows) if v is not None and self.structure.irreducible else None
         return _rescaled(self, self._lifted_r0, 1.0, left)
 
     @cached_property
@@ -200,14 +193,32 @@ class PopulationModel:
         return 1.0 if low >= -1021 else math.ldexp(1.0, max(0, min(-1021 - low, -math.frexp(f.max())[1])))
 
     @cached_property
-    def _lifted_r0(self) -> float:
-        """R0 times _lift: the radius of Q11(1), the lifted F's one R0 pass."""
-        return self._lifted_radius(*self._q11(1.0)[1:])
+    def _r0_root(self) -> tuple[float, np.ndarray | None, np.ndarray]:
+        """_q11_root at s = 1: R0 and Q11's left Perron vector, solved once for r0 and stationary."""
+        return self._q11_root(1.0)
 
-    def _lifted_radius(self, q11: np.ndarray, report: StructureReport) -> float:
-        """The radius of a lifted Q11(s), whose failure names the bracket of Q11(s) itself, the lifted one over _lift."""
+    @cached_property
+    def _lifted_r0(self) -> float:
+        """R0 times _lift, the root of _r0_root."""
+        return self._r0_root[0]
+
+    def _q11_root(self, s: float) -> tuple[float, np.ndarray | None, np.ndarray]:
+        """(mu, v, rows): mu = q(s) s _lift, the radius of Q11(s), with its sum-1 left Perron vector v, or None.
+
+        For an irreducible Q11(s), mu and v come from one pass on Q11(s)^T started at LAPACK's proposal,
+        whose ratio bracket certifies the root; a 1 x 1 Q11(s) is read, with v = [1].  Without a proposal,
+        or if that pass does not certify, Q11(s)'s own pass gives mu and v is the proposal, if any; so it
+        is for a reducible Q11(s), and that pass's failure names the bracket of Q11(s), the lifted one over
+        _lift.  Q11(s) comes from F times _lift, exactly, so a subnormal F or Q11 keeps the bits that the
+        rescaled fertility, lifted F / (mu / s), and R0(s), lifted R0 / (mu / s), need.
+        """
+        rows, q11, report = self._q11(s)
+        proposal = _dominant_pair(q11.T)
+        if proposal and report.irreducible:
+            with suppress(ConvergenceError):
+                return (*_power_root(q11, self.tol_spec, report.cyclic_classes, _Pass(proposal, left=True)), rows)
         try:
-            return _radius(q11, report, self.tol_spec)
+            return _radius(q11, report, self.tol_spec), proposal and proposal[1], rows
         except ConvergenceError as exc:
             raise _bracket_error_over(exc, self._lift) from None
 
@@ -390,16 +401,8 @@ def target_growth_scale(model: PopulationModel, s: float) -> TargetScaleResult:
     rho(T), decided from a bound on rho(T) wherever one can, with the
     exact rule's outcome.  The divisor is q(s) = rho(F (I - T/s)^-1) / s,
     a strictly decreasing function of s, and the scaled model's net
-    reproductive rate is R0 / q(s).  The scaled model's check starts from
-    its left Perron vector z = v F_f (I - T/s)^-1, v being Q11(s)'s left
-    Perron vector.  For an irreducible Q11(s), q(s) s and v come from one
-    pass on Q11(s)^T started at LAPACK's proposal, whose ratio bracket
-    certifies the root; a 1 x 1 Q11(s) is read, with v = [1].  Without
-    a proposal, or if that pass does not certify, Q11(s)'s own pass gives
-    q(s) and v is the proposal, if any; so it is for a reducible Q11(s).
-    Q11(s) comes from F times _lift, exactly, so a subnormal F or Q11
-    keeps the bits that _rescaled's fertility, lifted F / lifted q(s), and
-    R0(s), lifted R0 / lifted q(s), need.
+    reproductive rate is R0 / q(s).  q(s) and the scaled model's left
+    Perron vector, at which its check starts, come from _q11_root.
     """
     s = float(s)
     if not model.structure.irreducible:
@@ -413,14 +416,8 @@ def target_growth_scale(model: PopulationModel, s: float) -> TargetScaleResult:
         if s <= rho_t + model.tol_spec:
             raise ScalingError(f"target growth rate {s:.6g} must exceed rho(T) = {rho_t:.6g}")
 
-    rows, q11, report = model._q11(s)
-    mu = None
-    proposal = _dominant_pair(q11.T)
-    v = proposal and proposal[1]
-    if proposal and report.irreducible:
-        with suppress(ConvergenceError):
-            mu, v = _power_root(q11, model.tol_spec, report.cyclic_classes, _Pass(proposal, left=True))
-    lifted_q = (model._lifted_radius(q11, report) if mu is None else mu) / s
+    mu, v, rows = model._q11_root(s)
+    lifted_q = mu / s
     if lifted_q <= 0.0:
         raise ConsistencyError("fertility divisor came out nonpositive for an irreducible model")
 

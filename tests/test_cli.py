@@ -897,11 +897,16 @@ class TestToleranceFlags:
         report = json.loads(capsys.readouterr().out)
         assert report["tool"]["tol_class"] == 1e-6
 
-    def test_unreachable_tolerance_exits_3(self, capsys):
-        # Double precision cannot certify a 1e-30 bracket, so the power
-        # iteration exhausts its budget: the internal-failure exit path.
-        assert main(["--tol-spec", "1e-30", "analyze", PLANT]) == 3
+    def test_unreachable_tolerance_exits_3(self, tmp_path, capsys):
+        # Double precision cannot certify a 1e-30 bracket from a cold start: P's own growth-rate pass,
+        # probed from the uniform vector, stalls two units of 2^-52 wide, the internal-failure exit path.
+        path = write_model(tmp_path, "leslie.json", {"leslie": {"survival": [0.5, 0.5], "fertility": [0.3, 1.0, 1.0]}})
+        assert main(["--tol-spec", "1e-30", "analyze", path]) == 3
         assert "numerical failure" in capsys.readouterr().err
+        # The plant's growth rate certifies, and R0's pass and the stationary check, started at LAPACK's
+        # proposal and at z, reach a bracket of width 0.
+        assert main(["--tol-spec", "1e-30", "analyze", PLANT]) == 0
+        assert json.loads(capsys.readouterr().out)["R0"] == 0.375
 
     @pytest.mark.parametrize(
         "flag, value",
@@ -1002,17 +1007,19 @@ class TestCallBudget:
     @pytest.mark.parametrize(
         "argv, computed",
         [
-            (["scale", PLANT, "--stationary"], 232),
+            (["scale", PLANT, "--stationary"], 57),
             (["simulate", str(FIXTURES / "leslie3.json"), "--x0", "1,0,2", "--steps", "40"], 76),
-            (["analyze", PLANT], 243),
-            (["scale", PLANT, "--target-growth", "2"], 164),
+            (["analyze", PLANT], 69),
+            (["scale", PLANT, "--target-growth", "2"], 42),
         ],
     )
     def test_computed_iterations(self, argv, computed, computed_iterations, power_passes, capsys):
         # A fresh tol / 4 right side and doubling chunks computed 347 and 93
         # on the first two, and on the last a cold target check 440, then a
-        # cold pass on Q11(s) 407.  Every certifying iteration is computed,
-        # so a counter that misses steps reads below their sum.
+        # cold pass on Q11(s) 407.  A cold R0 pass on Q11, with a cold
+        # stationary check on the first and third, computed 232, 243 and 164
+        # on the first, third and last.  Every certifying iteration is
+        # computed, so a counter that misses steps reads below their sum.
         assert main(argv) == 0
         certified = sum(iterations for _, iterations in power_passes)
         assert certified <= computed_iterations[0] <= computed
@@ -1051,6 +1058,13 @@ class TestCallBudget:
         assert [(start is not None, iterations) for start, iterations in power_passes] == [(True, 1)]
         assert analyze(model).stability_residual <= 2 * np.finfo(float).eps
         assert len(calls) <= 2
+
+    def test_long_period_fertile_pair_analyze_certifies(self, tmp_path, capsys):
+        # Survival 0.9 and f = 5 at ages 399 and 400: R0 is about 5.8e-18, and a cold stationary
+        # check spent all 200,000 iterations, then raised ConvergenceError.  From z it certifies.
+        payload = {"leslie": {"survival": [0.9] * 399, "fertility": [0.0] * 398 + [5.0, 5.0]}}
+        assert main(["analyze", write_model(tmp_path, "leslie400.json", payload)]) == 0
+        assert json.loads(capsys.readouterr().out)["stability_residual"] <= 2 * np.finfo(float).eps
 
     @pytest.mark.parametrize("name, s", [("plant", 2.0), ("leslie3", 1.5), ("index6", 1.2)])
     def test_target_check_is_one_seeded_step(self, name, s, tmp_path, power_passes, monkeypatch):
@@ -1186,6 +1200,7 @@ def test_cli_sweep_wide_tally_counts_runs_whose_bytes_move():
 
 def test_cli_sweep_compare_tally_names_the_fields_that_move():
     # Each differing run counts once per changed field: a top-level key of JSON stdout, else stdout, code, stderr.
+    # A key whose moved values are all numbers counts those that fell and rose, with the largest before and after.
     sweep = load_cli_sweep()
 
     def line(argv, code, stdout="", stderr=""):
@@ -1194,11 +1209,14 @@ def test_cli_sweep_compare_tally_names_the_fields_that_move():
     analyze, stationary = ["analyze", "m.json"], ["scale", "m.json", "--stationary"]
     simulate = ["simulate", "m.json", "--x0", "1", "--steps", "2"]
     old = [line(analyze, 0, '{"R0": 1, "r": 2, "stability_residual": 0}'), line(analyze, 0, '{"r": 2}'),
-           line(stationary, 3, stderr="[0, 1]\n"), line(simulate, 0, "step\n0,1\n", "{}\n"), line(analyze, 0, "{}")]
+           line(stationary, 3, stderr="[0, 1]\n"), line(simulate, 0, "step\n0,1\n", "{}\n"), line(analyze, 0, "{}"),
+           line(analyze, 0, '{"stability_residual": 1.02e-12}'), line(analyze, 0, '{"stability_residual": 4e-16}')]
     new = [line(analyze, 0, '{"R0": 1, "r": 2, "stability_residual": 1e-16}'),
            line(analyze, 0, '{"r": 3, "q": 1}'), line(stationary, 0, '{"q": 1}'),
-           line(simulate, 0, "step\n0,2\n", "{}\n"), line(analyze, 0, "{}")]
-    assert sweep.compare_tally(old, new) == {
-        ("analyze", "stability_residual"): 1, ("analyze", "r"): 1, ("analyze", "q"): 1, ("scale", "code"): 1,
-        ("scale", "stderr"): 1, ("scale", "stdout"): 1, ("simulate", "stdout"): 1,
-    }
+           line(simulate, 0, "step\n0,2\n", "{}\n"), line(analyze, 0, "{}"),
+           line(analyze, 0, '{"stability_residual": 1.78e-15}'), line(analyze, 0, '{"stability_residual": 0.0}')]
+    assert sweep.compare_tally(old, new) == [
+        "analyze q: 1", "analyze r: 1 (0 fell, 1 rose; largest 2 -> 3)",
+        "analyze stability_residual: 3 (2 fell, 1 rose; largest 1.02e-12 -> 1.78e-15)",
+        "scale code: 1", "scale stderr: 1", "scale stdout: 1", "simulate stdout: 1",
+    ]

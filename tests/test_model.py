@@ -391,7 +391,8 @@ class TestTargetGrowthScale:
             s = rng.uniform(rho_t + 0.05, 3.0)
             result = target_growth_scale(model, s)
             assert spectral_radius(result.scaled.projection) == pytest.approx(s, abs=1e-8)
-            r0 = spectral_radius(model.next_generation)
+            # A cold pass on Q is itself good to about 1e-12: the reference is the 50-digit R0.
+            r0 = mp_next_generation_radius(model.transition, model.fertility)
             r0_direct = spectral_radius(result.scaled.next_generation)
             assert result.r0_scaled == pytest.approx(r0 / result.q, abs=1e-12)
             assert r0_direct == pytest.approx(r0 / result.q, abs=1e-10)
@@ -432,11 +433,13 @@ class TestLeftVectorIdentity:
                 left = perron_pair(result.scaled.projection).left
                 assert (z > 0.0).all()
                 np.testing.assert_allclose(z, left / left.sum(), rtol=1e-9, atol=0.0)
+            # At s = 1, z = v Q's fertile rows, v from R0's own pass.
+            left = perron_pair(stabilizing_scale(model).projection).left
+            np.testing.assert_allclose(handed[-1], left / left.sum(), rtol=1e-9, atol=0.0)
         assert kinds == {(k, d) for k in (False, True) for d in (1, 2, 3)}
 
     def test_stationary_check_starts_at_q_fertile_row_of_a_long_period_leslie(self, monkeypatch):
-        # At s = 1 a 1 x 1 Q11 is R0 itself and v = [1], so z is Q's fertile row.  Only blocks of
-        # index 3 or more, which went to _eig_seed, get it; index 1 and 2 keep their cold probes.
+        # At s = 1 a 1 x 1 Q11 is R0 itself and v = [1], so z is Q's fertile row, at every index.
         handed = _handed_left_vectors(monkeypatch)
         rng = np.random.default_rng(79)
         for period in range(1, 7):
@@ -446,9 +449,6 @@ class TestLeftVectorIdentity:
             assert model.structure.imprimitivity_index == period
             stationary = stabilizing_scale(model)
             z = handed[-1]
-            if period < 3:
-                assert z is None
-                continue
             q = model.next_generation[0]
             np.testing.assert_array_equal(z, q / q.sum())
             left = perron_pair(stationary.projection).left
@@ -456,8 +456,8 @@ class TestLeftVectorIdentity:
             assert stationary.growth_rate == pytest.approx(1.0, abs=4 * np.finfo(float).eps)
 
     def test_two_fertile_rows_of_index_3_keep_their_stationary_check(self, monkeypatch):
-        # Q11 is 2 x 2, so R0 comes from a pass and z would belong to a slightly different root: the
-        # check keeps _eig_seed, and its residual keeps the bits it had before the fertile-row seed.
+        # Q11 is 2 x 2: R0 and v come from one pass on Q11^T, and the check starts at z.  A cold pass
+        # on Q11 left R0 1,121 units of 2^-52 off and the residual at 4.8e-14.
         handed = _handed_left_vectors(monkeypatch)
         t = np.zeros((6, 6))
         t[2:4, 0:2] = [[0.5, 0.2], [0.3, 0.6]]
@@ -465,8 +465,9 @@ class TestLeftVectorIdentity:
         f = np.zeros((6, 6))
         f[0:2, 4:6] = [[1.5, 0.4], [0.9, 2.0]]
         report = analyze(validate_model(t, f))
-        assert report.structure.imprimitivity_index == 3 and handed == [None]
-        assert report.stability_residual.hex() == "0x1.b000000000000p-45"
+        assert report.structure.imprimitivity_index == 3 and len(handed) == 1 and handed[0] is not None
+        assert report.net_reproductive_rate == mp_next_generation_radius(t, f) == 1.728
+        assert report.stability_residual <= 2 * np.finfo(float).eps
 
 
 def _q11_of_s(model, s):
@@ -850,13 +851,26 @@ class TestComputeOnce:
             getattr(model, quantity)
 
     def test_perron_releases_the_kept_pass(self, plant):
-        # A target-scaled model keeps its check's pass, on P^T, for its pair's left side to resume.
+        # A rescaled model keeps its check's pass, on P^T, for its pair's left side to resume.
         models = [plant, plant.stationary, target_growth_scale(plant, 2.0).scaled]
-        for model, left in zip(models, [False, False, True]):
+        for model, left in zip(models, [False, True, True]):
             model.growth_rate
             assert model._pass.state and model._pass.left == left
             model.perron
             assert not model._pass.state
+
+    def test_lifted_model_solves_q11_once(self, monkeypatch):
+        # F's subnormal entry lifts Q11 by 2^44.  R0 and the stationary check's z share one lifted solve
+        # of Q11(1) after Q's own; the check solved it a third time.
+        t = [[0.0, 0.0, 0.0], [0.5, 0.0, 0.0], [0.0, 0.5, 0.0]]
+        f = [[0.0, 0.0, 1e-320], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]
+        solves, resolvent_rows = [], model_layer._resolvent_rows
+        monkeypatch.setattr(model_layer, "_resolvent_rows", lambda *args: solves.append(args) or resolvent_rows(*args))
+        model = validate_model(t, f)
+        model.r0
+        model.stationary
+        assert len(solves) == 2 and model._lift == 2.0**44
+        assert model.stationary.growth_rate == pytest.approx(1.0, abs=4 * np.finfo(float).eps)
 
     def test_stabilizing_scale_after_analyze_reuses_stationary_model(self, plant, kernel_calls):
         analyze(plant)

@@ -17,8 +17,10 @@ prints every run whose exit code, stdout or stderr differ, and every run of
 the new checkout that leaks: a "traceback" code or a Python warning in its
 stderr, which the old checkout may share.  Then it writes to stderr what
 moved, as a count of differing runs per command and per changed field:
-each top-level key of a JSON stdout whose value differs, as in
-"analyze stability_residual: 109", else "stdout", and "code" and "stderr".
+each top-level key of a JSON stdout whose value differs, else "stdout", and
+"code" and "stderr".  A key whose moved values are all numbers also counts
+how many fell and rose, and gives the largest value before and after, as in
+"analyze stability_residual: 207 (205 fell, 2 rose; largest 1.02e-12 -> 1.78e-15)".
 It exits 1 if any run differs or leaks.
 
 `wide` records the wide runs of each checkout the same way: analyze,
@@ -60,7 +62,7 @@ import tempfile
 import time
 import traceback
 import warnings
-from collections import Counter
+from collections import Counter, defaultdict
 from pathlib import Path
 
 import numpy as np
@@ -262,27 +264,45 @@ def _differing(a: dict, b: dict) -> dict:
     return {"argv": a["argv"], "old": {k: a[k] for k in OUTCOME}, "new": {k: b[k] for k in OUTCOME}}
 
 
-def _changed_fields(a: dict, b: dict) -> list[str]:
-    """The fields in which two runs' outcomes differ: "code", "stderr", and each top-level key of a JSON
-    object on stdout whose value differs, or "stdout" where either side's stdout is not such an object."""
-    fields = [k for k in ("code", "stderr") if a[k] != b[k]]
+def _changed_fields(a: dict, b: dict) -> dict:
+    """The fields in which two runs' outcomes differ, each top-level key of a JSON object on stdout whose value
+    differs mapped to its (old, new) values, and "stdout" (for any other stdout), "code" and "stderr" to None."""
+    fields = {k: None for k in ("code", "stderr") if a[k] != b[k]}
     if a["stdout"] != b["stdout"]:
         try:
             old, new = json.loads(a["stdout"]), json.loads(b["stdout"])
         except json.JSONDecodeError:
             old = new = None
         if isinstance(old, dict) and isinstance(new, dict):
-            fields += sorted(k for k in old.keys() | new.keys() if k not in old or k not in new or old[k] != new[k])
+            fields.update(
+                (k, (old.get(k), new.get(k)))
+                for k in sorted(old.keys() | new.keys()) if k not in old or k not in new or old[k] != new[k]
+            )
         else:
-            fields.append("stdout")
+            fields["stdout"] = None
     return fields
 
 
-def compare_tally(old: list[dict], new: list[dict]) -> Counter:
-    """The count of differing runs per (command, changed field), over two checkouts' runs."""
-    return Counter(
-        (a["argv"][0], field) for a, b in zip(old, new, strict=True) for field in _changed_fields(a, b)
-    )
+def _number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def compare_tally(old: list[dict], new: list[dict]) -> list[str]:
+    """compare's tally of two checkouts' runs: per (command, changed field), the count of differing runs,
+    and for a key whose moved values are all numbers, how many fell and rose and the largest before and after."""
+    moved = defaultdict(list)
+    for a, b in zip(old, new, strict=True):
+        for field, values in _changed_fields(a, b).items():
+            moved[a["argv"][0], field].append(values)
+    lines = []
+    for (command, field), values in sorted(moved.items()):
+        line = f"{command} {field}: {len(values)}"
+        if all(v is not None and _number(v[0]) and _number(v[1]) for v in values):
+            fell = sum(y < x for x, y in values)
+            largest = max(x for x, _ in values), max(y for _, y in values)
+            line += f" ({fell} fell, {len(values) - fell} rose; largest {largest[0]:.3g} -> {largest[1]:.3g})"
+        lines.append(line)
+    return lines
 
 
 def compare(old: Path, new: Path, seeds, every: int) -> int:
@@ -295,8 +315,8 @@ def compare(old: Path, new: Path, seeds, every: int) -> int:
         if leaks(b):
             leaking += 1
             print(json.dumps({"argv": b["argv"], "leak": {k: b[k] for k in ("code", "stderr")}}))
-    for (command, field), count in sorted(compare_tally(*records).items()):
-        print(f"{command} {field}: {count}", file=sys.stderr)
+    for line in compare_tally(*records):
+        print(line, file=sys.stderr)
     print(f"{len(records[0])} runs, {differing} differing, {leaking} leaking", file=sys.stderr)
     return 1 if differing or leaking else 0
 
