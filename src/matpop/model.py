@@ -402,7 +402,8 @@ def target_growth_scale(model: PopulationModel, s: float) -> TargetScaleResult:
     exact rule's outcome.  The divisor is q(s) = rho(F (I - T/s)^-1) / s,
     a strictly decreasing function of s, and the scaled model's net
     reproductive rate is R0 / q(s).  q(s) and the scaled model's left
-    Perron vector, at which its check starts, come from _q11_root.
+    Perron vector, at which its check starts, come from _q11_root; at
+    s = 1 they are R0's, and the scaled model is the cached stationary one.
     """
     s = float(s)
     if not model.structure.irreducible:
@@ -416,12 +417,12 @@ def target_growth_scale(model: PopulationModel, s: float) -> TargetScaleResult:
         if s <= rho_t + model.tol_spec:
             raise ScalingError(f"target growth rate {s:.6g} must exceed rho(T) = {rho_t:.6g}")
 
-    mu, v, rows = model._q11_root(s)
+    mu, v, rows = model._r0_root if s == 1.0 else model._q11_root(s)
     lifted_q = mu / s
     if lifted_q <= 0.0:
         raise ConsistencyError("fertility divisor came out nonpositive for an irreducible model")
 
-    scaled = _rescaled(model, lifted_q, s, None if v is None else _unit(v @ rows))
+    scaled = model.stationary if s == 1.0 else _rescaled(model, lifted_q, s, None if v is None else _unit(v @ rows))
     r0_scaled = model._lifted_r0 / lifted_q
     # The scaled model's (s, R0(s)) pair must itself satisfy the trichotomy.
     _classify(s, r0_scaled, model.tol_class)

@@ -43,11 +43,18 @@ block analyzes that block's pattern.  The iteration budget covers all
 passes of a block together, and a pass whose bracket has stopped
 narrowing for a whole probe length gives up early, so an unreachable
 tolerance fails fast.
+
+A side of a Perron pair with no kept pass to resume starts at LAPACK's
+proposal for that side, where the block has index 1 or 2 and order at
+most _PROPOSAL_MAX_ORDER: up to that gate one dense eig and a few seeded
+steps cost less than the cold probes, and above it more.  A proposal
+whose pass does not certify gives way to the cold route.
 """
 
 from __future__ import annotations
 
 import math
+from contextlib import suppress
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -65,6 +72,10 @@ MAX_ITERATIONS = 200_000
 # one dense eigendecomposition of that block.
 PROBE_MIN_ITERATIONS = 500
 PROBE_ITERATIONS_PER_ORDER = 20
+# Largest block order whose fresh Perron-pair side starts at LAPACK's proposal: one dense eig and
+# a few seeded steps broke even with the cold probes near order 20 on random stage-structured
+# blocks and near 32 on Leslie blocks (2-core x86-64 host), and above that the eig costs more.
+_PROPOSAL_MAX_ORDER = 20
 # Most iterations a power pass computes before it reads their brackets.
 _CHUNK_ITERATIONS = 32
 # A block solve of the resolvent may round slightly negative; any dip
@@ -540,20 +551,36 @@ def perron_pair(m, *, tol: float = SPECTRAL_TOL) -> SpectralPair:
 def _pair(m: np.ndarray, report: StructureReport, tol: float, kept: _Pass | None = None) -> SpectralPair:
     """perron_pair of a validated matrix whose structure report is given.
 
-    kept, a pass of _power_root on m or on its transpose, is resumed by its own side; the other runs afresh.
+    kept, a pass of _power_root on m or on its transpose, is resumed by its own side.  A side with
+    no pass to resume starts at LAPACK's proposal for that side where the block has index 1 or 2 and
+    order at most _PROPOSAL_MAX_ORDER, above which one dense eig costs more than the cold probes it
+    spares.  Without a proposal, where its pass does not certify, and on every other block, the side
+    takes the cold route: probes, then _eig_seed, or the cyclic seed at index 3 or more.
     """
     if not report.irreducible:
         raise StructureError("matrix is reducible; analyze each strongly connected component separately")
     # Iterate both sides a notch tighter than requested so the combined
     # residuals of the pair stay within tol.
     inner_tol = tol / 4.0
-    left = kept if kept is not None and kept.left else _Pass(left=True)
-    rho, right = _power_root(m, inner_tol, report.cyclic_classes, None if left is kept else kept)
-    _, left = _power_root(m, inner_tol, report.cyclic_classes, left)
+    (rho, right), (_, left) = (
+        _power_root(m, inner_tol, report.cyclic_classes, kept) if kept is not None and kept.left == side
+        else _fresh_side(m, inner_tol, report.cyclic_classes, side)
+        for side in (False, True)
+    )
     left = left / float(left @ right)
     right.setflags(write=False)
     left.setflags(write=False)
     return SpectralPair(rho=rho, right=right, left=left)
+
+
+def _fresh_side(m: np.ndarray, tol: float, classes: tuple[int, ...], left: bool):
+    """(root, vector) of a side of m's Perron pair (left: on m^T) that has no pass to resume, as _pair routes it."""
+    if len(m) <= _PROPOSAL_MAX_ORDER and max(classes) < 2:
+        proposal = _dominant_pair(m.T if left else m)
+        if proposal is not None:
+            with suppress(ConvergenceError):
+                return _power_root(m, tol, classes, _Pass(proposal, left))
+    return _power_root(m, tol, classes, _Pass(left=left))
 
 
 def resolvent_inverse(transition) -> np.ndarray:

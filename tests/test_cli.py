@@ -982,6 +982,7 @@ class TestCallBudget:
             (["simulate", PLANT, "--x0", "1,0,2,0,0", "--steps", "40"], 2, 3),
             (["simulate", str(FIXTURES / "leslie3.json"), "--x0", "1,0,2", "--steps", "40"], 2, 3),
         ],
+        ids=["analyze", "scale-stationary", "scale-target-growth-2", "simulate-plant", "simulate-leslie3"],
     )
     def test_plant_commands(self, argv, tarjan, perron, kernel_calls, capsys):
         assert main(argv) == 0
@@ -995,6 +996,7 @@ class TestCallBudget:
             (["scale", PLANT, "--stationary"], 12),
             (["scale", PLANT, "--target-growth", "2"], 14),
         ],
+        ids=["analyze", "scale-stationary", "scale-target-growth-2"],
     )
     def test_plant_pattern_orders(self, argv, walked, kernel_calls, capsys):
         # The total order of the patterns that Tarjan passes walk.  Q and
@@ -1007,19 +1009,24 @@ class TestCallBudget:
     @pytest.mark.parametrize(
         "argv, computed",
         [
-            (["scale", PLANT, "--stationary"], 57),
-            (["simulate", str(FIXTURES / "leslie3.json"), "--x0", "1,0,2", "--steps", "40"], 76),
+            (["scale", PLANT, "--stationary"], 3),
+            (["simulate", str(FIXTURES / "leslie3.json"), "--x0", "1,0,2", "--steps", "40"], 40),
             (["analyze", PLANT], 69),
-            (["scale", PLANT, "--target-growth", "2"], 42),
+            (["scale", PLANT, "--target-growth", "2"], 4),
         ],
+        ids=["scale-stationary", "simulate-leslie3", "analyze", "scale-target-growth-2"],
     )
     def test_computed_iterations(self, argv, computed, computed_iterations, power_passes, capsys):
         # A fresh tol / 4 right side and doubling chunks computed 347 and 93
         # on the first two, and on the last a cold target check 440, then a
         # cold pass on Q11(s) 407.  A cold R0 pass on Q11, with a cold
         # stationary check on the first and third, computed 232, 243 and 164
-        # on the first, third and last.  Every certifying iteration is
-        # computed, so a counter that misses steps reads below their sum.
+        # on the first, third and last.  A cold fresh side of the Perron pair,
+        # the right one of the scaled model and the left one of leslie3.json,
+        # computed 57, 76 and 42 on the first, second and last; from LAPACK's
+        # proposal it takes one more small eig call each.  Every certifying
+        # iteration is computed, so a counter that misses steps reads below
+        # their sum.
         assert main(argv) == 0
         certified = sum(iterations for _, iterations in power_passes)
         assert certified <= computed_iterations[0] <= computed
@@ -1220,3 +1227,19 @@ def test_cli_sweep_compare_tally_names_the_fields_that_move():
         "analyze stability_residual: 3 (2 fell, 1 rose; largest 1.02e-12 -> 1.78e-15)",
         "scale code: 1", "scale stderr: 1", "scale stdout: 1", "simulate stdout: 1",
     ]
+
+
+def test_cli_sweep_compare_counts_each_sides_slow_runs(monkeypatch, capsys):
+    # compare writes each side's count of runs over SLOW_SECONDS to stderr, and a slow run alone keeps exit 0:
+    # a pass that spends its budget before its fallback certifies keeps its bytes, and shows only here.
+    sweep = load_cli_sweep()
+
+    def line(seconds):
+        return {"argv": ["analyze", "m.json"], "code": 0, "stdout": "{}", "stderr": "", "seconds": seconds}
+
+    old, new = [line(0.1), line(0.1)], [line(0.1), line(sweep.SLOW_SECONDS + 0.1)]
+    assert sweep.slow_tally(old, new) == [f"old: 0 runs over {sweep.SLOW_SECONDS} s",
+                                          f"new: 1 runs over {sweep.SLOW_SECONDS} s"]
+    monkeypatch.setattr(sweep, "_record_both", lambda *args: [old, new])
+    assert sweep.compare(Path("old"), Path("new"), [1], 1) == 0
+    assert capsys.readouterr().err.splitlines() == [*sweep.slow_tally(old, new), "2 runs, 0 differing, 0 leaking"]

@@ -796,6 +796,18 @@ class TestComputeOnce:
         assert len(blocks) <= 2
         assert not any(np.array_equal(b, qb) for b in blocks for qb in q_blocks)
 
+    def test_target_growth_one_after_analyze_reads_r0_and_the_stationary_model(self, plant, power_passes, monkeypatch):
+        # q(1) is R0: solving it again made one 2 x 2 eig call and two passes, on Q11(1)^T and on
+        # the scaled P^T, and built a second model whose fertility equalled stationary's bit for bit.
+        analyze(plant)
+        eig, calls = np.linalg.eig, []
+        monkeypatch.setattr(np.linalg, "eig", lambda a: calls.append(a.shape) or eig(a))
+        power_passes.clear()
+        result = target_growth_scale(plant, 1.0)
+        assert calls == [] and power_passes == []
+        assert result.q.hex() == plant.r0.hex()
+        assert result.scaled is plant.stationary
+
     def test_model_quantities_coerce_no_matrix_after_validation(self, monkeypatch):
         calls = []
 

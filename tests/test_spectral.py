@@ -205,7 +205,11 @@ def _leslie_projection(n: int, fertile_ages) -> np.ndarray:
 
 
 class TestPeriodRouting:
-    """A block of index d >= 3 skips its cold probes; blocks of index 1 and 2 start cold."""
+    """A block of index d >= 3 skips its cold probes; blocks of index 1 and 2 start cold.
+
+    A fresh side of a Perron pair of a block no larger than the gate and of index 1 or 2 starts at
+    LAPACK's proposal for that side instead.
+    """
 
     @pytest.mark.parametrize(
         "n, fertile_ages",
@@ -242,17 +246,64 @@ class TestPeriodRouting:
     )
     def test_other_blocks_start_cold_and_keep_their_bits(self, m, period, power_passes):
         m = np.asarray(m)
-        assert structure.analyze_structure(m).imprimitivity_index == period
+        report = structure.analyze_structure(m)
+        assert report.imprimitivity_index == period
         rho = spectral_radius(m)
-        pair = perron_pair(m)
         assert power_passes[0][0] is None
         # Index 1 is the path every block took before the routing.
         tol = spectral.SPECTRAL_TOL
         assert rho == spectral._power_root(m, tol)[0]
-        right = spectral._power_root(m, tol / 4.0)[1]
-        left = spectral._power_root(m.T, tol / 4.0)[1]
+        # Each fresh side of the pair starts at LAPACK's proposal for that side.
+        power_passes.clear()
+        pair = perron_pair(m)
+        assert power_passes and all(start is not None for start, _ in power_passes)
+        classes = report.cyclic_classes
+        root, right = spectral._power_root(m, tol / 4.0, classes, spectral._Pass(spectral._dominant_pair(m)))
+        _, left = spectral._power_root(m, tol / 4.0, classes, spectral._Pass(spectral._dominant_pair(m.T), True))
+        assert pair.rho == root
         assert pair.right.tobytes() == right.tobytes()
         assert pair.left.tobytes() == (left / float(left @ right)).tobytes()
+
+    def test_a_block_above_the_gate_keeps_its_cold_pair(self, power_passes):
+        # Above the gate one dense eig costs more than the cold probes it would spare.
+        n = spectral._PROPOSAL_MAX_ORDER + 1
+        m = np.random.default_rng(3).uniform(0.0, 1.0, (n, n))
+        assert structure.analyze_structure(m).imprimitivity_index == 1
+        pair = perron_pair(m)
+        assert all(start is None for start, _ in power_passes)
+        tol = spectral.SPECTRAL_TOL / 4.0
+        right, left = spectral._power_root(m, tol)[1], spectral._power_root(m.T, tol)[1]
+        assert pair.right.tobytes() == right.tobytes()
+        assert pair.left.tobytes() == (left / float(left @ right)).tobytes()
+
+    def test_fresh_sides_of_index_three_go_to_the_cyclic_seed(self, monkeypatch):
+        # Only the 2 x 2 restriction of P^3 to a cyclic class goes to eig, never P itself.
+        m = _leslie_projection(6, [3, 6])
+        assert structure.analyze_structure(m).imprimitivity_index == 3
+        eig, calls = np.linalg.eig, []
+        monkeypatch.setattr(np.linalg, "eig", lambda a: calls.append(a.shape) or eig(a))
+        eig_seed, seeds = spectral._eig_seed, []
+        monkeypatch.setattr(spectral, "_eig_seed", lambda *args: seeds.append(args) or eig_seed(*args))
+        pair = perron_pair(m)
+        assert len(seeds) == 2 and calls and (6, 6) not in calls
+        assert np.max(np.abs(pair.left @ m - pair.rho * pair.left)) <= 1e-12 * np.max(pair.left)
+
+    @pytest.mark.parametrize("m", [PLANT_T + PLANT_F, [[0.5, 1.0], [0.25, 0.5]]], ids=["plant", "primitive"])
+    def test_a_proposal_that_does_not_certify_falls_back_to_the_cold_pair(self, m, monkeypatch):
+        # Dividing by a proposed root of 5e-324 overflows, so _rescaled_block refuses the seeded pass.
+        m = np.asarray(m)
+        cold = perron_pair(m)
+        dominant_pair = spectral._dominant_pair
+        monkeypatch.setattr(spectral, "_dominant_pair", lambda block: (5e-324, dominant_pair(block)[1]))
+        with pytest.raises(ConvergenceError, match="overflows"):
+            spectral._power_root(m, spectral.SPECTRAL_TOL, None, spectral._Pass(spectral._dominant_pair(m)))
+        pair = perron_pair(m)
+        tol = spectral.SPECTRAL_TOL / 4.0
+        root, right = spectral._power_root(m, tol)
+        left = spectral._power_root(m.T, tol)[1]
+        assert pair.rho == root and pair.right.tobytes() == right.tobytes()
+        assert pair.left.tobytes() == (left / float(left @ right)).tobytes()
+        assert pair.right.tobytes() != cold.right.tobytes() or pair.left.tobytes() != cold.left.tobytes()
 
     @pytest.mark.parametrize("tol", [1e-6, 1e-12, 1e-20], ids=["tol6", "tol12", "tol20"])
     def test_index_three_is_the_boundary_at_every_tolerance(self, tol, power_passes):

@@ -20,8 +20,10 @@ moved, as a count of differing runs per command and per changed field:
 each top-level key of a JSON stdout whose value differs, else "stdout", and
 "code" and "stderr".  A key whose moved values are all numbers also counts
 how many fell and rose, and gives the largest value before and after, as in
-"analyze stability_residual: 207 (205 fell, 2 rose; largest 1.02e-12 -> 1.78e-15)".
-It exits 1 if any run differs or leaks.
+"analyze stability_residual: 207 (205 fell, 2 rose; largest 1.02e-12 -> 1.78e-15)",
+and each side's count of runs over SLOW_SECONDS, which shows a side that
+spends a pass's budget before it falls back, though its bytes hold.
+It exits 1 if any run differs or leaks, however many runs are slow.
 
 `wide` records the wide runs of each checkout the same way: analyze,
 scale --stationary and scale --target-growth 2 of WIDE_MODELS models
@@ -79,7 +81,7 @@ SLOW_LESLIE = (
 WIDE_VALUES = [0.0, 5e-324, 1e-300, 1e-10, 0.3, 0.9, 1.0, 1e10, 1e300, 1.7e308]
 # The wide models drawn per seed.
 WIDE_MODELS = 1500
-# A run of the wide sweep slower than this many seconds is counted as slow.
+# A run slower than this many seconds is counted as slow, by compare and wide.
 SLOW_SECONDS = 0.3
 # Values per chunk of matpop.cli's CSV writer, CSV_CHUNK_VALUES; a constant here, so
 # that both checkouts of a compare run the same argv.
@@ -305,6 +307,15 @@ def compare_tally(old: list[dict], new: list[dict]) -> list[str]:
     return lines
 
 
+def slow_tally(old: list[dict], new: list[dict]) -> list[str]:
+    """Each side's count of runs over SLOW_SECONDS, one line per side."""
+    return [f"{label}: {_slow(side)} runs over {SLOW_SECONDS} s" for label, side in (("old", old), ("new", new))]
+
+
+def _slow(side: list[dict]) -> int:
+    return sum(line["seconds"] > SLOW_SECONDS for line in side)
+
+
 def compare(old: Path, new: Path, seeds, every: int) -> int:
     records = _record_both(old, new, seeds, ["--every", str(every)])
     differing = leaking = 0
@@ -315,7 +326,7 @@ def compare(old: Path, new: Path, seeds, every: int) -> int:
         if leaks(b):
             leaking += 1
             print(json.dumps({"argv": b["argv"], "leak": {k: b[k] for k in ("code", "stderr")}}))
-    for line in compare_tally(*records):
+    for line in compare_tally(*records) + slow_tally(*records):
         print(line, file=sys.stderr)
     print(f"{len(records[0])} runs, {differing} differing, {leaking} leaking", file=sys.stderr)
     return 1 if differing or leaking else 0
@@ -353,8 +364,7 @@ def wide(old: Path, new: Path, seeds) -> int:
         print(f"{command:<26} same exit code, other bytes {count:>6}")
     for label, side in zip(("old", "new"), records):
         codes = Counter(line["code"] for line in side)
-        slow = sum(line["seconds"] > SLOW_SECONDS for line in side)
-        print(f"{label}: exit codes {dict(sorted(codes.items(), key=str))}, {slow} runs over {SLOW_SECONDS} s")
+        print(f"{label}: exit codes {dict(sorted(codes.items(), key=str))}, {_slow(side)} runs over {SLOW_SECONDS} s")
     print(f"{len(records[0])} runs, {left} leaving exit 0, {leaking} leaking", file=sys.stderr)
     return 1 if left or leaking else 0
 
